@@ -56,6 +56,11 @@ bool same_counts(const BuildOutput& a, const BuildOutput& b) {
          a.net.words == b.net.words && a.h().num_edges() == b.h().num_edges();
 }
 
+/// Simulator throughput of one build: messages sent per wall-clock second.
+double msgs_per_s(const BuildOutput& r, double wall_s) {
+  return wall_s > 0 ? static_cast<double>(r.net.messages) / wall_s : 0.0;
+}
+
 bool same_injected(const BuildOutput& a, const BuildOutput& b) {
   return a.transport.dropped == b.transport.dropped &&
          a.transport.duplicated == b.transport.duplicated &&
@@ -132,6 +137,7 @@ int main(int argc, char** argv) {
         Row{"emulator_congest", "ba", 256, 4, 0.49},
         Row{"emulator_congest", "caveman", 256, 4, 0.49},
         Row{"emulator_congest", "er", 512, 8, 0.4},
+        Row{"emulator_congest", "er", 16384, 4, 0.45},
         Row{"spanner_congest", "er", 128, 4, 0.49},
         Row{"spanner_congest", "er", 256, 4, 0.49},
         Row{"spanner_congest_em19", "er", 128, 4, 0.49},
@@ -217,7 +223,11 @@ int main(int argc, char** argv) {
                    "\", \"n\": " + std::to_string(g.num_vertices()) +
                    ", \"wall_s_serial\": " + format_double(serial_s, 4) +
                    ", \"wall_s_parallel\": " + format_double(parallel_s, 4) +
-                   ", \"speedup\": " + format_double(speedup, 3) + "}";
+                   ", \"speedup\": " + format_double(speedup, 3) +
+                   ", \"msgs_per_s_serial\": " +
+                   format_double(msgs_per_s(r, serial_s), 0) +
+                   ", \"msgs_per_s_parallel\": " +
+                   format_double(msgs_per_s(r, parallel_s), 0) + "}";
   }
   table.print(std::cout, "E4: CONGEST rounds vs schedule budget (threads=" +
                              std::to_string(threads) + ")");

@@ -68,7 +68,8 @@ std::string invariants_field() {
   return ", \"invariants\": " + usne::inv::counters_json();
 }
 
-/// `--profile`: per-(phase, task) scheduler stage breakdown plus the
+/// `--profile`: per-(phase, task) scheduler stage breakdown and simulator
+/// throughput (messages per second of scheduler wall) plus the
 /// attribution-coverage line the acceptance gate reads (stage_sum must
 /// reach >= 95% of the summed scheduler wall time — anything less means a
 /// stage is escaping attribution).
@@ -79,7 +80,8 @@ void print_profile(const std::vector<usne::congest::PhaseProfileEntry>& prof) {
     return;
   }
   usne::Table table({"task", "rounds", "deliver_ms", "compute_ms",
-                     "replay_ms", "end_round_ms", "other_ms", "wall_ms"});
+                     "replay_ms", "end_round_ms", "other_ms", "wall_ms",
+                     "msgs_per_s"});
   usne::congest::StageTimes total;
   for (const usne::congest::PhaseProfileEntry& e : prof) {
     const usne::congest::StageTimes& t = e.times;
@@ -91,7 +93,8 @@ void print_profile(const std::vector<usne::congest::PhaseProfileEntry>& prof) {
         .add(t.replay_s * 1e3, 3)
         .add(t.end_round_s * 1e3, 3)
         .add((t.init_s + t.drain_s) * 1e3, 3)
-        .add(t.wall_s * 1e3, 3);
+        .add(t.wall_s * 1e3, 3)
+        .add(t.msgs_per_s(), 0);
     total += t;
   }
   table.print(std::cout, "construction profile");
@@ -114,7 +117,8 @@ std::string profile_json(
         << ", \"deliver_s\": " << t.deliver_s
         << ", \"drain_s\": " << t.drain_s
         << ", \"end_round_s\": " << t.end_round_s
-        << ", \"init_s\": " << t.init_s << ", \"rounds\": " << t.rounds
+        << ", \"init_s\": " << t.init_s << ", \"messages\": " << t.messages
+        << ", \"rounds\": " << t.rounds
         << ", \"task\": \"" << prof[i].label
         << "\", \"wall_s\": " << t.wall_s << "}";
   }

@@ -1,6 +1,7 @@
 #include "congest/detect.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "congest/engine.hpp"
 
@@ -12,55 +13,82 @@ constexpr Word kExplore = 4;  // <kExplore, source, dist>
 /// Algorithm 2 as a NodeProgram. The schedule is delta strides of `cap`
 /// rounds; in round t of a stride every active vertex broadcasts the t-th
 /// source it learnt during the previous stride. Stride boundaries recompute
-/// the pending lists (smallest (dist, id) first, truncated to cap).
+/// the pending lists (smallest (dist, id) first, truncated to cap). The
+/// lists sit back to back in one flat array, senders in ascending order,
+/// and each round a sender broadcasts its next entry and drops out once
+/// its list is spent.
 ///
-/// Parallel audit: on_round mutates only hits_[v] — per-vertex state — so
-/// the parallel fan-out needs no shard buffers here. pending_/active_ are
-/// rewritten exclusively at stride boundaries inside end_round (serial).
+/// Duplicate test. A vertex scans its hit list while the list is smaller
+/// than a bitset over the run's sources (dense rank); once the list takes
+/// as many bytes as that bitset, the vertex switches to the bitset and
+/// tests each arrival in O(1). The bitsets therefore never outweigh the
+/// lists they index. No n x |sources| matrix is ever allocated: phase 0
+/// runs with every vertex a source.
+///
+/// Stride boundary. What a vertex learnt during the stride just completed
+/// is the suffix of its hit list appended since the previous boundary, so
+/// a boundary visits only the vertices that learnt something (collected
+/// per shard, then sorted ascending: senders keep the order a full scan
+/// would give). The suffix is still filtered by distance: under async
+/// delivery a message sent in an earlier stride can land in this one, and
+/// it keeps the distance its message carried.
+///
+/// Parallel audit: on_round mutates only per-vertex state (hits_[v],
+/// seen_[v]) and pushes v into its own shard's learners_ buffer; it reads
+/// learnt_from_[v], which only the boundary writes. pending_, senders_,
+/// learnt_from_ and the drained learners are rewritten exclusively at
+/// stride boundaries inside end_round (serial).
 class DetectProgram final : public NodeProgram {
  public:
   DetectProgram(Vertex n, const std::vector<Vertex>& sources, Dist delta,
                 std::int64_t cap)
-      : n_(n), cap_(cap), total_rounds_(delta * cap) {
-    hits_.assign(static_cast<std::size_t>(n), {});
-    pending_.assign(static_cast<std::size_t>(n), {});
+      : cap_(cap), total_rounds_(delta * cap) {
+    const auto un = static_cast<std::size_t>(n);
+    hits_.assign(un, {});
+    seen_.assign(un, {});
+    rank_.assign(un, -1);
+    learnt_from_.assign(un, 0);
     std::vector<Vertex> sorted = sources;
     std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    for (const Vertex s : sorted) {
-      hits_[static_cast<std::size_t>(s)].push_back({s, 0, -1});
-      pending_[static_cast<std::size_t>(s)].push_back({s, 0, -1});
-      active_.push_back(s);
+    bitset_words_ = (sorted.size() + 63) / 64;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      const auto s = static_cast<std::size_t>(sorted[i]);
+      rank_[s] = static_cast<std::int32_t>(i);
+      hits_[s].push_back({sorted[i], 0, -1});
+      learnt_from_[s] = 1;
+      pending_.push_back({sorted[i], 0, -1});
+      senders_.push_back({sorted[i], i, i + 1});
     }
   }
 
+  void set_shards(std::size_t shards) override { learners_.reset(shards); }
+
   void init(Outbox& out) override {
-    if (total_rounds_ > 0) send_entries(0, out);
+    if (total_rounds_ > 0) send_entries(out);
   }
 
   void on_round(std::int64_t, Vertex v, std::span<const Received> inbox,
-                Outbox&) override {
-    auto& known = hits_[static_cast<std::size_t>(v)];
+                Outbox& out) override {
+    const auto sv = static_cast<std::size_t>(v);
+    auto& known = hits_[sv];
+    const std::size_t before = known.size();
     for (const Received& r : inbox) {
       if (r.msg.words[0] != kExplore) continue;
       const Vertex src = static_cast<Vertex>(r.msg.words[1]);
-      const Dist d = r.msg.words[2] + 1;
-      const bool duplicate =
-          std::any_of(known.begin(), known.end(),
-                      [&](const SourceHit& h) { return h.source == src; });
-      if (!duplicate) known.push_back({src, d, r.from});
+      if (first_hearing(sv, src)) {
+        known.push_back({src, r.msg.words[2] + 1, r.from});
+      }
+    }
+    if (before == learnt_from_[sv] && known.size() > before) {
+      learners_.push(out.shard(), v);  // first entry this stride
     }
   }
 
   void end_round(std::int64_t round, Outbox& out) override {
     if (round + 1 >= total_rounds_) return;  // schedule exhausted
-    const std::int64_t t = round % cap_;
-    if (t == cap_ - 1) {
-      stride_boundary(round / cap_ + 1);
-      send_entries(0, out);
-    } else {
-      send_entries(t + 1, out);
-    }
+    if (round % cap_ == cap_ - 1) stride_boundary(round / cap_ + 1);
+    send_entries(out);
   }
 
   bool done(std::int64_t next_round) const override {
@@ -79,47 +107,97 @@ class DetectProgram final : public NodeProgram {
   }
 
  private:
-  void send_entries(std::int64_t t, Outbox& out) {
-    for (const Vertex v : active_) {
-      const auto& list = pending_[static_cast<std::size_t>(v)];
-      if (static_cast<std::int64_t>(list.size()) > t) {
-        const SourceHit& h = list[static_cast<std::size_t>(t)];
-        out.broadcast(v, Message::of(kExplore, h.source, h.dist));
+  /// True the first time v hears `src` (which is then marked heard).
+  bool first_hearing(std::size_t v, Vertex src) {
+    std::vector<std::uint64_t>& seen = seen_[v];
+    if (seen.empty()) {
+      const auto& known = hits_[v];
+      if (known.size() * sizeof(SourceHit) <
+          bitset_words_ * sizeof(std::uint64_t)) {
+        return std::none_of(known.begin(), known.end(),
+                            [&](const SourceHit& h) { return h.source == src; });
       }
+      seen.assign(bitset_words_, 0);
+      for (const SourceHit& h : known) test_and_set(seen, h.source);
     }
+    return !test_and_set(seen, src);
+  }
+
+  /// Sets `src`'s bit; returns whether it was already set.
+  bool test_and_set(std::vector<std::uint64_t>& seen, Vertex src) const {
+    const auto rank =
+        static_cast<std::size_t>(rank_[static_cast<std::size_t>(src)]);
+    std::uint64_t& word = seen[rank / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (rank % 64);
+    const bool was_set = (word & bit) != 0;
+    word |= bit;
+    return was_set;
+  }
+
+  /// One round of the stride: every sender broadcasts its next pending
+  /// entry (in round t, the t-th of its list).
+  void send_entries(Outbox& out) {
+    std::size_t kept = 0;
+    for (Sender s : senders_) {
+      const SourceHit& h = pending_[s.next++];
+      out.broadcast(s.v, Message::of(kExplore, h.source, h.dist));
+      if (s.next < s.end) senders_[kept++] = s;
+    }
+    senders_.resize(kept);
   }
 
   /// Pending lists for the next stride = sources learnt during the stride
   /// just completed, truncated to the cap (smallest (dist, id) first —
   /// deterministic specialization of the paper's arbitrary choice).
   void stride_boundary(Dist completed_stride) {
-    for (const Vertex v : active_) pending_[static_cast<std::size_t>(v)].clear();
-    active_.clear();
-    for (Vertex v = 0; v < n_; ++v) {
-      auto& known = hits_[static_cast<std::size_t>(v)];
-      std::vector<SourceHit> fresh;
-      for (const SourceHit& h : known) {
-        if (h.dist == completed_stride) fresh.push_back(h);
+    pending_.clear();
+    senders_.clear();  // already spent: no list is longer than the stride
+    std::vector<Vertex> learnt;
+    learners_.drain_into(learnt);
+    std::sort(learnt.begin(), learnt.end());
+    for (const Vertex v : learnt) {
+      const auto sv = static_cast<std::size_t>(v);
+      const auto& known = hits_[sv];
+      const std::size_t begin = pending_.size();
+      for (std::size_t i = learnt_from_[sv]; i < known.size(); ++i) {
+        if (known[i].dist == completed_stride) pending_.push_back(known[i]);
       }
-      if (fresh.empty()) continue;
-      std::sort(fresh.begin(), fresh.end(),
+      learnt_from_[sv] = known.size();
+      if (pending_.size() == begin) continue;
+      const auto fresh = pending_.begin() + static_cast<std::ptrdiff_t>(begin);
+      std::sort(fresh, pending_.end(),
                 [](const SourceHit& a, const SourceHit& b) {
                   return a.source < b.source;  // equal dist within a stride
                 });
-      if (static_cast<std::int64_t>(fresh.size()) > cap_) {
-        fresh.resize(static_cast<std::size_t>(cap_));
+      if (static_cast<std::int64_t>(pending_.size() - begin) > cap_) {
+        pending_.resize(begin + static_cast<std::size_t>(cap_));
       }
-      pending_[static_cast<std::size_t>(v)] = std::move(fresh);
-      active_.push_back(v);
+      senders_.push_back({v, begin, pending_.size()});
     }
   }
 
-  Vertex n_;
   std::int64_t cap_;
   std::int64_t total_rounds_;
   std::vector<std::vector<SourceHit>> hits_;
-  std::vector<std::vector<SourceHit>> pending_;
-  std::vector<Vertex> active_;
+  // The stride's forwarding schedule: sender v broadcasts
+  // pending_[next, end), one entry per round; senders_ is ascending in v.
+  struct Sender {
+    Vertex v;
+    std::size_t next;
+    std::size_t end;
+  };
+  std::vector<SourceHit> pending_;
+  std::vector<Sender> senders_;
+  // Duplicate test: each source's dense rank (-1 for non-sources, which
+  // never circulate), the bitset length in words, and per-vertex bitsets
+  // (empty until the vertex's hit list outweighs one).
+  std::vector<std::int32_t> rank_;
+  std::size_t bitset_words_ = 0;
+  std::vector<std::vector<std::uint64_t>> seen_;
+  // Stride bookkeeping: hits_[v][learnt_from_[v]..] is what v learnt since
+  // the last boundary; learners_ collects each such v once per stride.
+  std::vector<std::size_t> learnt_from_;
+  Sharded<Vertex> learners_;
 };
 
 }  // namespace

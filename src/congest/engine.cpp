@@ -189,6 +189,7 @@ ScheduleReport Scheduler::run(NodeProgram& program) {
   if (prof != nullptr) {
     prof->wall_s += elapsed_s(run_start, MonoClock::now());
     prof->rounds += report.rounds;
+    prof->messages += after.messages - before.messages;
   }
   // Layer-level traffic totals on the global metrics page; two relaxed
   // adds per program run, nowhere near any hot path.

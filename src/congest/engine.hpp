@@ -103,6 +103,7 @@ class Outbox {
       net_->broadcast(from, msg);
       return;
     }
+    check_sender(*graph_, from, "broadcast");
     for (const Vertex to : graph_->neighbors(from)) {
       staged_.push_back({from, to, msg});
     }

@@ -17,6 +17,34 @@ namespace {
 /// wall-clock knob — delivery order is bit-identical either way.
 constexpr std::size_t kMinParallelScatter = 4096;
 
+/// A round's receivers are put in ascending order by one scan over all n
+/// vertices instead of a sort once at least n / kDenseReceivers of them
+/// receive: the O(n) scan then beats the O(r log r) sort. Wall-clock only;
+/// the order is the same either way.
+constexpr std::size_t kDenseReceivers = 32;
+
+/// Sorts `receivers` (distinct vertices of [0, n)) ascending; a dense set
+/// is rebuilt by scanning [0, n) with `is_receiver` instead.
+template <typename IsReceiver>
+void sort_receivers(std::vector<Vertex>& receivers, std::size_t n,
+                    IsReceiver is_receiver) {
+  if (receivers.size() * kDenseReceivers < n) {
+    std::sort(receivers.begin(), receivers.end());
+    return;
+  }
+  receivers.clear();
+  for (std::size_t v = 0; v < n; ++v) {
+    if (is_receiver(v)) receivers.push_back(static_cast<Vertex>(v));
+  }
+}
+
+void check_word_cap(const Message& msg) {
+  if (msg.size < 1 || msg.size > kMaxWords) {
+    throw CongestViolation("message exceeds O(1)-word cap: " +
+                           std::to_string(msg.size) + " words");
+  }
+}
+
 }  // namespace
 
 Network::Network(const Graph& g)
@@ -87,16 +115,8 @@ std::int64_t Network::directed_edge_id(Vertex from, Vertex to) const {
   return graph_->csr_offset(from) + (it - nbrs.begin());
 }
 
-void Network::send(Vertex from, Vertex to, const Message& msg) {
-  if (msg.size < 1 || msg.size > kMaxWords) {
-    throw CongestViolation("message exceeds O(1)-word cap: " +
-                           std::to_string(msg.size) + " words");
-  }
-  const std::int64_t eid = directed_edge_id(from, to);
-  if (eid < 0) {
-    throw CongestViolation("send along non-edge (" + std::to_string(from) +
-                           "," + std::to_string(to) + ")");
-  }
+void Network::stage(std::int64_t eid, Vertex from, Vertex to,
+                    const Message& msg) {
   auto& stamp = edge_round_stamp_[static_cast<std::size_t>(eid)];
   if (stamp == stats_.rounds) {
     throw CongestViolation("second message on edge (" + std::to_string(from) +
@@ -110,8 +130,26 @@ void Network::send(Vertex from, Vertex to, const Message& msg) {
   stats_.words += msg.size;
 }
 
+void Network::send(Vertex from, Vertex to, const Message& msg) {
+  check_word_cap(msg);
+  check_sender(*graph_, from, "send");
+  const std::int64_t eid = directed_edge_id(from, to);
+  if (eid < 0) {
+    throw CongestViolation("send along non-edge (" + std::to_string(from) +
+                           "," + std::to_string(to) + ")");
+  }
+  stage(eid, from, to, msg);
+}
+
 void Network::broadcast(Vertex from, const Message& msg) {
-  for (const Vertex to : graph_->neighbors(from)) send(from, to, msg);
+  check_sender(*graph_, from, "broadcast");
+  const auto nbrs = graph_->neighbors(from);
+  if (nbrs.empty()) return;
+  check_word_cap(msg);
+  const std::int64_t first = graph_->csr_offset(from);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    stage(first + static_cast<std::int64_t>(i), from, nbrs[i], msg);
+  }
 }
 
 void Network::sort_inbox_run(Vertex v) {
@@ -200,7 +238,8 @@ void Network::scatter_serial() {
       receivers_.push_back(p.to);
     }
   }
-  std::sort(receivers_.begin(), receivers_.end());
+  sort_receivers(receivers_, recv_count_.size(),
+                 [&](std::size_t v) { return recv_count_[v] != 0; });
   std::int64_t offset = 0;
   for (const Vertex v : receivers_) {
     inbox_begin_[static_cast<std::size_t>(v)] = offset;
@@ -257,7 +296,9 @@ void Network::scatter_parallel(util::ThreadPool& pool) {
       }
     }
   }
-  std::sort(receivers_.begin(), receivers_.end());
+  sort_receivers(receivers_, n, [&](std::size_t v) {
+    return receiver_stamp_[v] == stats_.rounds;
+  });
 
   // Offsets: turn the per-shard counts into per-shard write cursors (an
   // exclusive prefix sum across shards within each receiver's run).

@@ -14,6 +14,11 @@
 // bound. Rounds with no traffic still count (algorithms in this repository
 // run on fixed, parameter-determined schedules exactly like the paper's).
 //
+// Send path: every send checks the word cap and the sender, then stamps
+// the directed edge's slot with the round number (the per-edge cap).
+// Directed edge slots are the CSR adjacency itself, so a broadcast walks
+// its sender's row and never searches for a slot.
+//
 // Storage is a pair of double-buffered flat arenas rather than per-vertex
 // queues: sends append to a contiguous staging buffer, and advance_round()
 // counting-sorts the round's delivery batch into a CSR-shaped arena (one
@@ -94,6 +99,16 @@ class CongestViolation : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
+/// Throws CongestViolation unless `from` is a vertex of `g`. Every send
+/// path runs it before it reads the sender's adjacency row; `op` names the
+/// path in the message.
+inline void check_sender(const Graph& g, Vertex from, const char* op) {
+  if (from < 0 || from >= g.num_vertices()) {
+    throw CongestViolation(std::string(op) + " from out-of-range vertex " +
+                           std::to_string(from));
+  }
+}
+
 /// Cumulative traffic statistics.
 struct NetworkStats {
   std::int64_t rounds = 0;
@@ -110,7 +125,8 @@ struct NetworkStats {
 ///   end_round  the central end_round hook
 ///   drain      end-of-program quiescence (non-ideal transports)
 /// Accumulated by the Scheduler into the sink installed via
-/// Network::set_profile_sink (nullptr = profiling off, zero clock reads).
+/// Network::set_profile_sink (nullptr = profiling off, zero clock reads),
+/// together with the rounds and messages each run drove.
 /// Several programs run back to back on one network accumulate into the
 /// same sink; callers snapshot per-program deltas via operator- exactly
 /// like they do with Network::stats().
@@ -126,6 +142,12 @@ struct StageTimes {
   double drain_s = 0;
   double wall_s = 0;  ///< total Scheduler::run wall time
   std::int64_t rounds = 0;
+  std::int64_t messages = 0;  ///< messages sent (NetworkStats delta)
+
+  /// Simulator throughput over the profiled runs (0 with no wall time).
+  double msgs_per_s() const noexcept {
+    return wall_s > 0 ? static_cast<double>(messages) / wall_s : 0.0;
+  }
 
   /// Sum of the attributed stages; wall_s minus this is untimed scheduler
   /// overhead (loop control, report assembly). The --profile acceptance
@@ -143,6 +165,7 @@ struct StageTimes {
     drain_s += o.drain_s;
     wall_s += o.wall_s;
     rounds += o.rounds;
+    messages += o.messages;
     return *this;
   }
 
@@ -155,6 +178,7 @@ struct StageTimes {
     a.drain_s -= b.drain_s;
     a.wall_s -= b.wall_s;
     a.rounds -= b.rounds;
+    a.messages -= b.messages;
     return a;
   }
 };
@@ -218,12 +242,17 @@ class Network {
   std::int64_t in_flight() const noexcept;
 
   /// Sends `msg` from `from` to neighbouring vertex `to` for delivery at the
-  /// start of the next round. Throws CongestViolation if (from,to) is not an
-  /// edge, the message exceeds kMaxWords, or a second message is sent on the
-  /// same directed edge within one round.
+  /// start of the next round. Throws CongestViolation if the message
+  /// exceeds kMaxWords, `from` is not a vertex, (from,to) is not an edge,
+  /// or a second message is sent on the same directed edge within one
+  /// round. Finds the edge slot by binary search in from's sorted row.
   void send(Vertex from, Vertex to, const Message& msg);
 
-  /// Sends `msg` from `from` to every neighbour (one message per edge).
+  /// Sends `msg` from `from` to every neighbour (one message per edge),
+  /// with send's checks and exception texts. Walks from's CSR row, so the
+  /// i-th neighbour's edge slot is csr_offset(from) + i with no search. A
+  /// vertex with no neighbours sends nothing and throws nothing (an
+  /// out-of-range `from` still throws).
   void broadcast(Vertex from, const Message& msg);
 
   /// Ends the current round: hands the staged sends to the delivery model
@@ -281,6 +310,10 @@ class Network {
 
  private:
   std::int64_t directed_edge_id(Vertex from, Vertex to) const;
+
+  /// Claims directed edge slot `eid` for this round (the one-message-per-
+  /// edge cap) and stages the message; the word cap is the caller's check.
+  void stage(std::int64_t eid, Vertex from, Vertex to, const Message& msg);
 
   /// Counting-sorts deliver_ into the arena (receivers ascending, one
   /// contiguous run each, runs sorted by sender) and fills delivered_.

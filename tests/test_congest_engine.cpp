@@ -242,6 +242,29 @@ TEST(Scheduler, PerProgramTrafficDeltas) {
   EXPECT_EQ(net.stats().messages, 3);
 }
 
+TEST(Scheduler, ProfileSinkMetersMessagesPerRun) {
+  const Graph g = gen_path(4);
+  Network net(g);
+  Scheduler scheduler(net);
+  OneShotProgram unprofiled(0, 2);
+  scheduler.run(unprofiled);  // no sink installed: nothing is metered
+
+  StageTimes sink;
+  net.set_profile_sink(&sink);
+  OneShotProgram first(1, 3);   // vertex 1 has two neighbours
+  OneShotProgram second(0, 2);  // vertex 0 has one
+  scheduler.run(first);
+  const StageTimes after_first = sink;
+  scheduler.run(second);
+  net.set_profile_sink(nullptr);
+
+  EXPECT_EQ(after_first.messages, 2);
+  EXPECT_EQ((sink - after_first).messages, 1);
+  EXPECT_EQ(sink.messages, 3);
+  EXPECT_EQ(sink.rounds, 5);
+  EXPECT_EQ(StageTimes{}.msgs_per_s(), 0.0);
+}
+
 TEST(Scheduler, CongestViolationPropagates) {
   const Graph g = gen_path(3);
   Network net(g);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "congest/engine.hpp"
 #include "congest/network.hpp"
 #include "graph/generators.hpp"
 #include "test_helpers.hpp"
@@ -89,6 +90,92 @@ TEST(NetworkViolation, OversizedMessage) {
   Message empty;
   empty.size = 0;
   EXPECT_THROW(net.send(0, 1, empty), CongestViolation);
+}
+
+TEST(NetworkViolation, OutOfRangeSenderSend) {
+  const Graph g = gen_path(3);
+  Network net(g);
+  EXPECT_THROW(net.send(-1, 0, Message::of(1)), CongestViolation);
+  EXPECT_THROW(net.send(3, 2, Message::of(1)), CongestViolation);
+  EXPECT_EQ(net.pending_messages(), 0);
+  EXPECT_EQ(net.stats().messages, 0);
+}
+
+TEST(NetworkViolation, OutOfRangeSenderBroadcast) {
+  const Graph g = gen_path(3);
+  Network net(g);
+  EXPECT_THROW(net.broadcast(-1, Message::of(1)), CongestViolation);
+  EXPECT_THROW(net.broadcast(3, Message::of(1)), CongestViolation);
+  EXPECT_EQ(net.pending_messages(), 0);
+  EXPECT_EQ(net.stats().messages, 0);
+}
+
+TEST(NetworkViolation, BroadcastKeepsSendChecks) {
+  const Graph g = gen_star(4);  // center 0, leaves 1..3
+  Network net(g);
+  Message oversized;
+  oversized.size = kMaxWords + 1;
+  EXPECT_THROW(net.broadcast(0, oversized), CongestViolation);
+  EXPECT_EQ(net.pending_messages(), 0);
+
+  // Edge (0,2) is taken this round: like a send per neighbour, the
+  // broadcast stages (0,1) and then throws on (0,2).
+  net.send(0, 2, Message::of(1));
+  try {
+    net.broadcast(0, Message::of(2));
+    ADD_FAILURE() << "second message on (0,2) was accepted";
+  } catch (const CongestViolation& e) {
+    EXPECT_STREQ(e.what(), "second message on edge (0,2) in round 0");
+  }
+  EXPECT_EQ(net.pending_messages(), 2);
+  EXPECT_EQ(net.stats().messages, 2);
+}
+
+TEST(NetworkViolation, OutOfRangeBroadcastFromParallelOnRound) {
+  // Every vertex broadcasts in init, so round 0 fans on_round out across
+  // the pool; one handler then broadcasts as vertex n. The staging outbox
+  // must reject the sender before it reads an adjacency row (a replayed
+  // send would report "send from ..." instead), and the violation must
+  // surface from Scheduler::run.
+  class OutOfRangeBroadcast final : public NodeProgram {
+   public:
+    explicit OutOfRangeBroadcast(Vertex n) : n_(n) {}
+    void init(Outbox& out) override {
+      for (Vertex v = 0; v < n_; ++v) out.broadcast(v, Message::of(1));
+    }
+    void on_round(std::int64_t, Vertex v, std::span<const Received>,
+                  Outbox& out) override {
+      if (v == n_ / 2) out.broadcast(n_, Message::of(2));
+    }
+    bool done(std::int64_t next_round) const override {
+      return next_round >= 1;
+    }
+
+   private:
+    Vertex n_;
+  };
+
+  const Graph g = gen_gnm(200, 800, 23);
+  Network net(g);
+  net.set_execution_threads(4);
+  OutOfRangeBroadcast program(g.num_vertices());
+  try {
+    Scheduler(net).run(program);
+    ADD_FAILURE() << "broadcast from vertex n was accepted";
+  } catch (const CongestViolation& e) {
+    EXPECT_STREQ(e.what(), "broadcast from out-of-range vertex 200");
+  }
+}
+
+TEST(Network, BroadcastFromIsolatedVertexSendsNothing) {
+  GraphBuilder b(3);
+  b.add_edge(0, 1);  // vertex 2 has no neighbours
+  const Graph g = b.build();
+  Network net(g);
+  Message oversized;
+  oversized.size = kMaxWords + 1;
+  EXPECT_NO_THROW(net.broadcast(2, oversized));
+  EXPECT_EQ(net.pending_messages(), 0);
 }
 
 TEST(Network, EmptyRoundsAreCheap) {

@@ -3,9 +3,10 @@
 // degenerate Faulty (drop_p = dup_p = 0) and Async (latency_max = 1)
 // configurations collapse to Ideal exactly; Faulty/Async are deterministic
 // for a fixed seed at 1/2/8 execution threads; injected events are counted;
-// the Scheduler drains in-flight traffic at program end; and the build API
-// rejects non-ideal transports on algorithms that do not run on the
-// simulator.
+// the Scheduler drains in-flight traffic at program end; detect_congest's
+// output under every transport and thread count is pinned to recorded
+// digests; and the build API rejects non-ideal transports on algorithms
+// that do not run on the simulator.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "core/params.hpp"
 #include "core/spanner_distributed.hpp"
 #include "graph/generators.hpp"
+#include "serve/query_engine.hpp"
 
 namespace usne {
 namespace {
@@ -484,6 +486,100 @@ TEST(ParallelScatter, LargeBatchCountingSortMatchesSerial) {
       EXPECT_EQ(expected_injected.delayed, net.transport().counters().delayed);
     }
   }
+}
+
+// --- detect output pinned across transports and thread counts ---------------
+
+/// FNV-1a over everything detect_congest reports: every vertex's hit list
+/// (source, dist, pred), the rounds it used, and the network's counters.
+std::uint64_t detect_digest(const congest::DetectResult& r,
+                            const NetworkStats& stats) {
+  std::uint64_t h = serve::kChecksumSeed;
+  for (const std::vector<SourceHit>& list : r.hits) {
+    h = serve::checksum_accumulate(h, static_cast<std::int64_t>(list.size()));
+    for (const SourceHit& hit : list) {
+      h = serve::checksum_accumulate(h, hit.source);
+      h = serve::checksum_accumulate(h, hit.dist);
+      h = serve::checksum_accumulate(h, hit.pred);
+    }
+  }
+  for (const std::int64_t x :
+       {r.rounds_used, stats.rounds, stats.messages, stats.words}) {
+    h = serve::checksum_accumulate(h, x);
+  }
+  return h;
+}
+
+/// Which side of the size at which detect switches a vertex's duplicate
+/// test from scanning its hit list to a bitset over the sources
+/// (list bytes >= bitset bytes) every list must end on.
+enum class ListSize { kAnySize, kBelowBitset, kAtLeastBitset };
+
+/// Runs a capped detect_congest under ideal, faulty (drop 0.05, dup 0.02)
+/// and async (latency <= 4) delivery at 1/2/8 threads and compares each
+/// run with the digest recorded for that transport. The digests were taken
+/// from the linear-scan implementation before the bitset duplicate test
+/// and the learner-only stride boundary replaced it. Under async, messages
+/// arrive in a later stride than they were sent in; a stored distance
+/// derived from the stride instead of the message moves the digest.
+void expect_detect_pinned(const Graph& g, const std::vector<Vertex>& sources,
+                          Dist delta, std::int64_t cap,
+                          const std::uint64_t (&want)[3], ListSize size) {
+  const std::size_t bitset_bytes = (sources.size() + 63) / 64 * 8;
+  const TransportSpec transports[3] = {TransportSpec{},
+                                       faulty_spec(0.05, 0.02), async_spec(4)};
+  for (std::size_t t = 0; t < 3; ++t) {
+    for (const int threads : kThreadCounts) {
+      Network net(g);
+      net.set_execution_threads(threads);
+      net.configure_transport(transports[t]);
+      const congest::DetectResult r =
+          congest::detect_congest(net, sources, delta, cap);
+      EXPECT_EQ(want[t], detect_digest(r, net.stats()))
+          << congest::transport_model_name(transports[t].model)
+          << " threads=" << threads;
+      for (const std::vector<SourceHit>& list : r.hits) {
+        const std::size_t bytes = list.size() * sizeof(SourceHit);
+        if (size == ListSize::kBelowBitset) {
+          ASSERT_LT(bytes, bitset_bytes);
+        } else if (size == ListSize::kAtLeastBitset) {
+          ASSERT_GE(bytes, bitset_bytes);
+        }
+      }
+    }
+  }
+}
+
+TEST(DetectPinned, CappedStridesMixedListSizes) {
+  const Graph g = gen_gnm(2000, 8000, 41);
+  std::vector<Vertex> sources;
+  for (Vertex v = 0; v < g.num_vertices(); v += 2) sources.push_back(v);
+  expect_detect_pinned(g, sources, 3, 4,
+                       {8498066676154062998ULL, 12083984601338779689ULL,
+                        6657105269688102593ULL},
+                       ListSize::kAnySize);
+}
+
+TEST(DetectPinned, EverySourceOneStrideNoListReachesBitset) {
+  const Graph g = gen_torus(32, 32);
+  std::vector<Vertex> sources(static_cast<std::size_t>(g.num_vertices()));
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    sources[static_cast<std::size_t>(v)] = v;
+  }
+  expect_detect_pinned(g, sources, 1, 5,
+                       {14799069394819627237ULL, 709369904565856043ULL,
+                        14799069394819627237ULL},
+                       ListSize::kBelowBitset);
+}
+
+TEST(DetectPinned, FewSourcesEveryListReachesBitset) {
+  const Graph g = gen_connected_gnm(300, 1200, 5);
+  std::vector<Vertex> sources;
+  for (Vertex v = 0; v < g.num_vertices(); v += 5) sources.push_back(v);
+  expect_detect_pinned(g, sources, 6, 3,
+                       {15233793483097671644ULL, 13893697612505049777ULL,
+                        2450894433883091340ULL},
+                       ListSize::kAtLeastBitset);
 }
 
 // --- build API surface -------------------------------------------------------
