@@ -2,28 +2,25 @@
 //
 // Everything below the serving layer was rebuilt for this tier: streamed
 // generators (graph/stream_gen.hpp) that materialize one edge array and one
-// CSR, flat-frontier SSSP kernels (path/sssp_kernel.hpp) over the packed
-// WeightedGraph::Csr, and optional degree-sorted renumbering inside the
-// engine. This bench is the proof at n in {2^17, 2^20}: wall time, peak
-// RSS, generation edges/sec, SSSP relaxation throughput and serving qps per
-// kernel configuration, written as BENCH_scale.json.
+// CSR, and the flat-frontier Dial kernel (path/sssp_kernel.hpp) over the
+// packed WeightedGraph::Csr. This bench is the proof at n in {2^17, 2^20}:
+// wall time, peak RSS, generation edges/sec, SSSP relaxation throughput and
+// serving qps, written as BENCH_scale.json. It is the only serving row at
+// n = 2^20.
 //
-// Hard gates (exit 1, not hopes):
-//   * serial and multi-threaded serving answers are bit-identical;
-//   * dial, delta-stepping and degree-sorted delta configurations all
-//     produce the same answer checksum (the kernels are exact — a faster
-//     kernel that changes one distance is a broken kernel).
+// Hard gate (exit 1, not a hope): serial and multi-threaded serving
+// answers are bit-identical. scripts/check.sh pins the answer checksums.
 //
 // The serving workload is H = G with deterministic weights in [1, 16]
-// (seeded per edge): the scale tier exercises the kernels and generators,
+// (seeded per edge): the scale tier exercises the kernel and generators,
 // not the emulator constructions, which keep their own tiers (E1..E9).
 // Grouped sources keep the SSSP count bounded, so the row cost is a handful
-// of full-graph SSSPs per configuration — the serving regime the cache and
-// source memo are built for.
+// of full-graph SSSPs — the serving regime the cache and source memo are
+// built for.
 //
 // scripts/check.sh runs `--smoke` (n = 2^12) as the CI gate and pins the
-// committed BENCH_scale.json row inventory; the full tier is regenerated
-// manually when the trajectory should move.
+// committed BENCH_scale.json rows; the full tier is regenerated manually
+// when the trajectory should move.
 
 #include <cstring>
 #include <fstream>
@@ -51,12 +48,6 @@ Dist edge_weight_of(Vertex u, Vertex v) {
       static_cast<std::uint32_t>(v);
   return 1 + static_cast<Dist>(SplitMix64(key).next() % 16);
 }
-
-struct Config {
-  const char* label;
-  SsspKernel kernel;
-  serve::Renumber renumber;
-};
 
 }  // namespace
 }  // namespace usne
@@ -86,21 +77,14 @@ int main(int argc, char** argv) {
 
   bench::banner("E10 bench_scale",
                 "Million-vertex tier: streamed generation + flat-frontier "
-                "SSSP kernels; dial/delta/degree-sorted answers must share "
-                "one checksum, serial == parallel.");
+                "Dial SSSP; serial == parallel answers.");
   Timer total;
   bool failed = false;
 
   const std::vector<Vertex> sizes =
       smoke ? std::vector<Vertex>{Vertex{1} << 12}
             : std::vector<Vertex>{Vertex{1} << 17, Vertex{1} << 20};
-  const Config configs[] = {
-      {"dial", SsspKernel::kDial, serve::Renumber::kNone},
-      {"delta", SsspKernel::kDelta, serve::Renumber::kNone},
-      {"delta_ds", SsspKernel::kDelta, serve::Renumber::kDegreeSort},
-  };
-
-  Table table({"n", "m", "config", "gen_s", "gen_meps", "build_s",
+  Table table({"n", "m", "gen_s", "gen_meps", "build_s",
                "sssp_runs", "qps", "sssp_meps", "peak_rss_mb", "identical"});
   std::string json;
   for (const Vertex n : sizes) {
@@ -129,73 +113,61 @@ int main(int argc, char** argv) {
     const std::vector<serve::Query> queries =
         serve::generate_workload(g.num_vertices(), workload);
 
-    std::vector<Dist> reference;  // dial serial answers, the row's anchor
-    for (const Config& config : configs) {
-      serve::ServeOptions options;
-      options.cache_mb = 512;
-      options.kernel = config.kernel;
-      options.renumber = config.renumber;
+    serve::ServeOptions options;
+    options.cache_mb = 512;
+    Timer build_timer;
+    const serve::QueryEngine engine(h, 1.0, 0, options);
+    const serve::QueryEngine cold(h, 1.0, 0, options);
+    const double build_s = build_timer.seconds();
 
-      Timer build_timer;
-      const serve::QueryEngine engine(h, 1.0, 0, options);
-      const serve::QueryEngine cold(h, 1.0, 0, options);
-      const double build_s = build_timer.seconds();
+    const serve::BatchResult serial = engine.serve(queries, 1);
+    const serve::BatchResult parallel = cold.serve(queries, threads);
 
-      const serve::BatchResult serial = engine.serve(queries, 1);
-      const serve::BatchResult parallel = cold.serve(queries, threads);
-
-      if (reference.empty()) reference = serial.answers;
-      const bool identical =
-          serial.answers == parallel.answers && serial.answers == reference;
-      if (!identical) {
-        std::cerr << "FAIL: answers diverge (config " << config.label
-                  << ", n = " << n << ") — kernels must be exact\n";
-        failed = true;
-      }
-
-      // SSSP relaxation throughput of the parallel batch: arcs touched per
-      // second across the SSSPs actually executed.
-      const std::int64_t arcs = 2 * g.num_edges();
-      const double sssp_eps =
-          parallel.wall_s > 0
-              ? static_cast<double>(parallel.cache.sssp_runs) *
-                    static_cast<double>(arcs) / parallel.wall_s
-              : 0;
-      const double peak_rss = util::peak_rss_mb();  // process HWM, monotone
-
-      table.row()
-          .add(n)
-          .add(g.num_edges())
-          .add(config.label)
-          .add(gen_s, 2)
-          .add(gen_eps / 1e6, 2)
-          .add(build_s, 2)
-          .add(parallel.cache.sssp_runs)
-          .add(parallel.qps, 0)
-          .add(sssp_eps / 1e6, 1)
-          .add(peak_rss, 0)
-          .add(identical ? "yes" : "NO");
-
-      if (!json.empty()) json += ",\n";
-      json += "    {\"n\": " + std::to_string(n) +
-              ", \"m\": " + std::to_string(g.num_edges()) +
-              ", \"kernel\": \"" + sssp_kernel_name(config.kernel) +
-              "\", \"degree_sort\": " +
-              (config.renumber == serve::Renumber::kDegreeSort ? "1" : "0") +
-              ", \"queries\": " + std::to_string(workload.num_queries) +
-              ", \"threads\": " + std::to_string(threads) +
-              ", \"checksum\": " + std::to_string(parallel.checksum) +
-              ", \"sssp_runs\": " + std::to_string(parallel.cache.sssp_runs) +
-              ", \"gen_s\": " + format_double(gen_s, 3) +
-              ", \"gen_edges_per_s\": " + format_double(gen_eps, 0) +
-              ", \"build_s\": " + format_double(build_s, 3) +
-              ", \"wall_s\": " + format_double(parallel.wall_s, 4) +
-              ", \"qps\": " + format_double(parallel.qps, 0) +
-              ", \"serial_qps\": " + format_double(serial.qps, 0) +
-              ", \"sssp_edges_per_s\": " + format_double(sssp_eps, 0) +
-              ", \"peak_rss_mb\": " + format_double(peak_rss, 1) +
-              ", \"gen\": " + gen_report.stats_json() + "}";
+    const bool identical = serial.answers == parallel.answers;
+    if (!identical) {
+      std::cerr << "FAIL: serial and parallel answers diverge (n = " << n
+                << ")\n";
+      failed = true;
     }
+
+    // SSSP relaxation throughput of the parallel batch: arcs touched per
+    // second across the SSSPs actually executed.
+    const std::int64_t arcs = 2 * g.num_edges();
+    const double sssp_eps =
+        parallel.wall_s > 0
+            ? static_cast<double>(parallel.cache.sssp_runs) *
+                  static_cast<double>(arcs) / parallel.wall_s
+            : 0;
+    const double peak_rss = util::peak_rss_mb();  // process HWM, monotone
+
+    table.row()
+        .add(n)
+        .add(g.num_edges())
+        .add(gen_s, 2)
+        .add(gen_eps / 1e6, 2)
+        .add(build_s, 2)
+        .add(parallel.cache.sssp_runs)
+        .add(parallel.qps, 0)
+        .add(sssp_eps / 1e6, 1)
+        .add(peak_rss, 0)
+        .add(identical ? "yes" : "NO");
+
+    if (!json.empty()) json += ",\n";
+    json += "    {\"n\": " + std::to_string(n) +
+            ", \"m\": " + std::to_string(g.num_edges()) +
+            ", \"queries\": " + std::to_string(workload.num_queries) +
+            ", \"threads\": " + std::to_string(threads) +
+            ", \"checksum\": " + std::to_string(parallel.checksum) +
+            ", \"sssp_runs\": " + std::to_string(parallel.cache.sssp_runs) +
+            ", \"gen_s\": " + format_double(gen_s, 3) +
+            ", \"gen_edges_per_s\": " + format_double(gen_eps, 0) +
+            ", \"build_s\": " + format_double(build_s, 3) +
+            ", \"wall_s\": " + format_double(parallel.wall_s, 4) +
+            ", \"qps\": " + format_double(parallel.qps, 0) +
+            ", \"serial_qps\": " + format_double(serial.qps, 0) +
+            ", \"sssp_edges_per_s\": " + format_double(sssp_eps, 0) +
+            ", \"peak_rss_mb\": " + format_double(peak_rss, 1) +
+            ", \"gen\": " + gen_report.stats_json() + "}";
   }
   table.print(std::cout,
               "E10: scale tier (streamed er-connected, deg 8, weights 1..16, "
@@ -214,9 +186,9 @@ int main(int argc, char** argv) {
               "(arcs/s across the batch's SSSPs) — the number the flat "
               "frontier + packed CSR work moves. peak_rss_mb is the process "
               "high-water mark and therefore monotone across rows; the "
-              "n=2^17 rows run first so their figure is not inflated by the "
-              "2^20 rows. 'identical' certifies dial, delta and "
-              "degree-sorted delta agree bit-for-bit, serial == parallel.");
+              "n=2^17 row runs first so its figure is not inflated by the "
+              "2^20 row. 'identical' certifies serial == parallel answers "
+              "bit-for-bit.");
   std::cout << "\n[E10 done in " << format_double(total.seconds(), 1)
             << "s]\n";
   return failed ? 1 : 0;

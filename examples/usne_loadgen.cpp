@@ -85,7 +85,6 @@ int run(int argc, char** argv) {
            {"rho", "verify: time exponent (default 0.3)"},
            {"seed", "verify: generator + build seed (default 2024)"},
            {"cache-mb", "verify: engine cache budget (default 64)"},
-           {"kernel", "verify: SSSP kernel dial|delta (default dial)"},
            {"json", "append the result row to FILE ('-' = stdout)"},
            {"scrape-metrics", "after the run, fetch the daemon's Prometheus metrics page to FILE ('-' = stdout)"}},
           /*allow_positional=*/false,
@@ -230,7 +229,6 @@ int run(int argc, char** argv) {
     const Graph g = gen_family(cli.get("family", "er"), n, seed);
     serve::ServeOptions options;
     options.cache_mb = cli.get_double("cache-mb", 64.0);
-    options.kernel = parse_sssp_kernel(cli.get("kernel", "dial"));
     const BuildOutput built = build(g, spec);
     const serve::QueryEngine engine(built, options);
     const serve::BatchResult reference = engine.serve(queries, 1);

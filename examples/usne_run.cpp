@@ -49,10 +49,14 @@ int run(int argc, char** argv);
 int main(int argc, char** argv) {
   // The registry reports unknown algorithms / unsupported parameter
   // combinations via std::invalid_argument whose message lists the
-  // catalog; surface it as a CLI error, not a terminate().
+  // catalog, and a schedule whose beta does not fit in int64 via
+  // std::overflow_error; surface both as a CLI error, not a terminate().
   try {
     return run(argc, argv);
   } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  } catch (const std::overflow_error& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
@@ -161,14 +165,10 @@ int run_query(const usne::Cli& cli, const usne::Graph& g,
   serve::ServeOptions options;
   options.cache_mb = cli.get_double("cache-mb", 64.0);
   options.cache_shards = static_cast<int>(cli.get_int("cache-shards", 0));
-  options.kernel = parse_sssp_kernel(cli.get("kernel", "dial"));
-  options.delta = cli.get_int("delta", 0);
   options.slow_query_us = cli.get_int("slow-query-us", 0);
   // Per-query service-latency percentiles ride along in the query record
   // (the same serve::LatencyHistogram the daemon's STATS endpoint merges).
   options.record_latency = true;
-  // --degree-sort reached the engine via ExecOptions -> BuildOutput (the
-  // ServeOptions default, Renumber::kInherit, picks it up from `built`).
   const int qps_threads = static_cast<int>(cli.get_int("qps-threads", 1));
   // The stretch gate only applies where a stretch claim exists: randomized
   // baselines carry no per-instance guarantee (has_guarantee = false), and
@@ -206,9 +206,7 @@ int run_query(const usne::Cli& cli, const usne::Graph& g,
             << batch.cache.sssp_runs << " SSSP runs, "
             << batch.cache.hits << " cache hits, " << batch.cache.evictions
             << " evictions)\n"
-            << "kernel: " << engine.kernel_name()
-            << (engine.renumbered() ? " (degree-sorted)" : "")
-            << ", peak rss: " << format_double(util::peak_rss_mb(), 1)
+            << "peak rss: " << format_double(util::peak_rss_mb(), 1)
             << " MiB\n";
   if (batch.latency) {
     std::cout << "latency: p50 = " << batch.latency->percentile(0.50)
@@ -242,8 +240,6 @@ int run_query(const usne::Cli& cli, const usne::Graph& g,
            << "\", \"workload_seed\": " << workload.seed
            << ", \"qps_threads\": " << qps_threads
            << ", \"cache_mb\": " << format_double(options.cache_mb, 2)
-           << ", \"kernel\": \"" << engine.kernel_name()
-           << "\", \"degree_sort\": " << (engine.renumbered() ? 1 : 0)
            << ", \"peak_rss_mb\": " << format_double(util::peak_rss_mb(), 1)
            << ", \"edges\": " << built.h().num_edges()
            << ", \"serve\": " << batch.stats_json()
@@ -299,15 +295,12 @@ int run(int argc, char** argv) {
            {"qps-threads", "query: serving lanes, 0 = hardware (default 1)"},
            {"cache-mb", "query: SSSP cache budget in MiB, <=0 off (default 64)"},
            {"cache-shards", "query: cache lock shards (default 16)"},
-           {"kernel", "query: SSSP kernel dial|delta (default dial)"},
-           {"delta", "query: delta-stepping bucket width, 0 = auto (default 0)"},
-           {"degree-sort", "serve H degree-renumbered internally (default off)"},
            {"stretch-sample", "query: pairs stretch-checked vs BFS on G (default 100)"},
            {"profile", "print the per-phase CONGEST construction profile"},
            {"trace-out", "write span traces to FILE (Chrome trace-event JSON)"},
            {"slow-query-us", "query: log queries at/over N us to stderr (default off)"}},
           /*allow_positional=*/true,
-          /*switches=*/{"list", "rescale", "audit", "degree-sort", "profile"});
+          /*switches=*/{"list", "rescale", "audit", "profile"});
   if (cli.help_requested() || !cli.errors().empty()) {
     for (const auto& e : cli.errors()) std::cerr << "error: " << e << '\n';
     std::cout << cli.usage("usne_run");
@@ -346,7 +339,7 @@ int run(int argc, char** argv) {
     }
   }
   if (spec.algorithm.empty() && query_mode) {
-    spec.algorithm = "emulator_fast";  // the oracle's default builder
+    spec.algorithm = "emulator_fast";  // the serving default builder
   }
   if (spec.algorithm.empty()) {
     std::cerr << "error: --algo is required (try --list)\n";
@@ -362,7 +355,6 @@ int run(int argc, char** argv) {
   spec.params.rescale = cli.get_bool("rescale", false);
   spec.exec.num_threads = static_cast<int>(cli.get_int("threads", 1));
   spec.exec.keep_audit_data = cli.get_bool("audit", false);
-  spec.exec.degree_sort = cli.get_bool("degree-sort", false);
   spec.exec.profile = cli.get_bool("profile", false);
   spec.exec.seed = seed;
   spec.exec.transport.model =

@@ -85,11 +85,8 @@ int run(int argc, char** argv) {
            {"rescale", "treat eps as the final target stretch (default off)"},
            {"threads", "build threads, 0 = hardware (default 1)"},
            {"seed", "generator + build seed (default 2024)"},
-           {"degree-sort", "serve H degree-renumbered internally (default off)"},
            {"cache-mb", "SSSP cache budget in MiB, <=0 off (default 64)"},
            {"cache-shards", "cache lock shards (default 16)"},
-           {"kernel", "SSSP kernel dial|delta (default dial)"},
-           {"delta", "delta-stepping bucket width, 0 = auto (default 0)"},
            {"host", "listen address (default 127.0.0.1)"},
            {"port", "TCP port, 0 = ephemeral (default 0)"},
            {"workers", "worker threads (default 2)"},
@@ -107,7 +104,7 @@ int run(int argc, char** argv) {
            {"trace-out", "write span traces to FILE at shutdown (Chrome JSON)"},
            {"slow-query-us", "log engine queries at/over N us to stderr (default off)"}},
           /*allow_positional=*/false,
-          /*switches=*/{"rescale", "degree-sort"});
+          /*switches=*/{"rescale"});
   if (cli.help_requested() || !cli.errors().empty()) {
     for (const auto& e : cli.errors()) std::cerr << "error: " << e << '\n';
     std::cout << cli.usage("usne_served");
@@ -125,14 +122,11 @@ int run(int argc, char** argv) {
   spec.params.rho = cli.get_double("rho", 0.3);
   spec.params.rescale = cli.get_bool("rescale", false);
   spec.exec.num_threads = static_cast<int>(cli.get_int("threads", 1));
-  spec.exec.degree_sort = cli.get_bool("degree-sort", false);
   spec.exec.seed = seed;
 
   serve::ServeOptions serve_options;
   serve_options.cache_mb = cli.get_double("cache-mb", 64.0);
   serve_options.cache_shards = static_cast<int>(cli.get_int("cache-shards", 0));
-  serve_options.kernel = parse_sssp_kernel(cli.get("kernel", "dial"));
-  serve_options.delta = cli.get_int("delta", 0);
   serve_options.slow_query_us = cli.get_int("slow-query-us", 0);
 
   net::ServerOptions server_options;

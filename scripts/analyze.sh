@@ -12,7 +12,7 @@
 #        (-fno-sanitize-recover=all; LeakSanitizer is on by default)
 #     4. TSan: -DUSNE_SAN=thread -DUSNE_WERROR=ON build, ctest -L tsan
 #        (the multi-threaded engine / thread-pool / transport / serve /
-#        oracle suites)
+#        net / obs suites)
 #
 #   scripts/analyze.sh --fast     steps 1–2 only (the static half; this is
 #                                 what scripts/check.sh embeds so tier-1

@@ -43,11 +43,11 @@
 #                              the same row-count/checksum gates pin the
 #                              daemon trajectory too. Finally the E10 scale
 #                              smoke:
-#                              bench_scale --smoke hard-gates that the
-#                              dial/delta/degree-sorted kernels agree
-#                              bit-for-bit, and the committed
-#                              BENCH_scale.json row inventory (incl. the
-#                              n = 2^20 rows) is pinned.
+#                              bench_scale --smoke hard-gates serial ==
+#                              parallel answers, its answer checksum is
+#                              pinned, and the committed BENCH_scale.json
+#                              rows (n = 2^17 and 2^20) are pinned by
+#                              count and answer checksum.
 #
 # Before tier-1 this script runs the static half of the correctness
 # tooling (scripts/analyze.sh --fast: determinism lint + baselined
@@ -476,27 +476,32 @@ echo "grouped speedup_vs_oracle=${grouped_speedup} (parity-class, floor 0.35)"
 
 echo "== scale tier smoke (E10 bench_scale) =="
 # Small-n run of the million-vertex tier: the binary itself hard-gates that
-# dial, delta-stepping and degree-sorted configurations produce identical
-# answers serial and parallel. The committed BENCH_scale.json (full tier,
-# regenerated manually) is pinned by row inventory: the configuration count
-# must not drift, and the n >= 10^6 row must stay present.
+# serial and parallel answers are identical, and the answers are pinned by
+# checksum — the Dial kernel is exact, so a change that moves one is a
+# wrong answer. The committed BENCH_scale.json (full tier, regenerated
+# manually) is pinned the same way: one row each at n = 2^17 and 2^20,
+# with their answer checksums.
 ./build/bench_scale --smoke --threads max --json "${SMOKE_DIR}/scale_smoke.json"
-smoke_rows="$(grep -c '"kernel":' "${SMOKE_DIR}/scale_smoke.json" || true)"
-if [ "${smoke_rows}" != "3" ]; then
-  echo "FAIL: bench_scale --smoke recorded ${smoke_rows} rows (expected 3)" >&2
+smoke_checksums="$(grep -o '"checksum": [0-9]*' "${SMOKE_DIR}/scale_smoke.json" \
+  | awk '{print $2}' | paste -sd ' ' || true)"
+if [ "${smoke_checksums}" != "15112102563448698318" ]; then
+  echo "FAIL: bench_scale --smoke checksums '${smoke_checksums}'" \
+       "(expected one row, 15112102563448698318)" >&2
   exit 1
 fi
 if [ -f BENCH_scale.json ]; then
-  committed_rows="$(grep -c '"kernel":' BENCH_scale.json || true)"
-  if [ "${committed_rows}" != "6" ]; then
-    echo "FAIL: committed BENCH_scale.json has ${committed_rows} rows (expected 6)" >&2
+  committed_checksums="$(grep -o '"checksum": [0-9]*' BENCH_scale.json \
+    | awk '{print $2}' | paste -sd ' ' || true)"
+  if [ "${committed_checksums}" != "15922693041251148699 5851162239267059597" ]; then
+    echo "FAIL: committed BENCH_scale.json checksums '${committed_checksums}'" \
+         "(expected 2 rows: 15922693041251148699 5851162239267059597)" >&2
     exit 1
   fi
   if ! grep -q '"n": 1048576' BENCH_scale.json; then
-    echo "FAIL: committed BENCH_scale.json lost its n = 2^20 rows" >&2
+    echo "FAIL: committed BENCH_scale.json lost its n = 2^20 row" >&2
     exit 1
   fi
-  echo "BENCH_scale.json: ${committed_rows} committed rows incl. n=2^20; smoke gate green"
+  echo "BENCH_scale.json: 2 committed rows incl. n=2^20, checksums pinned; smoke gate green"
 else
   echo "FAIL: BENCH_scale.json missing (run ./build/bench_scale --json BENCH_scale.json)" >&2
   exit 1

@@ -339,9 +339,6 @@ BuildOutput build(const Graph& g, const BuildSpec& spec) {
         "the algorithms usne::describe() flags with supports_transport");
   }
   BuildOutput out = entry.fn(g, spec, entry.info);
-  // Serving hint only — set here, once, so no adapter can forget it and no
-  // construction ever consumes it (H must not depend on vertex order hints).
-  out.degree_sort = spec.exec.degree_sort;
   // Structural audit of the constructed H: whatever the algorithm did, the
   // emulator/spanner it hands back must be a well-formed symmetric CSR
   // before anything downstream (serving, eval, persistence) trusts it.

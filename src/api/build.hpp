@@ -86,17 +86,6 @@ struct ExecOptions {
   /// transport_dropped / transport_duplicated / transport_delayed.
   congest::TransportSpec transport{};
 
-  /// Serving hint: request degree-descending vertex renumbering inside any
-  /// QueryEngine later wrapped around this build's H (hot hubs cluster at
-  /// the front of the CSR — prefetch-friendly on skewed graphs). The
-  /// construction itself never sees a renumbered G — the paper's
-  /// constructions are vertex-order dependent (§2.1.1), so renumbering the
-  /// input would change H. This flag only flows through
-  /// BuildOutput::degree_sort into serve::ServeOptions::Renumber::kInherit,
-  /// and the engine maps every answer back to original ids: H, stats,
-  /// checksums and stretch guarantees are bit-identical either way.
-  bool degree_sort = false;
-
   /// Collect the per-task construction profile (BuildOutput::profile):
   /// scheduler stage times — deliver/compute/replay/end_round — per
   /// (phase, task), the `usne_run --profile` view. CONGEST algorithms
@@ -173,11 +162,6 @@ struct BuildOutput {
   bool has_guarantee = false;
   double alpha = 0;
   Dist beta = 0;
-
-  /// Forwarded ExecOptions::degree_sort — the serving-layer renumbering
-  /// hint a QueryEngine constructed from this output inherits (see
-  /// serve::Renumber::kInherit). Never affects H itself.
-  bool degree_sort = false;
 
   /// Human-readable schedule description (params.describe() where
   /// available).

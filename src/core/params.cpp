@@ -1,6 +1,7 @@
 #include "core/params.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,6 +15,32 @@ Dist segment_length(double eps, int i) {
   const double value = std::pow(1.0 / eps, i);
   if (value >= 1e17) return static_cast<Dist>(1e17);  // guard; never reached in practice
   return std::max<Dist>(1, static_cast<Dist>(std::ceil(value - 1e-9)));
+}
+
+/// The recurrences grow exponentially in the phase index, so every step
+/// saturates at kSaturated instead of overflowing (signed overflow is
+/// undefined). Operands are non-negative.
+constexpr Dist kSaturated = INT64_MAX;
+
+Dist sat_add(Dist a, Dist b) noexcept {
+  Dist out = 0;
+  return __builtin_add_overflow(a, b, &out) ? kSaturated : out;
+}
+
+Dist sat_mul(Dist a, Dist b) noexcept {
+  Dist out = 0;
+  return __builtin_mul_overflow(a, b, &out) ? kSaturated : out;
+}
+
+/// Throws std::overflow_error when the schedule saturated. Every sequence
+/// is non-decreasing and a saturated step saturates everything after it,
+/// so the outermost radius and beta_ell witness any saturation.
+void require_representable(const PhaseSchedule& s, const std::string& what) {
+  if (s.radius.back() == kSaturated || s.beta_bound() == kSaturated) {
+    throw std::overflow_error(
+        what + ": the stretch schedule overflows int64 (beta is not "
+               "representable); use a larger eps or a smaller kappa");
+  }
 }
 
 /// Fills the delta / radius / beta / alpha recurrences given deg and the
@@ -31,13 +58,14 @@ void fill_schedule(PhaseSchedule& s, double eps, RadiusStep radius_step) {
   for (int i = 0; i <= ell; ++i) {
     s.seg[static_cast<std::size_t>(i)] = segment_length(eps, i);
     s.delta[static_cast<std::size_t>(i)] =
-        s.seg[static_cast<std::size_t>(i)] + 2 * s.radius[static_cast<std::size_t>(i)];
+        sat_add(s.seg[static_cast<std::size_t>(i)],
+                sat_mul(2, s.radius[static_cast<std::size_t>(i)]));
     s.radius[static_cast<std::size_t>(i) + 1] =
-        s.radius[static_cast<std::size_t>(i)] + radius_step(i);
+        sat_add(s.radius[static_cast<std::size_t>(i)], radius_step(i));
     if (i >= 1) {
       s.beta[static_cast<std::size_t>(i)] =
-          2 * s.beta[static_cast<std::size_t>(i) - 1] +
-          6 * s.radius[static_cast<std::size_t>(i)];
+          sat_add(sat_mul(2, s.beta[static_cast<std::size_t>(i) - 1]),
+                  sat_mul(6, s.radius[static_cast<std::size_t>(i)]));
       s.alpha[static_cast<std::size_t>(i)] =
           s.alpha[static_cast<std::size_t>(i) - 1] +
           static_cast<double>(s.beta[static_cast<std::size_t>(i)]) /
@@ -50,23 +78,40 @@ void fill_schedule(PhaseSchedule& s, double eps, RadiusStep radius_step) {
 /// whose schedule (produced by `make`) has alpha_ell <= 1 + eps_target.
 /// alpha decreases monotonically as eps shrinks (beta_i and 1/L_i both
 /// shrink), so a binary search converges; 60 iterations give full double
-/// precision.
+/// precision. A probe whose schedule saturates (`make` throws
+/// std::overflow_error) is never accepted, and when no probe fits — the
+/// schedule the budget needs does not fit in int64 — the search throws
+/// std::overflow_error instead of returning an unverified schedule.
 template <typename Make>
 auto rescale_search(double eps_target, Make make) {
   if (!(eps_target > 0.0 && eps_target < 1.0)) {
     throw std::invalid_argument("eps_target must be in (0, 1)");
   }
+  const auto fits = [&](double eps) {
+    try {
+      return make(eps).schedule.alpha_bound() <= 1.0 + eps_target;
+    } catch (const std::overflow_error&) {
+      return false;
+    }
+  };
   double lo = 1e-9;
   double hi = eps_target;
   // If even the full eps_target satisfies the budget, use it directly.
-  if (make(hi).schedule.alpha_bound() <= 1.0 + eps_target) return make(hi);
+  if (fits(hi)) return make(hi);
+  bool found = false;
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (make(mid).schedule.alpha_bound() <= 1.0 + eps_target) {
+    if (fits(mid)) {
       lo = mid;
+      found = true;
     } else {
       hi = mid;
     }
+  }
+  if (!found) {
+    throw std::overflow_error(
+        "rescaling: no internal eps gives a schedule representable in int64 "
+        "with alpha <= 1 + eps_target; use a larger eps or a smaller kappa");
   }
   return make(lo);
 }
@@ -109,8 +154,9 @@ CentralizedParams CentralizedParams::compute(Vertex n, int kappa, double eps) {
   }
   // Centralized radius step: R_{i+1} = 2 delta_i + R_i.
   fill_schedule(p.schedule, eps, [&](int i) {
-    return 2 * p.schedule.delta[static_cast<std::size_t>(i)];
+    return sat_mul(2, p.schedule.delta[static_cast<std::size_t>(i)]);
   });
+  require_representable(p.schedule, "CentralizedParams");
   return p;
 }
 
@@ -177,10 +223,11 @@ DistributedParams DistributedParams::compute(Vertex n, int kappa, double rho,
   // rul_i = levels * (2 delta_i + 1) from our ruling-set construction.
   fill_schedule(p.schedule, eps, [&](int i) {
     const Dist delta = p.schedule.delta[static_cast<std::size_t>(i)];
-    p.rul[static_cast<std::size_t>(i)] =
-        static_cast<Dist>(p.ruling_levels) * (2 * delta + 1);
-    return 2 * (p.rul[static_cast<std::size_t>(i)] + delta);
+    p.rul[static_cast<std::size_t>(i)] = sat_mul(
+        static_cast<Dist>(p.ruling_levels), sat_add(sat_mul(2, delta), 1));
+    return sat_mul(2, sat_add(p.rul[static_cast<std::size_t>(i)], delta));
   });
+  require_representable(p.schedule, "DistributedParams");
   return p;
 }
 
@@ -257,10 +304,11 @@ SpannerParams SpannerParams::compute(Vertex n, int kappa, double rho, double eps
   p.rul.assign(static_cast<std::size_t>(ell) + 1, 0);
   fill_schedule(p.schedule, eps, [&](int i) {
     const Dist delta = p.schedule.delta[static_cast<std::size_t>(i)];
-    p.rul[static_cast<std::size_t>(i)] =
-        static_cast<Dist>(p.ruling_levels) * (2 * delta + 1);
-    return 2 * (p.rul[static_cast<std::size_t>(i)] + delta);
+    p.rul[static_cast<std::size_t>(i)] = sat_mul(
+        static_cast<Dist>(p.ruling_levels), sat_add(sat_mul(2, delta), 1));
+    return sat_mul(2, sat_add(p.rul[static_cast<std::size_t>(i)], delta));
   });
+  require_representable(p.schedule, "SpannerParams");
   return p;
 }
 

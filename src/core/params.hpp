@@ -68,7 +68,8 @@ struct CentralizedParams {
   PhaseSchedule schedule;
 
   /// Validates inputs and computes the schedule. Throws std::invalid_argument
-  /// on n < 0, kappa < 1 or eps outside (0, 1). NOTE: `eps` here is the
+  /// on n < 0, kappa < 1 or eps outside (0, 1), and std::overflow_error
+  /// when beta_ell is not representable in int64. NOTE: `eps` here is the
   /// *internal* parameter of the recurrences; the resulting multiplicative
   /// stretch is alpha_ell = 1 + O(eps * ell), not 1 + eps. Use
   /// compute_rescaled() to target a final stretch directly.
@@ -78,7 +79,8 @@ struct CentralizedParams {
   /// computed alpha_ell is at most 1 + eps_target, so the result is a true
   /// (1 + eps_target, beta)-emulator. Strictly better beta than the paper's
   /// crude eps' = 34*eps*ell substitution because it uses the exact
-  /// recurrences. Requires eps_target in (0, 1).
+  /// recurrences. Requires eps_target in (0, 1); throws std::overflow_error
+  /// when no schedule representable in int64 meets the target.
   static CentralizedParams compute_rescaled(Vertex n, int kappa,
                                             double eps_target);
 
@@ -105,11 +107,14 @@ struct DistributedParams {
   PhaseSchedule schedule;
 
   /// Validates and computes. Requires kappa >= 2, 1/kappa < rho < 0.5,
-  /// 0 < eps < 1; throws std::invalid_argument otherwise. As with the
-  /// centralized variant, `eps` is internal; see compute_rescaled().
+  /// 0 < eps < 1; throws std::invalid_argument otherwise, and
+  /// std::overflow_error when beta_ell is not representable in int64. As
+  /// with the centralized variant, `eps` is internal; see
+  /// compute_rescaled().
   static DistributedParams compute(Vertex n, int kappa, double rho, double eps);
 
   /// §3.2.4 rescaling: largest internal eps with alpha_ell <= 1 + eps_target.
+  /// Throws std::overflow_error when no representable schedule meets it.
   static DistributedParams compute_rescaled(Vertex n, int kappa, double rho,
                                             double eps_target);
 

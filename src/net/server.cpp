@@ -7,12 +7,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#if defined(__linux__) && !defined(USNE_NET_USE_POLL)
-#define USNE_NET_EPOLL 1
-#include <sys/epoll.h>
-#else
-#include <poll.h>
+#ifndef __linux__
+#error "net/server.cpp targets Linux: its event loop is built on epoll"
 #endif
+#include <sys/epoll.h>
 
 #include <algorithm>
 #include <atomic>
@@ -61,9 +59,7 @@ struct PollEvent {
   bool hangup = false;
 };
 
-#ifdef USNE_NET_EPOLL
-
-/// Linux edge of the event loop: epoll, O(ready) per wait.
+/// The event loop's readiness source: epoll, O(ready) per wait.
 class Poller {
  public:
   Poller() : fd_(::epoll_create1(EPOLL_CLOEXEC)) {}
@@ -112,70 +108,6 @@ class Poller {
   }
   int fd_;
 };
-
-#else  // poll(2) fallback — portable, O(registered) per wait
-
-class Poller {
- public:
-  bool ok() const noexcept { return true; }
-
-  void add(int fd, std::uint64_t key, bool rd, bool wr) {
-    entries_.push_back({fd, key, rd, wr});
-  }
-
-  void update(int fd, std::uint64_t key, bool rd, bool wr) {
-    for (Entry& e : entries_) {
-      if (e.fd == fd) {
-        e = {fd, key, rd, wr};
-        return;
-      }
-    }
-    entries_.push_back({fd, key, rd, wr});
-  }
-
-  void remove(int fd) {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].fd == fd) {
-        entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-    }
-  }
-
-  void wait(int timeout_ms, std::vector<PollEvent>& out) {
-    out.clear();
-    fds_.clear();
-    for (const Entry& e : entries_) {
-      pollfd p{};
-      p.fd = e.fd;
-      p.events = static_cast<short>((e.rd ? POLLIN : 0) | (e.wr ? POLLOUT : 0));
-      fds_.push_back(p);
-    }
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n <= 0) return;
-    for (std::size_t i = 0; i < fds_.size(); ++i) {
-      if (fds_[i].revents == 0) continue;
-      PollEvent e;
-      e.key = entries_[i].key;
-      e.readable = (fds_[i].revents & (POLLIN | POLLERR | POLLHUP)) != 0;
-      e.writable = (fds_[i].revents & POLLOUT) != 0;
-      e.hangup = (fds_[i].revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out.push_back(e);
-    }
-  }
-
- private:
-  struct Entry {
-    int fd;
-    std::uint64_t key;
-    bool rd;
-    bool wr;
-  };
-  std::vector<Entry> entries_;
-  std::vector<pollfd> fds_;
-};
-
-#endif
 
 std::string cache_json(const serve::CacheStats& c) {
   std::ostringstream out;

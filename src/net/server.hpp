@@ -3,9 +3,9 @@
 // usne::net::Server — the network serving daemon behind `usne_served`.
 //
 // A long-running TCP front-end for serve::QueryEngine: one I/O thread runs
-// an epoll (Linux) or poll (portable fallback) event loop over all client
-// sockets, decoding frames (net/protocol.hpp) and admitting engine-bound
-// requests into a bounded batching queue; N worker threads pop requests in
+// an epoll event loop over all client sockets, decoding frames
+// (net/protocol.hpp) and admitting engine-bound requests into a bounded
+// batching queue; N worker threads pop requests in
 // coalesced groups (flush when the queue reaches batch_max or the oldest
 // entry has waited flush_us) and answer them against an atomically
 // swappable engine snapshot. Responses flow back to the I/O thread through

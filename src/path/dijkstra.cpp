@@ -35,89 +35,4 @@ std::vector<Dist> dijkstra(const WeightedGraph& h, Vertex source) {
   return dist;
 }
 
-std::vector<Dist> dijkstra_union(const WeightedGraph& h, const Graph& g,
-                                 Vertex source) {
-  const Vertex n = h.num_vertices();
-  std::vector<Dist> dist(static_cast<std::size_t>(n), kInfDist);
-  MinHeap heap;
-  dist[static_cast<std::size_t>(source)] = 0;
-  heap.push({0, source});
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (d != dist[static_cast<std::size_t>(v)]) continue;
-    for (const auto& arc : h.adjacency(v)) {
-      const Dist nd = d + arc.w;
-      if (nd < dist[static_cast<std::size_t>(arc.to)]) {
-        dist[static_cast<std::size_t>(arc.to)] = nd;
-        heap.push({nd, arc.to});
-      }
-    }
-    for (const Vertex u : g.neighbors(v)) {
-      const Dist nd = d + 1;
-      if (nd < dist[static_cast<std::size_t>(u)]) {
-        dist[static_cast<std::size_t>(u)] = nd;
-        heap.push({nd, u});
-      }
-    }
-  }
-  return dist;
-}
-
-std::vector<Dist> dial_sssp(const WeightedGraph& h, Vertex source) {
-  const Vertex n = h.num_vertices();
-  std::vector<Dist> dist(static_cast<std::size_t>(n), kInfDist);
-  // Buckets indexed by tentative distance; grown on demand. Total work is
-  // O(V + E + max finite distance).
-  std::vector<std::vector<Vertex>> buckets(1);
-  dist[static_cast<std::size_t>(source)] = 0;
-  buckets[0].push_back(source);
-  std::size_t settled = 0;
-  for (std::size_t d = 0; d < buckets.size(); ++d) {
-    // Iterate by index: relaxations may grow `buckets` (and even this
-    // bucket, though only with stale entries).
-    for (std::size_t i = 0; i < buckets[d].size(); ++i) {
-      const Vertex v = buckets[d][i];
-      if (dist[static_cast<std::size_t>(v)] != static_cast<Dist>(d)) continue;
-      ++settled;
-      for (const auto& arc : h.adjacency(v)) {
-        const Dist nd = static_cast<Dist>(d) + arc.w;
-        if (nd < dist[static_cast<std::size_t>(arc.to)]) {
-          dist[static_cast<std::size_t>(arc.to)] = nd;
-          if (static_cast<std::size_t>(nd) >= buckets.size()) {
-            buckets.resize(static_cast<std::size_t>(nd) + 1);
-          }
-          buckets[static_cast<std::size_t>(nd)].push_back(arc.to);
-        }
-      }
-    }
-    buckets[d].clear();
-    buckets[d].shrink_to_fit();
-    if (settled == static_cast<std::size_t>(n)) break;
-  }
-  return dist;
-}
-
-Dist dijkstra_distance(const WeightedGraph& h, Vertex source, Vertex target) {
-  const Vertex n = h.num_vertices();
-  std::vector<Dist> dist(static_cast<std::size_t>(n), kInfDist);
-  MinHeap heap;
-  dist[static_cast<std::size_t>(source)] = 0;
-  heap.push({0, source});
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (v == target) return d;
-    if (d != dist[static_cast<std::size_t>(v)]) continue;
-    for (const auto& arc : h.adjacency(v)) {
-      const Dist nd = d + arc.w;
-      if (nd < dist[static_cast<std::size_t>(arc.to)]) {
-        dist[static_cast<std::size_t>(arc.to)] = nd;
-        heap.push({nd, arc.to});
-      }
-    }
-  }
-  return kInfDist;
-}
-
 }  // namespace usne

@@ -1,9 +1,8 @@
 #pragma once
 
-// Dijkstra on weighted graphs — used to answer distance queries on
-// emulators H, and in "hybrid" mode on H plus the original graph edges
-// (emulator distances are defined on H alone; the hybrid mode exists for
-// the distance-oracle application example).
+// Textbook binary-heap Dijkstra on a weighted graph: the exact reference
+// the serving kernel (path/sssp_kernel.hpp) and the stretch evaluation are
+// checked against. Queries on H are served by serve::QueryEngine.
 
 #include <vector>
 
@@ -15,21 +14,5 @@ namespace usne {
 /// Single-source Dijkstra on a weighted graph. Returns distances
 /// (kInfDist when unreachable).
 std::vector<Dist> dijkstra(const WeightedGraph& h, Vertex source);
-
-/// Single-source Dijkstra over the union of a weighted graph and an
-/// unweighted graph (unit weights). Used by the approximate-shortest-path
-/// oracle: queries run on H ∪ G restricted to H's edges plus unit edges.
-std::vector<Dist> dijkstra_union(const WeightedGraph& h, const Graph& g,
-                                 Vertex source);
-
-/// Point-to-point distance on a weighted graph (early-exit Dijkstra).
-Dist dijkstra_distance(const WeightedGraph& h, Vertex source, Vertex target);
-
-/// Dial's algorithm: single-source shortest paths with a bucket queue,
-/// O(V + E + max_distance). The right tool for emulators, whose weights are
-/// small integers (graph distances bounded by the delta_i thresholds) — it
-/// removes Dijkstra's heap log-factor and makes distance queries on an
-/// ultra-sparse H genuinely cheaper than BFS on a dense G (bench E8).
-std::vector<Dist> dial_sssp(const WeightedGraph& h, Vertex source);
 
 }  // namespace usne

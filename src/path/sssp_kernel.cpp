@@ -1,22 +1,12 @@
 #include "path/sssp_kernel.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <stdexcept>
 #include <string>
 
 #include "util/invariant.hpp"
 
 namespace usne {
 namespace {
-
-/// Largest power of two <= delta, as a shift. Kernel buckets are indexed by
-/// dist >> shift, so widths are always rounded down to a power of two.
-int delta_shift(Dist delta) noexcept {
-  int shift = 0;
-  while ((Dist{2} << shift) <= delta) ++shift;
-  return shift;
-}
 
 /// Audit-only exactness postcondition: a finished SSSP vector is a
 /// relaxation fixpoint (no arc can still improve a distance, and nothing
@@ -38,27 +28,10 @@ bool sssp_fixpoint_ok(const WeightedGraph::Csr& g, Vertex source,
 
 }  // namespace
 
-SsspKernel parse_sssp_kernel(const std::string& name) {
-  if (name == "dial") return SsspKernel::kDial;
-  if (name == "delta") return SsspKernel::kDelta;
-  throw std::invalid_argument("unknown SSSP kernel '" + name +
-                              "' (expected dial | delta)");
-}
-
-const char* sssp_kernel_name(SsspKernel kernel) noexcept {
-  switch (kernel) {
-    case SsspKernel::kDial: return "dial";
-    case SsspKernel::kDelta: return "delta";
-  }
-  return "?";
-}
-
 std::int64_t SsspScratch::resident_bytes() const noexcept {
   std::int64_t bytes = static_cast<std::int64_t>(
       ring_.capacity() * sizeof(std::vector<Vertex>) +
-      frontier_.capacity() * sizeof(Vertex) +
-      settled_.capacity() * sizeof(Vertex) +
-      stamp_.capacity() * sizeof(std::uint32_t));
+      frontier_.capacity() * sizeof(Vertex));
   for (const auto& slot : ring_) {
     bytes += static_cast<std::int64_t>(slot.capacity() * sizeof(Vertex));
   }
@@ -68,22 +41,10 @@ std::int64_t SsspScratch::resident_bytes() const noexcept {
 void SsspScratch::reset_ring(std::size_t slots) {
   if (ring_.size() < slots) ring_.resize(slots);
   // Slots keep their capacity across queries — that is the point of the
-  // scratch. A correctly terminated kernel leaves every slot empty, so
-  // these clears are no-ops in steady state.
+  // scratch. The kernel's early exit (every vertex settled) can leave stale
+  // entries behind, so every slot is cleared here.
   for (auto& slot : ring_) slot.clear();
   frontier_.clear();
-  settled_.clear();
-}
-
-void SsspScratch::next_generation(std::size_t n) {
-  if (stamp_.size() < n) {
-    stamp_.assign(n, 0);
-    generation_ = 0;
-  }
-  if (++generation_ == 0) {  // 32-bit wrap: reset lazily, once per 4G queries
-    std::fill(stamp_.begin(), stamp_.end(), 0);
-    generation_ = 1;
-  }
 }
 
 Dist max_edge_weight(const WeightedGraph::Csr& g) noexcept {
@@ -91,17 +52,6 @@ Dist max_edge_weight(const WeightedGraph::Csr& g) noexcept {
   const std::int64_t arcs = g.num_arcs();
   for (std::int64_t i = 0; i < arcs; ++i) max_w = std::max(max_w, g.arcs[i].w);
   return max_w;
-}
-
-Dist auto_delta(const WeightedGraph::Csr& g) noexcept {
-  const std::int64_t arcs = g.num_arcs();
-  if (arcs == 0) return 1;
-  std::int64_t total = 0;
-  for (std::int64_t i = 0; i < arcs; ++i) total += g.arcs[i].w;
-  const Dist mean = std::max<Dist>(1, total / arcs);
-  Dist delta = 1;
-  while (delta < mean) delta <<= 1;
-  return delta;
 }
 
 std::vector<Dist> dial_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
@@ -147,9 +97,6 @@ std::vector<Dist> dial_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
     frontier.clear();
     if (settled == n) break;
   }
-  // Early settled-exit may leave stale entries in the ring; clear them so
-  // the next query's reset_ring stays O(slots).
-
   // Postconditions. Always-on: the ring settles each vertex at most once,
   // so settling more than n of them means the ring slots collided (the
   // max_w + 1 sizing bound was violated). Audit: the result is a
@@ -163,135 +110,6 @@ std::vector<Dist> dial_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
              "dial result is not a shortest-path fixpoint from source " +
                  std::to_string(source));
   return dist;
-}
-
-std::vector<Dist> delta_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
-                                 Dist max_w, Dist delta,
-                                 SsspScratch& scratch) {
-  const std::size_t n = static_cast<std::size_t>(g.n);
-  std::vector<Dist> dist(n, kInfDist);
-  if (n == 0) return dist;
-  if (delta < 1) delta = 1;
-  const int shift = delta_shift(delta);
-  delta = Dist{1} << shift;
-  // Live buckets while draining bucket k span [k, k + 1 + (max_w >> shift)]
-  // (a light target can cross into k + 1, a heavy one reaches at most
-  // dist + max_w), so that many ring slots never collide.
-  const std::size_t slots = static_cast<std::size_t>(max_w >> shift) + 2;
-  scratch.reset_ring(slots);
-  scratch.next_generation(n);
-  auto* ring = scratch.ring_.data();
-  auto& frontier = scratch.frontier_;
-  auto& settled = scratch.settled_;
-  auto* stamp = scratch.stamp_.data();
-  const std::uint32_t generation = scratch.generation_;
-
-  dist[static_cast<std::size_t>(source)] = 0;
-  ring[0].push_back(source);
-  std::int64_t pending = 1;
-
-  for (Dist k = 0; pending > 0; ++k) {
-    auto& slot = ring[static_cast<std::size_t>(k) % slots];
-    settled.clear();
-    // Bucket fusion: drain bucket k to a light-edge fixpoint locally —
-    // vertices relaxed back into k are swept in the same loop, without
-    // touching the ring scan or any other bucket.
-    while (!slot.empty()) {
-      frontier.swap(slot);
-      pending -= static_cast<std::int64_t>(frontier.size());
-      for (std::size_t i = 0; i < frontier.size(); ++i) {
-        if (i + 1 < frontier.size()) {
-          const auto nxt = static_cast<std::size_t>(frontier[i + 1]);
-          __builtin_prefetch(&dist[nxt]);
-          __builtin_prefetch(&g.arcs[g.offsets[nxt]]);
-        }
-        const Vertex v = frontier[i];
-        const Dist dv = dist[static_cast<std::size_t>(v)];
-        if ((dv >> shift) != k) continue;  // stale or moved buckets
-        if (stamp[static_cast<std::size_t>(v)] != generation) {
-          stamp[static_cast<std::size_t>(v)] = generation;
-          settled.push_back(v);
-        }
-        for (const auto& arc : g.row(v)) {
-          if (arc.w > delta) continue;  // light edges only in the fixpoint
-          const Dist nd = dv + arc.w;
-          if (nd < dist[static_cast<std::size_t>(arc.to)]) {
-            dist[static_cast<std::size_t>(arc.to)] = nd;
-            ring[static_cast<std::size_t>(nd >> shift) % slots].push_back(
-                arc.to);
-            ++pending;
-          }
-        }
-      }
-      frontier.clear();
-    }
-    // Heavy edges once per settled vertex, at its (now final) distance.
-    // Heavy targets land strictly past bucket k, so this never reopens it.
-    for (const Vertex v : settled) {
-      const Dist dv = dist[static_cast<std::size_t>(v)];
-      for (const auto& arc : g.row(v)) {
-        if (arc.w <= delta) continue;
-        const Dist nd = dv + arc.w;
-        if (nd < dist[static_cast<std::size_t>(arc.to)]) {
-          dist[static_cast<std::size_t>(arc.to)] = nd;
-          ring[static_cast<std::size_t>(nd >> shift) % slots].push_back(
-              arc.to);
-          ++pending;
-        }
-      }
-    }
-  }
-  // Postconditions: the bucket loop only exits once every ring entry is
-  // consumed (pending is the live-entry ledger), and the audit proves the
-  // fused light/heavy drain still reached the exact fixpoint.
-  USNE_CHECK(inv::Category::kSssp,
-             pending == 0 && dist[static_cast<std::size_t>(source)] == 0,
-             "delta-stepping ended with " + std::to_string(pending) +
-                 " ring entries pending (source dist " +
-                 std::to_string(dist[static_cast<std::size_t>(source)]) + ")");
-  USNE_AUDIT(inv::Category::kSssp, sssp_fixpoint_ok(g, source, dist),
-             "delta-stepping result is not a shortest-path fixpoint from "
-             "source " +
-                 std::to_string(source));
-  return dist;
-}
-
-std::vector<Vertex> degree_sorted_order(const WeightedGraph::Csr& g) {
-  std::vector<Vertex> by_degree(static_cast<std::size_t>(g.n));
-  std::iota(by_degree.begin(), by_degree.end(), 0);
-  std::stable_sort(by_degree.begin(), by_degree.end(),
-                   [&g](Vertex a, Vertex b) {
-                     return g.degree(a) > g.degree(b);
-                   });
-  std::vector<Vertex> new_of_old(static_cast<std::size_t>(g.n));
-  for (std::size_t pos = 0; pos < by_degree.size(); ++pos) {
-    new_of_old[static_cast<std::size_t>(by_degree[pos])] =
-        static_cast<Vertex>(pos);
-  }
-  return new_of_old;
-}
-
-WeightedGraph::Csr renumber_csr(const WeightedGraph::Csr& g,
-                                const std::vector<Vertex>& new_of_old,
-                                std::vector<std::int64_t>& offsets,
-                                std::vector<WeightedGraph::Arc>& arcs) {
-  const std::size_t n = static_cast<std::size_t>(g.n);
-  offsets.assign(n + 1, 0);
-  for (Vertex old = 0; old < g.n; ++old) {
-    offsets[static_cast<std::size_t>(new_of_old[static_cast<std::size_t>(
-        old)]) + 1] = g.degree(old);
-  }
-  for (std::size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
-  arcs.resize(static_cast<std::size_t>(g.num_arcs()));
-  for (Vertex old = 0; old < g.n; ++old) {
-    std::int64_t cursor =
-        offsets[static_cast<std::size_t>(new_of_old[static_cast<std::size_t>(old)])];
-    for (const auto& arc : g.row(old)) {
-      arcs[static_cast<std::size_t>(cursor++)] = {
-          new_of_old[static_cast<std::size_t>(arc.to)], arc.w};
-    }
-  }
-  return {g.n, offsets.data(), arcs.data()};
 }
 
 }  // namespace usne

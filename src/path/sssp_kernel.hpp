@@ -1,30 +1,24 @@
 #pragma once
 
-// GAPBS-grade single-source shortest-path kernels for the serving hot path.
+// The serving SSSP kernel: exact single-source distances on H with a
+// circular Dial ring over the packed CSR view (WeightedGraph::Csr).
 //
-// The original dial_sssp (path/dijkstra.hpp) is a textbook Dial that
-// allocates a fresh bucket-per-distance array every call and walks the
-// adjacency through the lazy per-vertex accessor. At n >= 10^6 that is the
-// whole serving cost, so these kernels apply the standard shared-memory
-// SSSP engineering (the GAPBS / Meyer–Sanders delta-stepping lineage):
+// The paper's emulators have n + o(n) edges with small integer weights, so
+// one Dial SSSP per cache miss is the whole serving cost. The kernel
+// applies the standard shared-memory SSSP engineering (GAPBS lineage):
 //
-//  * flat frontier arrays over a packed CSR view (WeightedGraph::Csr) —
-//    one offsets/arcs pair, iterated directly, next row prefetched;
-//  * a circular bucket ring sized by the maximum edge weight (Dial) or by
-//    max_w / delta (delta-stepping) instead of one bucket per distance
-//    value, so bucket storage is O(W) not O(diameter * W);
-//  * bucket fusion: the current bucket is drained to a fixpoint locally
-//    (re-relaxed vertices that fall back into it are processed in the same
-//    sweep) before the ring advances;
+//  * flat frontier arrays over a packed CSR view — one offsets/arcs pair,
+//    iterated directly, next row prefetched;
+//  * a circular bucket ring of max_w + 1 slots instead of one bucket per
+//    distance value, so bucket storage is O(W) not O(diameter * W);
 //  * reusable per-thread scratch (SsspScratch) — steady-state queries
 //    allocate only the result vector they hand to the cache.
 //
-// Every kernel computes exact distances on H, so results are bit-identical
-// to dial_sssp / dijkstra on every workload — enforced by
-// tests/test_serve_kernels.cpp and the bench_scale checksum gates.
+// Results are bit-identical to dijkstra (path/dijkstra.hpp) on every input
+// — enforced by tests/test_serve_kernels.cpp and the bench_scale checksum
+// gates.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -32,20 +26,10 @@
 
 namespace usne {
 
-/// Kernel selector for serve::QueryEngine (ServeOptions::kernel).
-enum class SsspKernel {
-  kDial,   ///< circular-ring Dial: exact, O(V + E + diameter) bucket ops
-  kDelta,  ///< delta-stepping with light/heavy split and bucket fusion
-};
-
-/// "dial" | "delta". Throws std::invalid_argument listing the names.
-SsspKernel parse_sssp_kernel(const std::string& name);
-const char* sssp_kernel_name(SsspKernel kernel) noexcept;
-
-/// Reusable buffers for the flat-frontier kernels. One instance per serving
-/// thread (the engine keeps them thread_local): buffers grow to the largest
-/// (n, max_w/delta) seen and are recycled wholesale — a steady-state query
-/// performs no frontier/bucket allocation.
+/// Reusable buffers for dial_sssp_csr. One instance per serving thread (the
+/// engine keeps them thread_local): buffers grow to the largest max_w seen
+/// and are recycled wholesale — a steady-state query performs no
+/// frontier/bucket allocation.
 class SsspScratch {
  public:
   /// Total bytes currently held by the scratch buffers (capacity, not
@@ -56,20 +40,11 @@ class SsspScratch {
   friend std::vector<Dist> dial_sssp_csr(const WeightedGraph::Csr& g,
                                          Vertex source, Dist max_w,
                                          SsspScratch& scratch);
-  friend std::vector<Dist> delta_sssp_csr(const WeightedGraph::Csr& g,
-                                          Vertex source, Dist max_w,
-                                          Dist delta, SsspScratch& scratch);
 
   void reset_ring(std::size_t slots);
-  /// Bumps the visit generation, resetting stamps lazily (O(n) only when
-  /// the stamp array grows or the 32-bit generation wraps).
-  void next_generation(std::size_t n);
 
   std::vector<std::vector<Vertex>> ring_;  // circular bucket frontiers
   std::vector<Vertex> frontier_;           // current bucket being drained
-  std::vector<Vertex> settled_;            // per-bucket settled list (delta)
-  std::vector<std::uint32_t> stamp_;       // visit generation per vertex
-  std::uint32_t generation_ = 0;
 };
 
 /// Exact SSSP with a circular Dial ring of max_w + 1 flat buckets.
@@ -77,34 +52,8 @@ class SsspScratch {
 std::vector<Dist> dial_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
                                 Dist max_w, SsspScratch& scratch);
 
-/// Exact delta-stepping: buckets of width `delta` (a power of two), light
-/// edges (w <= delta) relaxed to a fixpoint within the bucket, heavy edges
-/// once per settled vertex. delta = 1 degenerates to Dial. `max_w` must be
-/// >= the largest edge weight in g.
-std::vector<Dist> delta_sssp_csr(const WeightedGraph::Csr& g, Vertex source,
-                                 Dist max_w, Dist delta, SsspScratch& scratch);
-
 /// Largest edge weight in g (0 for an edgeless graph). One O(E) scan; the
 /// engine computes it once at construction.
 Dist max_edge_weight(const WeightedGraph::Csr& g) noexcept;
-
-/// Heuristic bucket width for delta_sssp_csr: the mean edge weight rounded
-/// up to a power of two (>= 1). Matches the GAPBS guidance that delta near
-/// the average weight balances bucket count against re-relaxation.
-Dist auto_delta(const WeightedGraph::Csr& g) noexcept;
-
-/// Degree-descending vertex order for cache-friendly renumbering:
-/// new_of_old[v] is v's new id when vertices are sorted by degree
-/// (descending, ties by old id so the order is deterministic). Hot hubs
-/// cluster at the front of the dist array and the CSR, which is what makes
-/// the renumbered kernels prefetch-friendly on skewed graphs.
-std::vector<Vertex> degree_sorted_order(const WeightedGraph::Csr& g);
-
-/// The CSR of g with vertices renumbered by `new_of_old` (storage for the
-/// result is appended to `offsets`/`arcs`, which must outlive the view).
-WeightedGraph::Csr renumber_csr(const WeightedGraph::Csr& g,
-                                const std::vector<Vertex>& new_of_old,
-                                std::vector<std::int64_t>& offsets,
-                                std::vector<WeightedGraph::Arc>& arcs);
 
 }  // namespace usne

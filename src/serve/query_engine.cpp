@@ -223,26 +223,12 @@ class QueryEngine::Cache {
 
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// kInherit only means something when the engine is built from a
-/// BuildOutput; a bare WeightedGraph has no build flag to inherit.
-ServeOptions resolve_renumber(ServeOptions options, bool degree_sort) {
-  if (options.renumber == Renumber::kInherit) {
-    options.renumber =
-        degree_sort ? Renumber::kDegreeSort : Renumber::kNone;
-  }
-  return options;
-}
-
-}  // namespace
-
 QueryEngine::QueryEngine(WeightedGraph h, double alpha, Dist beta,
                          ServeOptions options)
     : h_(std::move(h)),
       alpha_(alpha),
       beta_(beta),
-      options_(resolve_renumber(options, false)),
+      options_(options),
       engine_id_(next_engine_id.fetch_add(1, std::memory_order_relaxed)) {
   const std::size_t shards = static_cast<std::size_t>(
       options.cache_shards > 0 ? options.cache_shards : kDefaultShards);
@@ -250,55 +236,30 @@ QueryEngine::QueryEngine(WeightedGraph h, double alpha, Dist beta,
       shards, capacity_per_shard(h_.num_vertices(), options, shards));
   // An uncached engine must stay a strict recompute-every-query reference
   // (tests rely on sssp_runs == queries), so the memo rides on the cache.
-  memo_enabled_ = options_.source_memo && cache_->enabled();
+  memo_enabled_ = cache_->enabled();
   // Force the lazy CSR now: it is a mutable cache inside WeightedGraph, and
   // the serving threads must only ever read it.
   csr_ = h_.csr();
-  if (options_.renumber == Renumber::kDegreeSort && csr_.n > 0) {
-    new_of_old_ = degree_sorted_order(csr_);
-    csr_ = renumber_csr(csr_, new_of_old_, perm_offsets_, perm_arcs_);
-  }
-  // Structural audit of the CSR every query will run on — including the
-  // degree-sorted copy, so a renumbering bug is caught here, not as a
-  // wrong answer downstream.
+  // Structural audit of the CSR every query will run on, so a packing bug
+  // is caught here, not as a wrong answer downstream.
   if (inv::audits_enabled()) {
     std::string error;
     USNE_CHECK(inv::Category::kCsr, validate_csr(csr_, &error), error);
   }
   max_w_ = max_edge_weight(csr_);
-  delta_ = options_.delta > 0 ? options_.delta : auto_delta(csr_);
 }
 
 QueryEngine::QueryEngine(const BuildOutput& built, ServeOptions options)
     : QueryEngine(built.h(), built.has_guarantee ? built.alpha : 1.0,
-                  built.has_guarantee ? built.beta : 0,
-                  resolve_renumber(options, built.degree_sort)) {}
+                  built.has_guarantee ? built.beta : 0, options) {}
 
 QueryEngine::~QueryEngine() = default;
-
-const char* QueryEngine::kernel_name() const noexcept {
-  return sssp_kernel_name(options_.kernel);
-}
 
 std::vector<Dist> QueryEngine::compute_sssp(Vertex source) const {
   USNE_TRACE_SPAN("serve.sssp_kernel");
   sssp_runs_.fetch_add(1, std::memory_order_relaxed);
   thread_local SsspScratch scratch;
-  const bool permuted = renumbered();
-  const Vertex s =
-      permuted ? new_of_old_[static_cast<std::size_t>(source)] : source;
-  std::vector<Dist> dist =
-      options_.kernel == SsspKernel::kDelta
-          ? delta_sssp_csr(csr_, s, max_w_, delta_, scratch)
-          : dial_sssp_csr(csr_, s, max_w_, scratch);
-  if (!permuted) return dist;
-  // Map back to original vertex ids: everything outside this function —
-  // cache keys, answers, checksums, stretch checks — is renumbering-blind.
-  std::vector<Dist> out(dist.size());
-  for (std::size_t old = 0; old < out.size(); ++old) {
-    out[old] = dist[static_cast<std::size_t>(new_of_old_[old])];
-  }
-  return out;
+  return dial_sssp_csr(csr_, source, max_w_, scratch);
 }
 
 SsspResult QueryEngine::query_all(Vertex source) const {

@@ -11,12 +11,13 @@
 //
 //   d_G(u,v) <= d <= alpha * d_G(u,v) + beta.
 //
-// The per-query workhorse is Dial's bucket-queue SSSP on H (path/dijkstra.hpp)
-// — per-query cost depends on |H| ~ n, never on |E(G)|. On top of it sits a
-// sharded LRU cache of per-source SSSP vectors: shards are locked
-// independently, so a query stream with source locality costs one SSSP per
-// hot source regardless of how many threads are serving, and concurrent
-// requests for the same cold source coalesce into a single computation.
+// The per-query workhorse is Dial's bucket-queue SSSP on H (dial_sssp_csr,
+// path/sssp_kernel.hpp) — per-query cost depends on |H| ~ n, never on
+// |E(G)|. On top of it sits a sharded LRU cache of per-source SSSP
+// vectors: shards are locked independently, so a query stream with source
+// locality costs one SSSP per hot source regardless of how many threads
+// are serving, and concurrent requests for the same cold source coalesce
+// into a single computation.
 //
 // Answers are a pure function of H, so cached, uncached, serial and
 // multi-threaded serving are bit-identical — tests/test_serve.cpp and
@@ -33,7 +34,6 @@
 
 #include "graph/graph.hpp"
 #include "graph/weighted_graph.hpp"
-#include "path/sssp_kernel.hpp"
 #include "serve/latency_histogram.hpp"
 #include "serve/workload.hpp"
 #include "util/thread_pool.hpp"
@@ -49,37 +49,6 @@ namespace usne::serve {
 /// handed out stay valid for as long as the caller holds them.
 using SsspResult = std::shared_ptr<const std::vector<Dist>>;
 
-/// Value-semantics view over an SsspResult with vector-like access. What
-/// ApproxDistanceOracle::query_all now returns: indexing stays source
-/// compatible while ownership is shared, so a concurrent eviction can never
-/// dangle the view.
-class SsspView {
- public:
-  explicit SsspView(SsspResult result) : result_(std::move(result)) {}
-
-  Dist operator[](std::size_t i) const { return (*result_)[i]; }
-  std::size_t size() const noexcept { return result_->size(); }
-  auto begin() const noexcept { return result_->begin(); }
-  auto end() const noexcept { return result_->end(); }
-  const std::vector<Dist>& vec() const noexcept { return *result_; }
-
- private:
-  SsspResult result_;
-};
-
-/// Vertex-renumbering policy of the engine's internal CSR (the cache and
-/// every answer stay in original vertex ids — the inverse mapping is
-/// applied inside compute_sssp, so answers, checksums and stretch checks
-/// are bit-identical with or without renumbering).
-enum class Renumber {
-  kInherit,     ///< follow BuildOutput::degree_sort (the BuildSpec flag);
-                ///< kNone when constructed from a bare WeightedGraph
-  kNone,        ///< serve on H's own vertex order
-  kDegreeSort,  ///< degree-descending renumbering: hot hubs cluster at the
-                ///< front of the dist array and CSR (prefetch-friendly on
-                ///< skewed graphs)
-};
-
 /// Engine tuning. Defaults suit the test/bench scale; cache_mb is the knob
 /// production would size (the README's "Serving queries" section).
 struct ServeOptions {
@@ -89,31 +58,13 @@ struct ServeOptions {
 
   /// Total cache budget in MiB across all shards; one entry costs
   /// ~8 * n bytes. <= 0 disables caching entirely (every query recomputes —
-  /// the uncached reference the tests compare against).
+  /// the uncached reference the tests compare against). An enabled cache
+  /// also serves repeated sources from a lock-free per-thread memo.
   double cache_mb = 64.0;
 
   /// Exact per-shard entry capacity override for tests (-1 = derive from
   /// cache_mb). With 0 entries the cache is disabled.
   std::int64_t cache_entries_per_shard = -1;
-
-  /// Per-query SSSP kernel (path/sssp_kernel.hpp). Both are exact on H, so
-  /// answers are bit-identical; kDelta wins at scale on weighted emulators,
-  /// kDial remains the reference.
-  SsspKernel kernel = SsspKernel::kDial;
-
-  /// Delta-stepping bucket width (power of two; 0 = auto from the mean
-  /// edge weight). Ignored by kDial.
-  Dist delta = 0;
-
-  /// Internal CSR vertex order; see Renumber.
-  Renumber renumber = Renumber::kInherit;
-
-  /// Lock-free last-source memo per serving thread: repeated-source runs
-  /// (the grouped workload) hit a thread-local entry instead of paying
-  /// shard lock + LRU bump per query. Only active when the cache is
-  /// enabled (an uncached engine stays a strict recompute-every-query
-  /// reference). Answers are unaffected either way.
-  bool source_memo = true;
 
   /// Record per-query service latency into BatchResult::latency during
   /// serve() (a LatencyHistogram; two steady_clock reads per query). Off
@@ -217,12 +168,6 @@ class QueryEngine {
   double alpha() const noexcept { return alpha_; }
   Dist beta() const noexcept { return beta_; }
 
-  /// Kernel the engine dispatches to ("dial" | "delta") and whether its
-  /// internal CSR is degree-sorted — what usne_run surfaces in the query
-  /// JSON record.
-  const char* kernel_name() const noexcept;
-  bool renumbered() const noexcept { return !new_of_old_.empty(); }
-
  private:
   class Cache;
 
@@ -235,16 +180,9 @@ class QueryEngine {
   std::uint64_t engine_id_ = 0;  // unique per engine; keys the source memo
   bool memo_enabled_ = false;
 
-  // Packed CSR the kernels run on. When renumbering is on, perm_offsets_/
-  // perm_arcs_ own a degree-sorted copy and new_of_old_ maps original ->
-  // internal ids (compute_sssp maps the result back); otherwise csr_ views
-  // h_'s own storage and new_of_old_ is empty.
+  // Packed CSR the kernel runs on: a view of h_'s own storage.
   WeightedGraph::Csr csr_;
-  std::vector<Vertex> new_of_old_;
-  std::vector<std::int64_t> perm_offsets_;
-  std::vector<WeightedGraph::Arc> perm_arcs_;
   Dist max_w_ = 0;
-  Dist delta_ = 1;
 
   std::unique_ptr<Cache> cache_;
   mutable std::atomic<std::int64_t> sssp_runs_{0};
@@ -261,7 +199,7 @@ class QueryEngine {
   mutable std::unique_ptr<util::ThreadPool> pool_;
 };
 
-/// Accumulates `value` into an FNV-1a checksum; the batch/oracle answer
+/// Accumulates `value` into an FNV-1a checksum; the batch answer
 /// probe CI uses for seed stability.
 std::uint64_t checksum_accumulate(std::uint64_t hash, std::int64_t value) noexcept;
 inline constexpr std::uint64_t kChecksumSeed = 14695981039346656037ULL;

@@ -15,8 +15,6 @@
 //     any BuildOutput (sharded SSSP cache, reproducible workloads)
 //   * net::Server / net::Client    — TCP serving daemon around the engine
 //     (usne_served) and its blocking wire client (usne_loadgen)
-//   * ApproxDistanceOracle         — preprocess/query application (thin
-//     wrapper over the serve engine)
 //   * obs::Registry / USNE_TRACE_SPAN — process-global metrics (Prometheus/
 //     JSON export) and span tracing (Chrome trace-event dumps)
 //   * evaluate_stretch_exact / audit_all — verification utilities
@@ -58,11 +56,11 @@
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "oracle/distance_oracle.hpp"
 #include "path/apsp.hpp"
 #include "path/bfs.hpp"
 #include "path/dijkstra.hpp"
 #include "path/source_detection.hpp"
+#include "path/sssp_kernel.hpp"
 #include "serve/latency_histogram.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/stats.hpp"

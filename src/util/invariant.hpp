@@ -16,8 +16,8 @@
 //                accounting in the CONGEST Scheduler
 //   kServeCache  the QueryEngine cache ledger: hits + misses == queries,
 //                resident entries within the cache_mb budget
-//   kSssp        SSSP kernel postconditions: source distance, ring
-//                drained, relaxation fixpoint
+//   kSssp        SSSP kernel postconditions: source distance, no ring
+//                slot collision, relaxation fixpoint
 //   kCsr         WeightedGraph::Csr structural validity (sorted offsets,
 //                in-range targets, symmetric arcs)
 //   kDaemon      net::Server request conservation: every well-framed

@@ -8,7 +8,7 @@
 // the parallel on_round fan-out (staged thread-locally, replayed in shard
 // order), which the repository's own programs never do.
 //
-// Built with -DUSNE_TSAN=ON this binary doubles as the ThreadSanitizer
+// Built with -DUSNE_SAN=thread this binary doubles as the ThreadSanitizer
 // gate for the parallel engine (ctest label "tsan").
 
 #include <gtest/gtest.h>

@@ -99,7 +99,11 @@ TEST(Integration, EmulatorPlusGraphUnionNeverWorseThanEither) {
   const auto r = build_emulator_centralized(g, params);
   const auto dg = bfs_distances(g, 0);
   const auto dh = dijkstra(r.h, 0);
-  const auto du = dijkstra_union(r.h, g, 0);
+  // H ∪ G: H's edges plus G's at unit weight (add_edge keeps the lighter
+  // copy of an edge present in both).
+  WeightedGraph hg = r.h;
+  for (const Edge& e : g.edges()) hg.add_edge(e.u, e.v, 1);
+  const auto du = dijkstra(hg, 0);
   for (Vertex v = 0; v < 225; ++v) {
     EXPECT_LE(du[static_cast<std::size_t>(v)], dg[static_cast<std::size_t>(v)]);
     EXPECT_LE(du[static_cast<std::size_t>(v)], dh[static_cast<std::size_t>(v)]);

@@ -114,24 +114,6 @@ TEST(Dijkstra, WeightedShortcuts) {
   EXPECT_EQ(dist[2], 2);  // could go 0-1-2 or 0-3-2? 0-3 is 2, 3-2 is 1 => 3. min is 2.
 }
 
-TEST(Dijkstra, PointToPointEarlyExit) {
-  WeightedGraph h(5);
-  h.add_edge(0, 1, 4);
-  h.add_edge(1, 2, 4);
-  h.add_edge(0, 2, 10);
-  EXPECT_EQ(dijkstra_distance(h, 0, 2), 8);
-  EXPECT_EQ(dijkstra_distance(h, 0, 4), kInfDist);
-}
-
-TEST(Dijkstra, UnionOfEmulatorAndGraph) {
-  const Graph g = gen_path(6);
-  WeightedGraph h(6);
-  h.add_edge(0, 5, 2);  // shortcut
-  const auto dist = dijkstra_union(h, g, 0);
-  EXPECT_EQ(dist[5], 2);
-  EXPECT_EQ(dist[4], 3);  // 0->5 (2) + 5->4 (1)
-}
-
 TEST(Apsp, UnweightedMatchesPerSourceBfs) {
   const Graph g = gen_connected_gnm(80, 200, 9);
   const DistanceMatrix m = apsp_unweighted(g);

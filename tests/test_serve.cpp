@@ -2,8 +2,9 @@
 // the sharded LRU SSSP cache, batch serving determinism, and the stretch
 // guarantee of served answers.
 //
-// Built with -DUSNE_TSAN=ON this binary is part of the ThreadSanitizer gate
-// (ctest label "tsan"): the hammer tests drive the cache from many threads.
+// Built with -DUSNE_SAN=thread this binary is part of the ThreadSanitizer
+// gate (ctest label "tsan"): the hammer tests drive the cache from many
+// threads.
 
 #include <gtest/gtest.h>
 
@@ -145,7 +146,7 @@ TEST(QueryEngine, AnswersMatchDirectSssp) {
   const BuildOutput built = build_emulator(g);
   const QueryEngine engine(built);
   for (const Vertex s : {0, 5, 123, 299}) {
-    const auto direct = dial_sssp(built.h(), s);
+    const auto direct = dijkstra(built.h(), s);
     const auto cached = engine.query_all(s);
     EXPECT_EQ(*cached, direct);
     for (Vertex v = 0; v < 300; v += 37) {

@@ -1,7 +1,6 @@
-// The scale-tier kernel stack (path/sssp_kernel.hpp) and its serve-layer
-// integration: flat-frontier Dial and delta-stepping must be bit-identical
-// to Dijkstra on every input; degree-sorted renumbering must be invisible
-// in every answer; the per-thread source memo must change costs, never
+// The serving kernel (path/sssp_kernel.hpp) and its serve-layer
+// integration: the flat-frontier Dial must be bit-identical to Dijkstra on
+// every input, and the per-thread source memo must change costs, never
 // results or the uncached-engine contract.
 
 #include <gtest/gtest.h>
@@ -36,26 +35,18 @@ WeightedGraph random_weighted(Vertex n, std::int64_t m, Dist max_w,
 
 class KernelSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(KernelSweep, CsrKernelsMatchDijkstra) {
+TEST_P(KernelSweep, DialMatchesDijkstra) {
   const std::uint64_t seed = GetParam();
-  // Mixed weight scales: max_w 1 degenerates delta to Dial; 40 exercises
-  // the heavy-edge phase for every delta below it.
-  for (const Dist max_w : {Dist{1}, Dist{7}, Dist{40}}) {
+  // Mixed weight scales: from unit weights (a 2-slot ring) up to weights
+  // of 2500, whose ring of up to 2501 slots wraps within a query.
+  for (const Dist max_w : {Dist{1}, Dist{7}, Dist{40}, Dist{2500}}) {
     const WeightedGraph h = random_weighted(150, 450, max_w, seed);
     const auto csr = h.csr();
     const Dist w = max_edge_weight(csr);
     SsspScratch scratch;  // one scratch reused across every query below
     for (Vertex s = 0; s < 150; s += 37) {
-      const std::vector<Dist> want = dijkstra(h, s);
-      EXPECT_EQ(dial_sssp_csr(csr, s, w, scratch), want)
-          << "dial seed " << seed << " max_w " << max_w << " s " << s;
-      for (const Dist delta : {Dist{1}, Dist{4}, Dist{64}}) {
-        EXPECT_EQ(delta_sssp_csr(csr, s, w, delta, scratch), want)
-            << "delta=" << delta << " seed " << seed << " max_w " << max_w
-            << " s " << s;
-      }
-      EXPECT_EQ(delta_sssp_csr(csr, s, w, auto_delta(csr), scratch), want)
-          << "auto delta, seed " << seed;
+      EXPECT_EQ(dial_sssp_csr(csr, s, w, scratch), dijkstra(h, s))
+          << "seed " << seed << " max_w " << max_w << " s " << s;
     }
   }
 }
@@ -70,25 +61,29 @@ TEST(SsspKernelTest, DisconnectedAndTrivialGraphs) {
   SsspScratch scratch;
   const Dist w = max_edge_weight(csr);
   for (const Vertex s : {Vertex{0}, Vertex{3}}) {
-    const std::vector<Dist> want = dijkstra(h, s);
-    EXPECT_EQ(dial_sssp_csr(csr, s, w, scratch), want);
-    EXPECT_EQ(delta_sssp_csr(csr, s, w, 4, scratch), want);
+    EXPECT_EQ(dial_sssp_csr(csr, s, w, scratch), dijkstra(h, s));
   }
 
   const WeightedGraph single(1);
   const auto single_csr = single.csr();
   EXPECT_EQ(dial_sssp_csr(single_csr, 0, 0, scratch),
             std::vector<Dist>{0});
-  EXPECT_EQ(delta_sssp_csr(single_csr, 0, 0, 1, scratch),
-            std::vector<Dist>{0});
 }
 
-TEST(SsspKernelTest, ParseAndNames) {
-  EXPECT_EQ(parse_sssp_kernel("dial"), SsspKernel::kDial);
-  EXPECT_EQ(parse_sssp_kernel("delta"), SsspKernel::kDelta);
-  EXPECT_THROW(parse_sssp_kernel("bogus"), std::invalid_argument);
-  EXPECT_STREQ(sssp_kernel_name(SsspKernel::kDial), "dial");
-  EXPECT_STREQ(sssp_kernel_name(SsspKernel::kDelta), "delta");
+TEST(SsspKernelTest, MatchesDijkstraOnBuiltEmulator) {
+  const Graph g = gen_connected_gnm(300, 900, 3);
+  BuildSpec spec;
+  spec.algorithm = "emulator_centralized";
+  spec.params = {0, 4, 0.25, 0.45, false};
+  spec.exec.keep_audit_data = false;
+  const BuildOutput built = build(g, spec);
+  const auto csr = built.h().csr();
+  const Dist w = max_edge_weight(csr);
+  SsspScratch scratch;
+  for (Vertex s = 0; s < 300; s += 59) {
+    EXPECT_EQ(dial_sssp_csr(csr, s, w, scratch), dijkstra(built.h(), s))
+        << "s " << s;
+  }
 }
 
 TEST(SsspKernelTest, ScratchReportsResidentBytes) {
@@ -98,47 +93,6 @@ TEST(SsspKernelTest, ScratchReportsResidentBytes) {
   const auto csr = h.csr();
   dial_sssp_csr(csr, 0, max_edge_weight(csr), scratch);
   EXPECT_GT(scratch.resident_bytes(), 0);
-}
-
-TEST(RenumberTest, DegreeSortedOrderIsAPermutationSortedByDegree) {
-  const WeightedGraph h = random_weighted(80, 300, 5, 7);
-  const auto csr = h.csr();
-  const std::vector<Vertex> new_of_old = degree_sorted_order(csr);
-  std::vector<Vertex> old_of_new(new_of_old.size(), -1);
-  for (Vertex old = 0; old < csr.n; ++old) {
-    const Vertex pos = new_of_old[static_cast<std::size_t>(old)];
-    ASSERT_GE(pos, 0);
-    ASSERT_LT(pos, csr.n);
-    ASSERT_EQ(old_of_new[static_cast<std::size_t>(pos)], -1) << "collision";
-    old_of_new[static_cast<std::size_t>(pos)] = old;
-  }
-  for (Vertex pos = 0; pos + 1 < csr.n; ++pos) {
-    EXPECT_GE(csr.degree(old_of_new[static_cast<std::size_t>(pos)]),
-              csr.degree(old_of_new[static_cast<std::size_t>(pos) + 1]));
-  }
-}
-
-TEST(RenumberTest, RenumberedCsrRoundTripsDistances) {
-  const WeightedGraph h = random_weighted(120, 400, 11, 9);
-  const auto csr = h.csr();
-  const Dist w = max_edge_weight(csr);
-  const std::vector<Vertex> new_of_old = degree_sorted_order(csr);
-  std::vector<std::int64_t> offsets;
-  std::vector<WeightedGraph::Arc> arcs;
-  const auto permuted = renumber_csr(csr, new_of_old, offsets, arcs);
-  ASSERT_EQ(permuted.num_arcs(), csr.num_arcs());
-  SsspScratch scratch;
-  for (Vertex s = 0; s < 120; s += 29) {
-    const std::vector<Dist> want = dijkstra(h, s);
-    const std::vector<Dist> perm = dial_sssp_csr(
-        permuted, new_of_old[static_cast<std::size_t>(s)], w, scratch);
-    for (Vertex v = 0; v < 120; ++v) {
-      EXPECT_EQ(perm[static_cast<std::size_t>(
-                    new_of_old[static_cast<std::size_t>(v)])],
-                want[static_cast<std::size_t>(v)])
-          << "s " << s << " v " << v;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -205,8 +159,8 @@ TEST(FromEdgesTest, UnitWeightsServesG) {
 }
 
 // ---------------------------------------------------------------------------
-// Serve layer: kernel selection, renumbering and the source memo must be
-// invisible in every answer, at every thread count.
+// Serve layer: the cache and the source memo must be invisible in every
+// answer, at every thread count.
 
 std::vector<serve::Query> workload_of(serve::WorkloadKind kind, Vertex n) {
   serve::WorkloadSpec spec;
@@ -216,7 +170,7 @@ std::vector<serve::Query> workload_of(serve::WorkloadKind kind, Vertex n) {
   return serve::generate_workload(n, spec);
 }
 
-TEST(ServeKernelTest, EngineAnswersIdenticalAcrossKernelsAndThreads) {
+TEST(ServeKernelTest, EngineAnswersIdenticalAcrossCachingAndThreads) {
   const Vertex n = 256;
   const WeightedGraph h = random_weighted(n, 1024, 9, 13);
 
@@ -225,58 +179,21 @@ TEST(ServeKernelTest, EngineAnswersIdenticalAcrossKernelsAndThreads) {
         serve::WorkloadKind::kGrouped, serve::WorkloadKind::kPointVsAll}) {
     const std::vector<serve::Query> queries = workload_of(kind, n);
     std::vector<Dist> reference;
-    for (const SsspKernel kernel : {SsspKernel::kDial, SsspKernel::kDelta}) {
-      for (const auto renumber :
-           {serve::Renumber::kNone, serve::Renumber::kDegreeSort}) {
-        for (const int threads : {1, 2, 8}) {
-          serve::ServeOptions options;
-          options.cache_mb = 4;
-          options.kernel = kernel;
-          options.renumber = renumber;
-          const serve::QueryEngine engine(h, 1.0, 0, options);
-          const serve::BatchResult batch = engine.serve(queries, threads);
-          if (reference.empty()) {
-            reference = batch.answers;
-          } else {
-            EXPECT_EQ(batch.answers, reference)
-                << sssp_kernel_name(kernel) << " renumber="
-                << (renumber == serve::Renumber::kDegreeSort) << " threads="
-                << threads;
-          }
+    for (const double cache_mb : {0.0, 4.0}) {
+      for (const int threads : {1, 2, 8}) {
+        serve::ServeOptions options;
+        options.cache_mb = cache_mb;
+        const serve::QueryEngine engine(h, 1.0, 0, options);
+        const serve::BatchResult batch = engine.serve(queries, threads);
+        if (reference.empty()) {
+          reference = batch.answers;
+        } else {
+          EXPECT_EQ(batch.answers, reference)
+              << "cache_mb=" << cache_mb << " threads=" << threads;
         }
       }
     }
   }
-}
-
-TEST(ServeKernelTest, DegreeSortFlagFlowsFromBuildSpecToEngine) {
-  const Graph g = gen_family("er", 128, 2024);
-  BuildSpec spec;
-  spec.algorithm = "emulator_fast";
-  spec.params.kappa = 4;
-  spec.params.eps = 0.4;
-  spec.params.rho = 0.49;
-  spec.exec.keep_audit_data = false;
-
-  const BuildOutput plain = build(g, spec);
-  spec.exec.degree_sort = true;
-  const BuildOutput sorted = build(g, spec);
-  // The hint must never leak into the construction itself.
-  EXPECT_EQ(plain.h().edges(), sorted.h().edges());
-  EXPECT_FALSE(plain.degree_sort);
-  EXPECT_TRUE(sorted.degree_sort);
-
-  const serve::QueryEngine plain_engine(plain);    // Renumber::kInherit
-  const serve::QueryEngine sorted_engine(sorted);  // picks up the flag
-  EXPECT_FALSE(plain_engine.renumbered());
-  EXPECT_TRUE(sorted_engine.renumbered());
-
-  const std::vector<serve::Query> queries =
-      workload_of(serve::WorkloadKind::kZipf, g.num_vertices());
-  const serve::BatchResult a = plain_engine.serve(queries, 2);
-  const serve::BatchResult b = sorted_engine.serve(queries, 2);
-  EXPECT_EQ(a.answers, b.answers);
-  EXPECT_EQ(a.checksum, b.checksum);
 }
 
 TEST(ServeKernelTest, SourceMemoShortCircuitsRepeatedSources) {

@@ -6,15 +6,16 @@
 
 #include <map>
 
+#include "api/build.hpp"
 #include "core/emulator_centralized.hpp"
 #include "core/emulator_fast.hpp"
 #include "core/params.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
 #include "hopset/hopset.hpp"
-#include "oracle/distance_oracle.hpp"
 #include "path/bfs.hpp"
 #include "path/dijkstra.hpp"
+#include "serve/query_engine.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -103,14 +104,16 @@ TEST(PipelineSoak, RepeatedBuildsShareNothing) {
 }
 
 TEST(PipelineSoak, HopsetAndOracleComposition) {
-  // Use the oracle's emulator as a hopset: the two applications compose.
+  // Use the serving engine's emulator as a hopset: the two applications
+  // compose.
   const Graph g = gen_torus(16, 16);
-  OracleOptions options;
-  options.kappa = 8;
-  options.rho = 0.4;
-  const ApproxDistanceOracle oracle(g, options);
-  const auto report = measure_hopbound(g, oracle.emulator(), {0, 37},
-                                       oracle.alpha() - 1.0, oracle.beta(), 64);
+  BuildSpec spec;
+  spec.algorithm = "emulator_fast";
+  spec.params = {0, 8, 0.25, 0.4, false};
+  spec.exec.keep_audit_data = false;
+  const serve::QueryEngine engine(build(g, spec));
+  const auto report = measure_hopbound(g, engine.emulator(), {0, 37},
+                                       engine.alpha() - 1.0, engine.beta(), 64);
   ASSERT_GT(report.hopbound, 0);
   // The torus hop radius from these sources is 16; the emulator must not
   // make it worse.

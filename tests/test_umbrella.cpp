@@ -13,8 +13,11 @@ TEST(Umbrella, EndToEndThroughSingleInclude) {
   const auto params = CentralizedParams::compute(120, 4, 0.25);
   const auto r = build_emulator_centralized(g, params);
   EXPECT_LE(r.h.num_edges(), emulator_size_bound(120, 4));
-  const ApproxDistanceOracle oracle(g);
-  EXPECT_GE(oracle.query(0, 1), 1);
+  BuildSpec spec;
+  spec.algorithm = "emulator_fast";
+  spec.params = {0, 8, 0.25, 0.3, false};
+  const serve::QueryEngine engine(build(g, spec));
+  EXPECT_GE(engine.query(0, 1), 1);
 }
 
 }  // namespace
