@@ -21,11 +21,15 @@
 // scripts/check.sh registry smoke pass diffs them against BENCH_congest.json.
 // The query JSON record embeds BatchResult::stats_json() — its `checksum`
 // over all answers is the seed-stability probe of the check.sh serve smoke.
+// The build record carries `h_digest`, a fingerprint of H that check.sh pins.
 
+#include <algorithm>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "api/build.hpp"
 #include "graph/generators.hpp"
@@ -72,15 +76,63 @@ std::string invariants_field() {
   return ", \"invariants\": " + usne::inv::counters_json();
 }
 
+/// FNV-1a over H's edge list as (min(u, v), max(u, v), w) triples sorted
+/// ascending, as 16 hex digits: a fingerprint of H that does not depend on
+/// the order the builder inserted its edges in.
+std::string h_digest(const usne::WeightedGraph& h) {
+  std::vector<std::tuple<usne::Vertex, usne::Vertex, usne::Dist>> edges;
+  edges.reserve(h.edges().size());
+  for (const usne::WeightedEdge& e : h.edges()) {
+    edges.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v), e.w);
+  }
+  std::sort(edges.begin(), edges.end());
+  std::uint64_t digest = usne::serve::kChecksumSeed;
+  for (const auto& [u, v, w] : edges) {
+    digest = usne::serve::checksum_accumulate(digest, u);
+    digest = usne::serve::checksum_accumulate(digest, v);
+    digest = usne::serve::checksum_accumulate(digest, w);
+  }
+  std::ostringstream out;
+  out << std::hex << std::setw(16) << std::setfill('0') << digest;
+  return out.str();
+}
+
+/// `--profile` for a centralized build (emulator_fast): wall time per
+/// (phase, task), the share of the build each takes, and how much of the
+/// build the tasks cover.
+void print_wall_profile(const std::vector<usne::congest::PhaseProfileEntry>& prof,
+                        double build_s) {
+  using usne::format_double;
+  usne::Table table({"task", "wall_ms", "share_pct"});
+  double total_s = 0;
+  for (const usne::congest::PhaseProfileEntry& e : prof) {
+    table.row()
+        .add(e.label)
+        .add(e.times.wall_s * 1e3, 3)
+        .add(build_s > 0 ? e.times.wall_s / build_s * 100.0 : 0.0, 1);
+    total_s += e.times.wall_s;
+  }
+  table.print(std::cout, "construction profile");
+  std::cout << "profile: " << prof.size() << " tasks, task wall = "
+            << format_double(total_s * 1e3, 3) << " ms of a "
+            << format_double(build_s * 1e3, 3) << " ms build\n";
+}
+
 /// `--profile`: per-(phase, task) scheduler stage breakdown and simulator
 /// throughput (messages per second of scheduler wall) plus the
 /// attribution-coverage line the acceptance gate reads (stage_sum must
 /// reach >= 95% of the summed scheduler wall time — anything less means a
-/// stage is escaping attribution).
-void print_profile(const std::vector<usne::congest::PhaseProfileEntry>& prof) {
+/// stage is escaping attribution). Centralized builds have no scheduler
+/// stages and print their wall-time profile instead.
+void print_profile(const usne::BuildOutput& out, double build_s) {
   using usne::format_double;
+  const std::vector<usne::congest::PhaseProfileEntry>& prof = out.profile;
   if (prof.empty()) {
-    std::cout << "profile: empty (only CONGEST algorithms are profiled)\n";
+    std::cout << "profile: empty (" << out.algorithm << " is not profiled)\n";
+    return;
+  }
+  if (!out.distributed) {
+    print_wall_profile(prof, build_s);
     return;
   }
   usne::Table table({"task", "rounds", "deliver_ms", "compute_ms",
@@ -296,7 +348,7 @@ int run(int argc, char** argv) {
            {"cache-mb", "query: SSSP cache budget in MiB, <=0 off (default 64)"},
            {"cache-shards", "query: cache lock shards (default 16)"},
            {"stretch-sample", "query: pairs stretch-checked vs BFS on G (default 100)"},
-           {"profile", "print the per-phase CONGEST construction profile"},
+           {"profile", "print the per-(phase, task) construction profile"},
            {"trace-out", "write span traces to FILE (Chrome trace-event JSON)"},
            {"slow-query-us", "query: log queries at/over N us to stderr (default off)"}},
           /*allow_positional=*/true,
@@ -372,7 +424,7 @@ int run(int argc, char** argv) {
   const BuildOutput out = build(g, spec);
   const double wall_s = timer.seconds();
 
-  if (spec.exec.profile) print_profile(out.profile);
+  if (spec.exec.profile) print_profile(out, wall_s);
 
   if (query_mode) {
     const int rc = run_query(cli, g, spec, out, family, seed, wall_s);
@@ -436,6 +488,7 @@ int run(int argc, char** argv) {
            << ", \"dup_p\": " << spec.exec.transport.dup_p
            << ", \"latency_max\": " << spec.exec.transport.latency_max
            << ", \"build\": " << out.stats_json()
+           << ", \"h_digest\": \"" << h_digest(out.h()) << '"'
            << ", \"build_info\": " << util::build_info_json()
            << (spec.exec.profile ? profile_json(out.profile) : std::string())
            << invariants_field() << "}\n";

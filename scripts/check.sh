@@ -16,7 +16,10 @@
 #                              variants' round/message/word counts against
 #                              the BENCH_congest.json rows (the registry is
 #                              a dispatch layer — bit-for-bit, never a
-#                              semantic one), and the transport smoke:
+#                              semantic one), the H digest pins (usne_run's
+#                              h_digest for emulator_fast and spanner on er
+#                              and caveman at n = 16384 must equal the
+#                              committed values), and the transport smoke:
 #                              --transport ideal must reproduce the BENCH
 #                              counts exactly, and faulty/async runs with a
 #                              fixed --transport-seed must be identical
@@ -190,6 +193,29 @@ for algo in $(./build/usne_run --list); do
     fi
   done
   echo "${algo}: rounds/messages/words match BENCH_congest.json"
+done
+
+echo "== H digest pins (usne_run h_digest, centralized builders at n = 2^14) =="
+# FNV-1a over H's sorted (min(u,v), max(u,v), w) edge list. The builds are
+# deterministic, so any change to what the centralized builders emit (or to
+# the source detection and ruling set under them) moves a digest. Values
+# recorded with the per-vertex-list detect_sources and the flood-per-step
+# ruling_set_central, before their flat rewrite.
+for pin in "emulator_fast er 4 0.45 b338040b66c1aae2" \
+           "emulator_fast er 8 0.3 65d7437bb5645164" \
+           "emulator_fast caveman 8 0.3 f01e6cbe3a2db3dc" \
+           "spanner er 4 0.45 30ba2ad1ae99459a" \
+           "spanner er 8 0.3 bfd6fb9577ef4492" \
+           "spanner caveman 8 0.3 109dbc8e67fc49e5"; do
+  read -r algo family kappa rho want <<< "${pin}"
+  got="$(./build/usne_run --algo "${algo}" --family "${family}" --n 16384 \
+    --kappa "${kappa}" --rho "${rho}" --eps 0.25 --seed 2024 --threads 1 \
+    --json - | { grep -o '"h_digest": "[0-9a-f]*"' || true; } | grep -o '[0-9a-f]\{16\}' || true)"
+  if [ "${got}" != "${want}" ]; then
+    echo "FAIL: ${algo} ${family} kappa=${kappa} rho=${rho}: h_digest '${got}' != pinned ${want}" >&2
+    exit 1
+  fi
+  echo "${algo} ${family} kappa=${kappa} rho=${rho}: h_digest ${got}"
 done
 
 echo "== invariant-audit counter sanity (USNE_AUDIT=1 usne_run) =="

@@ -124,7 +124,10 @@ const std::vector<Entry>& registry() {
            const auto params = dist_params(g, s);
            FastOptions o;
            o.keep_audit_data = s.exec.keep_audit_data;
+           std::vector<congest::PhaseProfileEntry> profile;
+           if (s.exec.profile) o.profile = &profile;
            auto out = pack(info, build_emulator_fast(g, params, o));
+           out.profile = std::move(profile);
            add_guarantee(out, params.schedule, params.describe());
            return out;
          }});

@@ -86,12 +86,13 @@ struct ExecOptions {
   /// transport_dropped / transport_duplicated / transport_delayed.
   congest::TransportSpec transport{};
 
-  /// Collect the per-task construction profile (BuildOutput::profile):
-  /// scheduler stage times — deliver/compute/replay/end_round — per
-  /// (phase, task), the `usne_run --profile` view. CONGEST algorithms
-  /// only; centralized builds ignore it. Measurement only: counts, H and
-  /// every checksum are bit-identical with profiling on or off, and the
-  /// default (off) reads no clocks in the scheduler at all.
+  /// Collect the per-task construction profile (BuildOutput::profile),
+  /// the `usne_run --profile` view. CONGEST algorithms report scheduler
+  /// stage times — deliver/compute/replay/end_round — per (phase, task);
+  /// emulator_fast reports wall time per (phase, task) (FastOptions::profile);
+  /// the other centralized builds ignore it. Measurement only: counts, H
+  /// and every checksum are bit-identical with profiling on or off, and
+  /// the default (off) reads no clocks in the scheduler or the builder.
   bool profile = false;
 };
 
@@ -149,7 +150,8 @@ struct BuildOutput {
   std::vector<std::vector<std::pair<Vertex, Dist>>> local;
 
   /// Construction profile (ExecOptions::profile): labeled per-(phase, task)
-  /// scheduler stage times, e.g. "p0.detect". Empty unless requested.
+  /// scheduler stage times, e.g. "p0.detect" (wall time only for
+  /// emulator_fast, which has no scheduler). Empty unless requested.
   std::vector<congest::PhaseProfileEntry> profile;
 
   /// True when `net` is meaningful (the algorithm ran on the simulator).

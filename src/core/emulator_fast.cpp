@@ -4,12 +4,46 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/ruling_central.hpp"
+#include "obs/trace.hpp"
 #include "path/bfs.hpp"
 #include "path/source_detection.hpp"
+#include "util/timer.hpp"
 
 namespace usne {
+namespace {
+
+/// Wall time per (phase, task) into FastOptions::profile: each cut()
+/// closes the task that ran since the previous cut. Without a sink it
+/// reads no clock.
+class TaskClock {
+ public:
+  explicit TaskClock(std::vector<congest::PhaseProfileEntry>* sink) : sink_(sink) {
+    if (sink_ != nullptr) mark_ = MonoClock::now();
+  }
+
+  void cut(int phase, const char* task) {
+    if (sink_ == nullptr) return;
+    const MonoClock::time_point now = MonoClock::now();
+    congest::PhaseProfileEntry entry;
+    entry.label = "p";
+    entry.label += std::to_string(phase);
+    entry.label += '.';
+    entry.label += task;
+    entry.times.wall_s = elapsed_s(mark_, now);
+    sink_->push_back(std::move(entry));
+    mark_ = now;
+  }
+
+ private:
+  std::vector<congest::PhaseProfileEntry>* sink_;
+  MonoClock::time_point mark_{};
+};
+
+}  // namespace
 
 BuildResult build_emulator_fast(const Graph& g, const DistributedParams& params,
                                 const FastOptions& options) {
@@ -38,6 +72,7 @@ BuildResult build_emulator_fast(const Graph& g, const DistributedParams& params,
 
   // cluster index by center, valid within a phase.
   std::vector<std::int32_t> cluster_of(static_cast<std::size_t>(n), -1);
+  TaskClock clock(options.profile);
 
   for (int i = 0; i <= ell; ++i) {
     const double deg_i = sched.deg[static_cast<std::size_t>(i)];
@@ -62,16 +97,20 @@ BuildResult build_emulator_fast(const Graph& g, const DistributedParams& params,
     std::sort(centers.begin(), centers.end());
 
     // Task 1: capped source detection; popular = hears >= deg_i others.
-    const SourceDetection detect =
-        detect_sources(g, centers, delta_i, static_cast<std::size_t>(cap));
+    SourceDetection detect;
     std::vector<Vertex> popular;
-    for (const Vertex c : centers) {
-      std::size_t others = 0;
-      for (const SourceHit& h : detect.at(c)) {
-        if (h.source != c) ++others;
+    {
+      USNE_TRACE_SPAN("core.detect");
+      detect = detect_sources(g, centers, delta_i, static_cast<std::size_t>(cap));
+      for (const Vertex c : centers) {
+        std::size_t others = 0;
+        for (const SourceHit& h : detect.at(c)) {
+          if (h.source != c) ++others;
+        }
+        if (static_cast<double>(others) + 1e-9 >= deg_i) popular.push_back(c);
       }
-      if (static_cast<double>(others) + 1e-9 >= deg_i) popular.push_back(c);
     }
+    clock.cut(i, "detect");
     stats.popular = static_cast<std::int64_t>(popular.size());
 
     std::vector<Cluster> next;
@@ -79,11 +118,16 @@ BuildResult build_emulator_fast(const Graph& g, const DistributedParams& params,
 
     if (i < ell && !popular.empty()) {
       // Task 2: ruling set on the popular centers.
-      const CentralRulingSet ruling =
-          ruling_set_central(g, popular, 2 * delta_i, params.ruling_base);
+      CentralRulingSet ruling;
+      {
+        USNE_TRACE_SPAN("core.ruling");
+        ruling = ruling_set_central(g, popular, 2 * delta_i, params.ruling_base);
+      }
+      clock.cut(i, "ruling");
 
       // Task 3: BFS forest to depth rul_i + delta_i; one supercluster per
       // tree (no hub splitting in the centralized simulation, §3.3).
+      USNE_TRACE_SPAN("core.forest");
       const MultiSourceBfsResult forest =
           multi_source_bfs(g, ruling.members, rul_i + delta_i);
 
@@ -111,24 +155,28 @@ BuildResult build_emulator_fast(const Graph& g, const DistributedParams& params,
           ++stats.supercluster_edges;
         }
       }
+      clock.cut(i, "forest");
     }
 
     // Interconnection: unspanned clusters form U_i and connect to all their
     // neighbouring centers (exact lists — they and their neighbours are
     // unpopular, Lemma 3.4).
-    for (const Vertex c : centers) {
-      if (superclustered[static_cast<std::size_t>(c)]) continue;
-      ++stats.unclustered;
-      const Cluster& cluster =
-          current[static_cast<std::size_t>(cluster_of[static_cast<std::size_t>(c)])];
-      for (const Vertex m : cluster.members) {
-        result.u_level[static_cast<std::size_t>(m)] = i;
-        result.u_center[static_cast<std::size_t>(m)] = c;
-      }
-      for (const SourceHit& h : detect.at(c)) {
-        if (h.source == c) continue;
-        log_edge(c, h.source, h.dist, i, EdgeKind::kInterconnect, c);
-        ++stats.interconnect_edges;
+    {
+      USNE_TRACE_SPAN("core.interconnect");
+      for (const Vertex c : centers) {
+        if (superclustered[static_cast<std::size_t>(c)]) continue;
+        ++stats.unclustered;
+        const Cluster& cluster =
+            current[static_cast<std::size_t>(cluster_of[static_cast<std::size_t>(c)])];
+        for (const Vertex m : cluster.members) {
+          result.u_level[static_cast<std::size_t>(m)] = i;
+          result.u_center[static_cast<std::size_t>(m)] = c;
+        }
+        for (const SourceHit& h : detect.at(c)) {
+          if (h.source == c) continue;
+          log_edge(c, h.source, h.dist, i, EdgeKind::kInterconnect, c);
+          ++stats.interconnect_edges;
+        }
       }
     }
 
@@ -137,6 +185,7 @@ BuildResult build_emulator_fast(const Graph& g, const DistributedParams& params,
     result.phases.push_back(stats);
     current = std::move(next);
     if (options.keep_audit_data) result.partitions.push_back(current);
+    clock.cut(i, "interconnect");
   }
 
   assert(current.empty());

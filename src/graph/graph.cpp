@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace usne {
 
@@ -40,6 +42,14 @@ bool Graph::has_edge(Vertex u, Vertex v) const noexcept {
   if (u < 0 || u >= n_ || v < 0 || v >= n_) return false;
   const auto nbrs = neighbors(u);
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
+}
+
+void check_vertex(const Graph& g, Vertex v, const char* what) {
+  if (v < 0 || v >= g.num_vertices()) {
+    throw std::out_of_range(std::string(what) + ": vertex " + std::to_string(v) +
+                            " is out of range [0, " +
+                            std::to_string(g.num_vertices()) + ")");
+  }
 }
 
 bool GraphBuilder::add_edge(Vertex u, Vertex v) {

@@ -80,6 +80,11 @@ class Graph {
   std::int64_t max_degree_ = 0;
 };
 
+/// Throws std::out_of_range naming `v` and the caller `what` unless v is
+/// in [0, g.num_vertices()). For entry points that take vertex ids from
+/// their caller and index per-vertex arrays with them.
+void check_vertex(const Graph& g, Vertex v, const char* what);
+
 /// Incremental edge-list accumulator. Normalizes on build():
 ///  * drops self loops,
 ///  * deduplicates parallel edges,

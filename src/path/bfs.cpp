@@ -61,7 +61,7 @@ MultiSourceBfsResult multi_source_bfs(const Graph& g,
   std::vector<Vertex> sorted(sources.begin(), sources.end());
   std::sort(sorted.begin(), sorted.end());
   for (const Vertex s : sorted) {
-    assert(s >= 0 && s < n);
+    check_vertex(g, s, "multi_source_bfs");
     if (result.dist[static_cast<std::size_t>(s)] == 0) continue;  // duplicate
     result.dist[static_cast<std::size_t>(s)] = 0;
     result.source[static_cast<std::size_t>(s)] = s;

@@ -29,6 +29,7 @@ void bounded_bfs(const Graph& g, Vertex source, Dist depth,
 /// Depth-bounded multi-source BFS: distance to the nearest source, plus the
 /// id of that source (ties broken toward the smaller source id — this is the
 /// deterministic tie-break rule used by the BFS forests of Section 3).
+/// Throws std::out_of_range naming a source outside [0, n).
 struct MultiSourceBfsResult {
   std::vector<Dist> dist;       // distance to nearest source (kInfDist if none)
   std::vector<Vertex> source;   // winning source id, -1 if unreached

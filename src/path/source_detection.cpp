@@ -1,14 +1,23 @@
 #include "path/source_detection.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <queue>
-#include <tuple>
+#include <cstdint>
 
 namespace usne {
+namespace {
+
+/// One hit in the detection log: `vertex` recorded `source`, through
+/// `pred`, at the distance of the stride the record belongs to.
+struct Record {
+  Vertex vertex;
+  Vertex source;
+  Vertex pred;
+};
+
+}  // namespace
 
 Dist SourceDetection::distance_to(Vertex v, Vertex source) const {
-  for (const SourceHit& hit : hits_[static_cast<std::size_t>(v)]) {
+  for (const SourceHit& hit : at(v)) {
     if (hit.source == source) return hit.dist;
   }
   return kInfDist;
@@ -20,7 +29,7 @@ std::vector<Vertex> SourceDetection::path_to(Vertex v, Vertex source) const {
   while (cur != -1) {
     path.push_back(cur);
     if (cur == source) return path;
-    const auto& hits = hits_[static_cast<std::size_t>(cur)];
+    const auto hits = at(cur);
     const auto it = std::find_if(hits.begin(), hits.end(), [&](const SourceHit& h) {
       return h.source == source;
     });
@@ -33,89 +42,118 @@ std::vector<Vertex> SourceDetection::path_to(Vertex v, Vertex source) const {
 SourceDetection detect_sources(const Graph& g, std::span<const Vertex> sources,
                                Dist depth, std::size_t k) {
   const Vertex n = g.num_vertices();
-  std::vector<std::vector<SourceHit>> hits(static_cast<std::size_t>(n));
-
-  // Layered wavefront (no heap): entries of distance d are finalized in
-  // stride d, within a stride sorted by source id — exactly the global
-  // (dist, source) order of the definition. A vertex whose list is full
-  // neither records nor forwards, which is safe by the prefix property
-  // (see header): if s is among the k-nearest of v via a shortest path
-  // through w, s is among the k-nearest of w. Work: O(|E| * k) arrivals
-  // with O(k) dedup each, no log factor.
-  struct Arrival {
-    Vertex source;
-    Vertex pred;
-  };
-  std::vector<std::vector<Arrival>> arrivals(static_cast<std::size_t>(n));
-  std::vector<Vertex> touched;  // vertices with arrivals this stride
-
-  // pending[v] = sources newly recorded at v in the previous stride.
-  std::vector<std::vector<Vertex>> pending(static_cast<std::size_t>(n));
-  std::vector<Vertex> active;
-
+  const auto nz = static_cast<std::size_t>(n);
+  for (const Vertex s : sources) check_vertex(g, s, "detect_sources");
   std::vector<Vertex> sorted(sources.begin(), sources.end());
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  if (k == 0) sorted.clear();
+
+  // Per vertex, the duplicate-test stamp (see header) and the number of
+  // hits recorded so far. mark == ~s: the vertex holds s from an earlier
+  // stride; mark == s: it recorded s in this stride, at log[slot[v]]. Any
+  // other value is stale and means it lacks s; n is neither s nor ~s for
+  // any source.
+  struct State {
+    Vertex mark;
+    std::uint32_t count;
+  };
+  std::vector<State> state(nz, State{n, 0});
+  std::vector<std::size_t> slot(nz, 0);
+
+  // Saturation. A full vertex never records again, so an arc into it does
+  // nothing, unless the vertex filled up in the current group: the arc may
+  // still lower its predecessor for s. A vertex therefore joins `full` (a
+  // bitset, small enough to stay cached) at the end of the group that
+  // filled it, and open_nbrs[v] counts v's neighbours outside `full`: a
+  // frontier vertex with none is skipped without reading its row.
+  std::vector<std::uint64_t> full((nz + 63) / 64, 0);
+  std::vector<std::uint32_t> open_nbrs(nz);
+  for (Vertex v = 0; v < n; ++v) {
+    open_nbrs[static_cast<std::size_t>(v)] = static_cast<std::uint32_t>(g.degree(v));
+  }
+  std::vector<Vertex> filled;  // vertices the current group filled up
+  const auto saturate = [&](Vertex u) {
+    full[static_cast<std::size_t>(u) >> 6] |= std::uint64_t{1} << (u & 63);
+    for (const Vertex w : g.neighbors(u)) --open_nbrs[static_cast<std::size_t>(w)];
+  };
+
+  // Every hit, stride after stride (stride d records distance d); within a
+  // stride, grouped by source in ascending id. Each source's group in
+  // stride d is its frontier F_s(d). stride_end[d] closes stride d.
+  std::vector<Record> log;
+  log.reserve(sorted.size());
   for (const Vertex s : sorted) {
-    assert(s >= 0 && s < n);
-    if (k == 0) break;
-    hits[static_cast<std::size_t>(s)].push_back({s, 0, -1});
-    pending[static_cast<std::size_t>(s)].push_back(s);
-    active.push_back(s);
+    log.push_back({s, s, -1});
+    state[static_cast<std::size_t>(s)].count = 1;
+    if (k == 1) saturate(s);
   }
+  std::vector<std::size_t> stride_end = {log.size()};
 
-  for (Dist d = 1; d <= depth && !active.empty(); ++d) {
-    touched.clear();
-    for (const Vertex v : active) {
-      for (const Vertex src : pending[static_cast<std::size_t>(v)]) {
+  std::size_t older_begin = 0;  // F(d - 2) = log[older_begin, prev_begin)
+  std::size_t prev_begin = 0;   // F(d - 1) = log[prev_begin, prev_end)
+  std::size_t prev_end = log.size();
+  for (Dist d = 1; d <= depth && prev_begin < prev_end; ++d) {
+    std::size_t older = older_begin;
+    for (std::size_t group = prev_begin; group < prev_end;) {
+      const Vertex s = log[group].source;
+      std::size_t group_end = group;
+      while (group_end < prev_end && log[group_end].source == s) ++group_end;
+
+      while (older < prev_begin && log[older].source < s) ++older;
+      for (; older < prev_begin && log[older].source == s; ++older) {
+        state[static_cast<std::size_t>(log[older].vertex)].mark = ~s;
+      }
+      for (std::size_t r = group; r < group_end; ++r) {
+        state[static_cast<std::size_t>(log[r].vertex)].mark = ~s;
+      }
+
+      // Walk F_s(d - 1). A vertex reached again in this stride keeps its
+      // smallest predecessor.
+      for (std::size_t r = group; r < group_end; ++r) {
+        const Vertex v = log[r].vertex;
+        if (open_nbrs[static_cast<std::size_t>(v)] == 0) continue;
         for (const Vertex u : g.neighbors(v)) {
-          auto& list = hits[static_cast<std::size_t>(u)];
-          if (list.size() >= k) continue;  // full: never records more
-          auto& in = arrivals[static_cast<std::size_t>(u)];
-          if (in.empty()) touched.push_back(u);
-          in.push_back({src, v});
-        }
-      }
-      pending[static_cast<std::size_t>(v)].clear();
-    }
-    active.clear();
-
-    std::sort(touched.begin(), touched.end());
-    for (const Vertex u : touched) {
-      auto& in = arrivals[static_cast<std::size_t>(u)];
-      // Smallest source ids first; ties in pred resolved to the smallest
-      // pred for determinism.
-      std::sort(in.begin(), in.end(), [](const Arrival& a, const Arrival& b) {
-        return a.source != b.source ? a.source < b.source : a.pred < b.pred;
-      });
-      auto& list = hits[static_cast<std::size_t>(u)];
-      Vertex last = -1;
-      for (const Arrival& a : in) {
-        if (list.size() >= k) break;
-        if (a.source == last) continue;  // duplicate within the stride
-        last = a.source;
-        bool known = false;
-        for (const SourceHit& h : list) {
-          if (h.source == a.source) {
-            known = true;
-            break;
+          const auto ui = static_cast<std::size_t>(u);
+          if ((full[ui >> 6] >> (ui & 63)) & 1) continue;
+          State& st = state[ui];
+          if (st.mark == s) {
+            Vertex& pred = log[slot[ui]].pred;
+            pred = std::min(pred, v);
+            continue;
           }
+          if (st.mark == ~s) continue;
+          st.mark = s;
+          if (++st.count == k) filled.push_back(u);
+          slot[ui] = log.size();
+          log.push_back({u, s, v});
         }
-        if (known) continue;
-        list.push_back({a.source, d, a.pred});
-        pending[static_cast<std::size_t>(u)].push_back(a.source);
       }
-      in.clear();
-      if (!pending[static_cast<std::size_t>(u)].empty()) active.push_back(u);
+      for (const Vertex u : filled) saturate(u);
+      filled.clear();
+      group = group_end;
     }
+    older_begin = prev_begin;
+    prev_begin = prev_end;
+    prev_end = log.size();
+    stride_end.push_back(prev_end);
   }
 
-  for (auto& list : hits) {
-    std::sort(list.begin(), list.end(), [](const SourceHit& a, const SourceHit& b) {
-      return a.dist != b.dist ? a.dist < b.dist : a.source < b.source;
-    });
+  // Stable counting sort of the log by vertex into the CSR: each vertex's
+  // records keep log order, which is (dist, source) order.
+  std::vector<std::size_t> offsets(nz + 1, 0);
+  for (std::size_t v = 0; v < nz; ++v) offsets[v + 1] = offsets[v] + state[v].count;
+  std::copy(offsets.begin(), offsets.end() - 1, slot.begin());
+  std::vector<SourceHit> hits(log.size());
+  std::size_t r = 0;
+  for (std::size_t d = 0; d < stride_end.size(); ++d) {
+    for (; r < stride_end[d]; ++r) {
+      const Record& rec = log[r];
+      hits[slot[static_cast<std::size_t>(rec.vertex)]++] = {
+          rec.source, static_cast<Dist>(d), rec.pred};
+    }
   }
-  return SourceDetection(n, std::move(hits));
+  return SourceDetection(std::move(offsets), std::move(hits));
 }
 
 }  // namespace usne

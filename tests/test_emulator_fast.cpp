@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "api/build.hpp"
 #include "core/audit.hpp"
 #include "core/emulator_fast.hpp"
 #include "core/params.hpp"
@@ -129,6 +130,45 @@ TEST(EmulatorFast, MismatchedParamsRejected) {
   const Graph g = gen_path(10);
   const auto params = DistributedParams::compute(99, 8, 0.4, 0.25);
   EXPECT_THROW(build_emulator_fast(g, params), std::invalid_argument);
+}
+
+TEST(EmulatorFast, ProfileOnlyWhenRequestedAndHUnchanged) {
+  const Graph g = gen_family("caveman", 2048, 3);
+  BuildSpec spec;
+  spec.algorithm = "emulator_fast";
+  spec.params.kappa = 4;
+  spec.params.rho = 0.45;
+  spec.exec.keep_audit_data = false;
+  const BuildOutput plain = build(g, spec);
+  spec.exec.profile = true;
+  const BuildOutput profiled = build(g, spec);
+
+  EXPECT_TRUE(plain.profile.empty());
+  EXPECT_EQ(plain.h().edges(), profiled.h().edges());
+  EXPECT_EQ(plain.stats, profiled.stats);
+
+  // One entry per (phase, task): detect opens every phase and interconnect
+  // closes it; ruling and forest sit between them exactly in the phases
+  // that superclustered. Wall time only.
+  std::vector<std::string> want;
+  for (const PhaseStats& p : profiled.result.phases) {
+    const std::string tag = "p" + std::to_string(p.phase) + ".";
+    want.push_back(tag + "detect");
+    if (p.clusters_out > 0) {
+      want.push_back(tag + "ruling");
+      want.push_back(tag + "forest");
+    }
+    want.push_back(tag + "interconnect");
+  }
+  std::vector<std::string> got;
+  for (const congest::PhaseProfileEntry& e : profiled.profile) {
+    got.push_back(e.label);
+    EXPECT_GE(e.times.wall_s, 0.0) << e.label;
+    EXPECT_EQ(e.times.stage_sum_s(), 0.0) << e.label;
+    EXPECT_EQ(e.times.rounds, 0) << e.label;
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_GT(profiled.result.phases.front().clusters_out, 0);
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
 // Unit tests for src/path: BFS variants, Dijkstra, APSP, and the
-// (S, d, k)-source detection against brute force.
+// (S, d, k)-source detection against brute force, against pinned digests
+// of its full output, and against the predecessor rule.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "path/apsp.hpp"
 #include "path/bfs.hpp"
 #include "path/dijkstra.hpp"
 #include "path/source_detection.hpp"
+#include "serve/query_engine.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -93,6 +98,13 @@ TEST(Bfs, MultiSourceRespectsDepth) {
   EXPECT_EQ(r.dist[5], kInfDist);
 }
 
+TEST(Bfs, MultiSourceOutOfRangeThrows) {
+  const Graph g = gen_path(10);
+  EXPECT_THROW(multi_source_bfs(g, std::vector<Vertex>{10}, 4), std::out_of_range);
+  EXPECT_THROW(multi_source_bfs(g, std::vector<Vertex>{2, -1}, 4),
+               std::out_of_range);
+}
+
 TEST(Dijkstra, MatchesBfsOnUnitWeights) {
   const Graph g = gen_connected_gnm(150, 400, 6);
   WeightedGraph h(150);
@@ -164,7 +176,7 @@ TEST(SourceDetection, MatchesBruteForce) {
   const Dist depth = 4;
   const std::size_t k = 3;
   const SourceDetection det = detect_sources(g, sources, depth, k);
-  for (Vertex v = 0; v < 120; v += 11) {
+  for (Vertex v = 0; v < 120; ++v) {
     const auto expected = brute_k_nearest(g, sources, v, depth, k);
     const auto got = det.at(v);
     ASSERT_EQ(got.size(), expected.size()) << "vertex " << v;
@@ -221,6 +233,127 @@ TEST(SourceDetection, CapRespected) {
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(det.at(0)[i].dist, 1);
     EXPECT_EQ(det.at(0)[i].source, static_cast<Vertex>(i + 1));
+  }
+}
+
+TEST(SourceDetection, OutOfRangeSourceThrows) {
+  const Graph g = gen_path(8);
+  EXPECT_THROW(detect_sources(g, std::vector<Vertex>{8}, 3, 2), std::out_of_range);
+  EXPECT_THROW(detect_sources(g, std::vector<Vertex>{0, -1}, 3, 2),
+               std::out_of_range);
+  // Checked before the cap is looked at: k = 0 records nothing, but a bad
+  // source is still an error.
+  EXPECT_THROW(detect_sources(g, std::vector<Vertex>{9}, 3, 0), std::out_of_range);
+  try {
+    detect_sources(g, std::vector<Vertex>{1, 12}, 3, 2);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("12"), std::string::npos) << e.what();
+  }
+}
+
+/// FNV-1a over detect_sources' whole output: every vertex's hit count and
+/// each hit's (source, dist, pred), in list order.
+std::uint64_t detection_digest(const SourceDetection& det) {
+  std::uint64_t h = serve::kChecksumSeed;
+  for (Vertex v = 0; v < det.num_vertices(); ++v) {
+    const auto hits = det.at(v);
+    h = serve::checksum_accumulate(h, static_cast<std::int64_t>(hits.size()));
+    for (const SourceHit& hit : hits) {
+      h = serve::checksum_accumulate(h, hit.source);
+      h = serve::checksum_accumulate(h, hit.dist);
+      h = serve::checksum_accumulate(h, hit.pred);
+    }
+  }
+  return h;
+}
+
+/// Vertices 1, 1 + every, 1 + 2 * every, ... below n; none when every == 0.
+std::vector<Vertex> every_nth(Vertex n, Vertex every) {
+  std::vector<Vertex> out;
+  if (every <= 0) return out;
+  for (Vertex v = 1; v < n; v += every) out.push_back(v);
+  return out;
+}
+
+struct DetectPin {
+  const char* family;
+  Vertex every;     // sources: every_nth(n, every)
+  Dist depth;
+  std::size_t cap;  // k
+  std::uint64_t digest;
+};
+
+// Digests of the full output on n = 2048 graphs (seed 7), recorded with
+// the per-vertex-list implementation that the flat source-major one
+// replaced. Every hit of every vertex enters the digest, so a changed
+// source, distance, predecessor or list order anywhere moves it.
+TEST(SourceDetection, PinnedDigests) {
+  constexpr std::size_t kNoCap = static_cast<std::size_t>(-1);
+  const DetectPin pins[] = {
+      {"er", 7, 4, 3, 0x544c2d2565f23f9bULL},
+      {"er", 1, 2, 5, 0x5d5e2648460b5d1aULL},  // every vertex a source (phase 0)
+      {"er", 13, 6, 1, 0x94810bf72de68fadULL},
+      {"er", 7, 4, 0, 0x9c1bda7f8c872325ULL},  // k = 0: nothing recorded
+      {"er", 0, 4, 3, 0x9c1bda7f8c872325ULL},  // no sources
+      {"caveman", 5, 5, 4, 0x75b3014eca67bdefULL},
+      {"caveman", 31, 12, 9, 0xaa02415b6d144538ULL},
+      {"caveman", 200, 40, 64, 0x60a9c8bb96618922ULL},  // cap above |S| = 11
+      {"caveman", 97, 30, kNoCap, 0xa2de249fea328e5bULL},
+      {"grid", 17, 8, 3, 0x0ece81364029c14bULL},
+      {"grid", 3, 3, 2, 0x657cef318bb52ed5ULL},
+      {"grid", 1, 0, 4, 0x9577f1642e97a550ULL},  // depth 0: sources only
+      {"rmat", 9, 3, 6, 0x1e0eef53154f107dULL},
+      {"rmat", 1, 4, 2, 0xf0c65c1292ac7b0cULL},
+      {"rmat", 64, 5, 40, 0xb3a83f46769a6974ULL},  // cap above |S| = 32
+  };
+  for (const DetectPin& p : pins) {
+    const Graph g = gen_family(p.family, 2048, 7);
+    const std::vector<Vertex> sources = every_nth(g.num_vertices(), p.every);
+    const std::string name = std::string(p.family) + " every=" +
+                             std::to_string(p.every) + " depth=" +
+                             std::to_string(p.depth) + " cap=" +
+                             std::to_string(p.cap);
+    const std::uint64_t got =
+        detection_digest(detect_sources(g, sources, p.depth, p.cap));
+    EXPECT_EQ(got, p.digest) << name << ": got 0x" << std::hex << got;
+    // Duplicated, unsorted sources are the same request.
+    std::vector<Vertex> noisy(sources.rbegin(), sources.rend());
+    noisy.insert(noisy.end(), sources.begin(), sources.end());
+    EXPECT_EQ(detection_digest(detect_sources(g, noisy, p.depth, p.cap)), got)
+        << name << " with duplicate sources";
+  }
+}
+
+// The predecessor rule the centralized spanner's path_to depends on: a hit
+// (s, d) at v with d > 0 names the smallest-id neighbour of v that holds s
+// at distance d - 1; a hit at distance 0 is v itself, with no predecessor.
+TEST(SourceDetection, PredIsSmallestNeighbourOneCloser) {
+  for (const char* family : {"er", "caveman", "grid", "rmat"}) {
+    const Graph g = gen_family(family, 1024, 3);
+    const SourceDetection det =
+        detect_sources(g, every_nth(g.num_vertices(), 5), 6, 4);
+    std::int64_t checked = 0;
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      for (const SourceHit& h : det.at(v)) {
+        if (h.dist == 0) {
+          EXPECT_EQ(h.source, v);
+          EXPECT_EQ(h.pred, -1);
+          continue;
+        }
+        Vertex want = -1;
+        for (const Vertex u : g.neighbors(v)) {  // ascending
+          if (det.distance_to(u, h.source) == h.dist - 1) {
+            want = u;
+            break;
+          }
+        }
+        EXPECT_EQ(h.pred, want) << family << " vertex " << v << " source "
+                                << h.source << " dist " << h.dist;
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, g.num_vertices()) << family;
   }
 }
 

@@ -1,10 +1,13 @@
 // Property tests for the deterministic digit-sweep ruling sets: separation
 // and covering guarantees on varied graphs (both the CONGEST and the
-// centralized implementations), plus exact agreement between the two.
+// centralized implementations), exact agreement between the two, and
+// pinned digests of the centralized members.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -13,6 +16,7 @@
 #include "core/ruling_central.hpp"
 #include "graph/generators.hpp"
 #include "path/bfs.hpp"
+#include "serve/query_engine.hpp"
 #include "util/rng.hpp"
 
 namespace usne {
@@ -131,6 +135,52 @@ TEST(RulingSet, DuplicatesIgnored) {
   const auto a = ruling_set_central(g, {3, 3, 9, 9, 9}, 2, 4);
   const auto b = ruling_set_central(g, {3, 9}, 2, 4);
   EXPECT_EQ(a.members, b.members);
+}
+
+TEST(RulingSet, OutOfRangeCandidateThrows) {
+  const Graph g = gen_cycle(20);
+  EXPECT_THROW(ruling_set_central(g, {3, 20}, 2, 4), std::out_of_range);
+  EXPECT_THROW(ruling_set_central(g, {-1, 3}, 2, 4), std::out_of_range);
+  // A lone candidate is returned without any flood, but is still checked.
+  EXPECT_THROW(ruling_set_central(g, {25}, 2, 4), std::out_of_range);
+}
+
+struct RulingPin {
+  const char* family;
+  Vertex every;  // W = {1, 1 + every, 1 + 2 * every, ...}
+  Dist q;
+  std::int64_t base;
+  std::uint64_t digest;
+};
+
+// FNV-1a digests of the members (plus separation and covering) on n = 2048
+// graphs (seed 7), recorded with the flood-per-step implementation that
+// the incremental capped-distance one replaced.
+TEST(RulingSet, PinnedDigests) {
+  const RulingPin pins[] = {
+      {"er", 3, 2, 4, 0x2ee1c51bbade2111ULL},
+      {"er", 1, 4, 8, 0x702dee133e56e190ULL},
+      {"er", 1, 0, 2, 0xe58ef783b91ef25cULL},
+      {"caveman", 2, 3, 16, 0xbb4a50d288fe9320ULL},
+      {"caveman", 1, 8, 35, 0x1583f00d6decd7e5ULL},
+      {"grid", 5, 6, 4, 0xa76e684f44af2f32ULL},
+      {"grid", 1, 2, 4096, 0x921a1e839f65dbd6ULL},  // base >= n: one level
+      {"rmat", 3, 2, 35, 0x4ca31ba6109b151aULL},
+      {"rmat", 1, 4, 2, 0x425c5ad6b57a56f1ULL},
+  };
+  for (const RulingPin& p : pins) {
+    const Graph g = gen_family(p.family, 2048, 7);
+    std::vector<Vertex> w;
+    for (Vertex v = 1; v < g.num_vertices(); v += p.every) w.push_back(v);
+    const CentralRulingSet rs = ruling_set_central(g, w, p.q, p.base);
+    std::uint64_t h = serve::kChecksumSeed;
+    h = serve::checksum_accumulate(h, static_cast<std::int64_t>(rs.members.size()));
+    for (const Vertex m : rs.members) h = serve::checksum_accumulate(h, m);
+    h = serve::checksum_accumulate(h, rs.separation);
+    h = serve::checksum_accumulate(h, rs.covering);
+    EXPECT_EQ(h, p.digest) << p.family << " every=" << p.every << " q=" << p.q
+                           << " base=" << p.base << ": got 0x" << std::hex << h;
+  }
 }
 
 }  // namespace
