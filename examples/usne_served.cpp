@@ -90,10 +90,8 @@ int run(int argc, char** argv) {
            {"host", "listen address (default 127.0.0.1)"},
            {"port", "TCP port, 0 = ephemeral (default 0)"},
            {"workers", "worker threads (default 2)"},
-           {"max-queue", "admission bound on queued requests (default 1024)"},
+           {"max-queue", "admission bound on requests not yet replied to (default 1024)"},
            {"max-inflight", "per-connection in-flight cap (default 256)"},
-           {"batch-max", "batching queue flush size (default 32)"},
-           {"flush-us", "batching queue flush deadline in us (default 500)"},
            {"idle-timeout-ms", "close idle connections after (default 30000)"},
            {"port-file", "write the bound port to FILE once listening"},
            {"reload-fifo", "FIFO path; any write triggers a live reload"},
@@ -136,8 +134,6 @@ int run(int argc, char** argv) {
   server_options.max_queue = static_cast<int>(cli.get_int("max-queue", 1024));
   server_options.max_inflight_per_conn =
       static_cast<int>(cli.get_int("max-inflight", 256));
-  server_options.batch_max = static_cast<int>(cli.get_int("batch-max", 32));
-  server_options.flush_us = cli.get_int("flush-us", 500);
   server_options.idle_timeout_ms = cli.get_int("idle-timeout-ms", 30000);
 
   const double duration_s = cli.get_double("duration", 0.0);
@@ -190,8 +186,8 @@ int run(int argc, char** argv) {
             << "listening on " << server_options.host << ":" << server.port()
             << "  (workers = " << server_options.workers
             << ", max_queue = " << server_options.max_queue
-            << ", batch = " << server_options.batch_max << "/"
-            << server_options.flush_us << "us)\n"
+            << ", max_inflight = " << server_options.max_inflight_per_conn
+            << ")\n"
             << std::flush;
 
   if (cli.has("port-file")) {

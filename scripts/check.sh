@@ -41,10 +41,13 @@
 #                              (wire answers must be checksum-identical to
 #                              an in-process engine), the daemon must exit
 #                              cleanly on SIGTERM with a conserved request
-#                              ledger, and the loadgen rows are merged into
-#                              the report (scripts/bench_serve_merge.py) so
-#                              the same row-count/checksum gates pin the
-#                              daemon trajectory too. Finally the E10 scale
+#                              ledger, the grouped row's p50 must stay under
+#                              400 us (no fixed wait the size of the old
+#                              500 us flush window fits), and the loadgen
+#                              rows are merged into the report
+#                              (scripts/bench_serve_merge.py) so the same
+#                              row-count/checksum gates pin the daemon
+#                              trajectory too. Finally the E10 scale
 #                              smoke:
 #                              bench_scale --smoke hard-gates serial ==
 #                              parallel answers, its answer checksum is
@@ -65,9 +68,10 @@
 # --profile stage coverage >= 95% of scheduler wall for both CONGEST
 # constructions), the daemon obs smoke (scrape the live daemon's Prometheus
 # page via usne_loadgen --scrape-metrics, assert the key per-layer series
-# and reconcile the usne_net_* counters against the request-conservation
-# law exactly), and the grouped-speedup floor (E9 structural-regression
-# gate).
+# including every per-hop latency histogram, reconcile the usne_net_*
+# counters against the request-conservation law and the engine's cache
+# hits + misses against its queries, both exactly), and the grouped-speedup
+# floor (E9 structural-regression gate).
 #
 # The sanitizer matrix (ASan+UBSan full suite, TSan -L tsan) is the full
 # scripts/analyze.sh run — heavier than tier-1 and kept separate:
@@ -397,6 +401,17 @@ for workload in zipf grouped; do
   fi
   echo "daemon ${workload}: wire checksum matches the in-process engine"
 done
+# A worker answers each frame as soon as it is free, so a cache-hit frame
+# costs well under 100 us here; a fixed wait the size of the old 500 us
+# flush window cannot pass this ceiling.
+grouped_p50="$(grep '"workload": "grouped"' "${SMOKE_DIR}/daemon_rows.jsonl" \
+  | { grep -o '"p50_us": [0-9]*' || true; } | awk '{print $2}')"
+if [ -z "${grouped_p50}" ] || [ "${grouped_p50}" -ge 400 ]; then
+  echo "FAIL: daemon grouped p50_us '${grouped_p50}' is not under 400 us" >&2
+  kill "${served_pid}" 2>/dev/null || true
+  exit 1
+fi
+echo "daemon grouped: p50 ${grouped_p50} us (< 400 us ceiling)"
 
 echo "== obs smoke (daemon metrics page vs request ledger) =="
 # The scraped page must carry the key series from every wired layer, and
@@ -404,7 +419,9 @@ echo "== obs smoke (daemon metrics page vs request ledger) =="
 # daemon's invariant ledger audits: accepted == answered + rejected_busy +
 # rejected_error + in_flight. The scrape was taken at quiescence (both
 # workloads drained, scrape request counted on both sides of the equation),
-# so the reconciliation is exact, not approximate.
+# so the reconciliation is exact, not approximate. So is the engine's
+# cache ledger: every served query is one hit or one miss, even though the
+# two workers ran their batches on the engine at the same time.
 if ! [ -s "${SMOKE_DIR}/daemon.metrics.prom" ]; then
   echo "FAIL: usne_loadgen --scrape-metrics wrote no metrics page" >&2
   kill "${served_pid}" 2>/dev/null || true
@@ -414,8 +431,10 @@ metric() { awk -v n="$1" '$1 == n { print $2 }' "${SMOKE_DIR}/daemon.metrics.pro
 for series in usne_net_accepted_requests_total usne_net_answered_requests_total \
               usne_net_rejected_busy_total usne_net_rejected_error_total \
               usne_net_in_flight usne_serve_queries_total \
-              usne_serve_sssp_runs_total usne_net_request_latency_us_count \
-              usne_net_queue_wait_us_count; do
+              usne_serve_sssp_runs_total usne_serve_cache_hits_total \
+              usne_serve_cache_misses_total usne_net_request_latency_us_count \
+              usne_net_queue_wait_us_count usne_net_engine_us_count \
+              usne_net_reply_wait_us_count; do
   if [ -z "$(metric "${series}")" ]; then
     echo "FAIL: daemon metrics page is missing series ${series}" >&2
     kill "${served_pid}" 2>/dev/null || true
@@ -440,7 +459,15 @@ if [ "${queries}" -lt 16000 ]; then
   kill "${served_pid}" 2>/dev/null || true
   exit 1
 fi
-echo "daemon metrics page: ledger conserved (accepted=${accepted}), ${queries} queries served"
+hits="$(metric usne_serve_cache_hits_total)"
+misses="$(metric usne_serve_cache_misses_total)"
+if [ "$((hits + misses))" -ne "${queries}" ]; then
+  echo "FAIL: metrics page cache ledger off: hits=${hits} + misses=${misses}" \
+       "!= usne_serve_queries_total=${queries}" >&2
+  kill "${served_pid}" 2>/dev/null || true
+  exit 1
+fi
+echo "daemon metrics page: ledger conserved (accepted=${accepted}), ${queries} queries served, hits + misses == queries"
 kill -TERM "${served_pid}"
 if ! wait "${served_pid}"; then
   echo "FAIL: usne_served did not shut down cleanly on SIGTERM" >&2

@@ -12,7 +12,6 @@
 #endif
 #include <sys/epoll.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -126,7 +125,6 @@ class Server::Impl {
       : opt_(std::move(options)), engine_(std::move(engine)) {
     if (!engine_) throw std::invalid_argument("Server: null engine");
     if (opt_.workers < 1) opt_.workers = 1;
-    if (opt_.batch_max < 1) opt_.batch_max = 1;
     if (opt_.max_queue < 1) opt_.max_queue = 1;
     if (opt_.max_inflight_per_conn < 1) opt_.max_inflight_per_conn = 1;
     hist_.reserve(static_cast<std::size_t>(opt_.workers));
@@ -355,13 +353,13 @@ class Server::Impl {
     Clock::time_point enqueued;
   };
 
-  // A framed reply on its way back to the I/O thread. `completes` marks
-  // replies that settle an admitted request (the conn's in-flight count
-  // drops when it is routed).
+  // A framed reply on its way back to the I/O thread; routing it settles
+  // one admitted request. `built` is when the frame was complete.
   struct Response {
     std::uint64_t conn_id = 0;
     std::vector<std::uint8_t> bytes;
-    bool completes = false;
+    Clock::time_point built;
+    bool answered = false;  // false for a kError reply
   };
 
   // Per-connection state, owned exclusively by the I/O thread. Keyed by a
@@ -392,6 +390,11 @@ class Server::Impl {
     std::vector<PollEvent> events;
     std::vector<std::uint8_t> rdbuf(64 * 1024);
     bool reads_disabled = false;
+    // Admitted requests whose reply is not routed yet (what max_queue
+    // bounds), counted here like Conn::in_flight so no worker races it.
+    int admitted = 0;
+    serve::LatencyHistogram& reply_wait_us =
+        obs::histogram("usne_net_reply_wait_us");
 
     poller.add(listen_fd_, kListenKey, true, false);
     poller.add(wake_rd_, kWakeKey, true, false);
@@ -489,10 +492,9 @@ class Server::Impl {
           return send_now(id, c, std::move(frame_bytes));
         }
         default: {
-          // Engine-bound: admission control, then the batching queue.
+          // Engine-bound: admission control, then the worker queue.
           accepted_requests_.fetch_add(1, std::memory_order_relaxed);
-          const bool queue_full =
-              queue_depth_.load(std::memory_order_relaxed) >= opt_.max_queue;
+          const bool queue_full = admitted >= opt_.max_queue;
           const bool conn_full = c.in_flight >= opt_.max_inflight_per_conn;
           if (queue_full || conn_full) {
             rejected_busy_.fetch_add(1, std::memory_order_relaxed);
@@ -504,6 +506,7 @@ class Server::Impl {
             return send_now(id, c, std::move(frame_bytes));
           }
           in_flight_.fetch_add(1, std::memory_order_relaxed);
+          admitted += 1;
           c.in_flight += 1;
           Work w;
           w.conn_id = id;
@@ -583,14 +586,18 @@ class Server::Impl {
         batch.swap(responses_);
       }
       for (Response& r : batch) {
+        admitted -= 1;
         auto it = conns.find(r.conn_id);
         if (it == conns.end()) continue;  // client left; reply is dropped
         Conn& c = it->second;
-        if (r.completes) {
-          c.in_flight -= 1;
-          c.last_activity = Clock::now();
+        c.in_flight -= 1;
+        if (!send_now(r.conn_id, c, std::move(r.bytes))) continue;
+        const Clock::time_point sent = Clock::now();
+        c.last_activity = sent;
+        if (r.answered) {
+          reply_wait_us.record(
+              static_cast<std::uint64_t>(elapsed_us(r.built, sent)));
         }
-        send_now(r.conn_id, c, std::move(r.bytes));
       }
     };
 
@@ -679,142 +686,122 @@ class Server::Impl {
 
   // ---- worker threads -----------------------------------------------------
 
+  // Pops the front request as soon as one is queued and answers it alone.
+  // On stop() a worker drains what is queued, then returns.
   void run_worker(int w) {
-    std::vector<Work> group;
-    const auto flush_window = std::chrono::microseconds(
-        opt_.flush_us > 0 ? opt_.flush_us : 0);
     for (;;) {
-      group.clear();
+      Work wk;
       {
-        USNE_TRACE_SPAN("net.batch_coalesce");
+        USNE_TRACE_SPAN("net.queue_wait");
         std::unique_lock<std::mutex> lock(queue_mutex_);
-        for (;;) {
-          if (work_queue_.empty()) {
-            if (stopping_.load(std::memory_order_relaxed)) return;
-            queue_cv_.wait(lock);
-            continue;
-          }
-          if (stopping_.load(std::memory_order_relaxed) ||
-              work_queue_.size() >=
-                  static_cast<std::size_t>(opt_.batch_max)) {
-            break;
-          }
-          const Clock::time_point deadline =
-              work_queue_.front().enqueued + flush_window;
-          if (Clock::now() >= deadline) break;
-          queue_cv_.wait_until(lock, deadline);
-        }
-        const std::size_t take = std::min(
-            work_queue_.size(), static_cast<std::size_t>(opt_.batch_max));
-        for (std::size_t i = 0; i < take; ++i) {
-          group.push_back(std::move(work_queue_.front()));
-          work_queue_.pop_front();
-        }
-        queue_depth_.fetch_sub(static_cast<std::int64_t>(take),
-                               std::memory_order_relaxed);
+        queue_cv_.wait(lock, [this] {
+          return !work_queue_.empty() ||
+                 stopping_.load(std::memory_order_relaxed);
+        });
+        if (work_queue_.empty()) return;
+        wk = std::move(work_queue_.front());
+        work_queue_.pop_front();
+        queue_depth_.fetch_sub(1, std::memory_order_relaxed);
       }
-      // More work may remain (another coalesced group's worth): hand it to
-      // a sibling before going heads-down on this group.
-      queue_cv_.notify_one();
-      process_group(group, w);
+      Response r = answer(wk, w);
+      {
+        std::lock_guard<std::mutex> lock(response_mutex_);
+        responses_.push_back(std::move(r));
+      }
+      wake();
     }
   }
 
-  void process_group(std::vector<Work>& group, int w) {
-    // One engine snapshot per group: requests admitted before a reload()
-    // finish on the engine they saw; the swap lands between groups.
+  // Queue wait (admitted to popped) plus engine (popped to reply built) is
+  // the request latency; all three come from the same clock reads.
+  Response answer(const Work& wk, int w) {
+    USNE_TRACE_SPAN("net.engine");
+    static serve::LatencyHistogram& queue_wait_us =
+        obs::histogram("usne_net_queue_wait_us");
+    static serve::LatencyHistogram& engine_us =
+        obs::histogram("usne_net_engine_us");
+    static serve::LatencyHistogram& request_latency_us =
+        obs::histogram("usne_net_request_latency_us");
+    const Clock::time_point popped = Clock::now();
+    // One engine snapshot per request: a reload() lands between requests.
     const std::shared_ptr<serve::QueryEngine> eng = engine();
     const Vertex n = eng->emulator().num_vertices();
-    std::deque<Response> out;
+    std::vector<std::uint8_t> reply;
+    MsgType rtype = MsgType::kError;
+    std::uint16_t rflags = 0;
+    bool ok = true;
 
-    for (Work& wk : group) {
-      USNE_TRACE_SPAN("net.engine");
-      std::vector<std::uint8_t> reply;
-      MsgType rtype = MsgType::kError;
-      std::uint16_t rflags = 0;
-      bool ok = true;
-
-      static serve::LatencyHistogram& queue_wait_us =
-          obs::histogram("usne_net_queue_wait_us");
-      queue_wait_us.record(
-          static_cast<std::uint64_t>(elapsed_us(wk.enqueued, Clock::now())));
-
-      switch (wk.type) {
-        case MsgType::kPair: {
-          Vertex u = 0;
-          Vertex v = 0;
-          if (!parse_pair_request(wk.payload, u, v) || u < 0 || v < 0 ||
-              u >= n || v >= n) {
-            ok = false;
-            break;
-          }
-          reply = encode_dist_reply(eng->query(u, v));
-          rtype = MsgType::kPairReply;
+    switch (wk.type) {
+      case MsgType::kPair: {
+        Vertex u = 0;
+        Vertex v = 0;
+        if (!parse_pair_request(wk.payload, u, v) || u < 0 || v < 0 ||
+            u >= n || v >= n) {
+          ok = false;
           break;
         }
-        case MsgType::kSingleSource: {
-          Vertex s = 0;
-          if (!parse_single_source_request(wk.payload, s) || s < 0 || s >= n) {
-            ok = false;
-            break;
-          }
-          const serve::SsspResult dist = eng->query_all(s);
-          if ((wk.flags & kFlagFullVector) != 0) {
-            reply = encode_dist_vector_reply(*dist);
-            rflags = kFlagFullVector;
-          } else {
-            reply = encode_dist_reply(serve::checksum_fold(*dist));
-          }
-          rtype = MsgType::kSingleSourceReply;
-          break;
-        }
-        case MsgType::kBatch: {
-          std::vector<serve::Query> queries;
-          if (!parse_batch_request(wk.payload, queries)) {
-            ok = false;
-            break;
-          }
-          for (const serve::Query& q : queries) {
-            if (q.u < 0 || q.u >= n || (!q.all && (q.v < 0 || q.v >= n))) {
-              ok = false;
-              break;
-            }
-          }
-          if (!ok) break;
-          const serve::BatchResult r = eng->serve(queries, 1);
-          reply = encode_batch_reply(r.answers);
-          rtype = MsgType::kBatchReply;
-          break;
-        }
-        default:
-          ok = false;  // unreachable: only engine-bound types are queued
-          break;
+        reply = encode_dist_reply(eng->query(u, v));
+        rtype = MsgType::kPairReply;
+        break;
       }
-
-      std::vector<std::uint8_t> frame_bytes;
-      if (ok) {
-        answered_requests_.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t lat_us =
-            static_cast<std::uint64_t>(elapsed_us(wk.enqueued, Clock::now()));
-        hist_[static_cast<std::size_t>(w)]->record(lat_us);
-        static serve::LatencyHistogram& request_latency_us =
-            obs::histogram("usne_net_request_latency_us");
-        request_latency_us.record(lat_us);
-        append_frame(frame_bytes, rtype, wk.request_id, reply, rflags);
-      } else {
-        rejected_error_.fetch_add(1, std::memory_order_relaxed);
-        append_frame(frame_bytes, MsgType::kError, wk.request_id,
-                     encode_error(ErrorCode::kMalformed, "bad payload"));
+      case MsgType::kSingleSource: {
+        Vertex s = 0;
+        if (!parse_single_source_request(wk.payload, s) || s < 0 || s >= n) {
+          ok = false;
+          break;
+        }
+        const serve::SsspResult dist = eng->query_all(s);
+        if ((wk.flags & kFlagFullVector) != 0) {
+          reply = encode_dist_vector_reply(*dist);
+          rflags = kFlagFullVector;
+        } else {
+          reply = encode_dist_reply(serve::checksum_fold(*dist));
+        }
+        rtype = MsgType::kSingleSourceReply;
+        break;
       }
-      in_flight_.fetch_sub(1, std::memory_order_relaxed);
-      out.push_back({wk.conn_id, std::move(frame_bytes), true});
+      case MsgType::kBatch: {
+        std::vector<serve::Query> queries;
+        if (!parse_batch_request(wk.payload, queries)) {
+          ok = false;
+          break;
+        }
+        for (const serve::Query& q : queries) {
+          if (q.u < 0 || q.u >= n || (!q.all && (q.v < 0 || q.v >= n))) {
+            ok = false;
+            break;
+          }
+        }
+        if (!ok) break;
+        const serve::BatchResult r = eng->serve(queries, 1);
+        reply = encode_batch_reply(r.answers);
+        rtype = MsgType::kBatchReply;
+        break;
+      }
+      default:
+        ok = false;  // unreachable: only engine-bound types are queued
+        break;
     }
 
-    {
-      std::lock_guard<std::mutex> lock(response_mutex_);
-      for (Response& r : out) responses_.push_back(std::move(r));
+    Response r{wk.conn_id, {}, {}, ok};
+    if (ok) {
+      append_frame(r.bytes, rtype, wk.request_id, reply, rflags);
+      r.built = Clock::now();
+      answered_requests_.fetch_add(1, std::memory_order_relaxed);
+      const auto us = [](Clock::time_point a, Clock::time_point b) {
+        return static_cast<std::uint64_t>(elapsed_us(a, b));
+      };
+      queue_wait_us.record(us(wk.enqueued, popped));
+      engine_us.record(us(popped, r.built));
+      hist_[static_cast<std::size_t>(w)]->record(us(wk.enqueued, r.built));
+      request_latency_us.record(us(wk.enqueued, r.built));
+    } else {
+      rejected_error_.fetch_add(1, std::memory_order_relaxed);
+      append_frame(r.bytes, MsgType::kError, wk.request_id,
+                   encode_error(ErrorCode::kMalformed, "bad payload"));
     }
-    wake();
+    in_flight_.fetch_sub(1, std::memory_order_relaxed);
+    return r;
   }
 
   // ---- state ---------------------------------------------------------------

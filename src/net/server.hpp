@@ -4,23 +4,23 @@
 //
 // A long-running TCP front-end for serve::QueryEngine: one I/O thread runs
 // an epoll event loop over all client sockets, decoding frames
-// (net/protocol.hpp) and admitting engine-bound requests into a bounded
-// batching queue; N worker threads pop requests in
-// coalesced groups (flush when the queue reaches batch_max or the oldest
-// entry has waited flush_us) and answer them against an atomically
+// (net/protocol.hpp) and admitting engine-bound requests into a FIFO
+// queue; N worker threads each pop the front request as soon as one is
+// queued and answer it with one engine call against an atomically
 // swappable engine snapshot. Responses flow back to the I/O thread through
 // a response queue plus a wake pipe, so workers never touch a socket.
 //
-// Admission control / backpressure: a request that would overflow the
-// queue (max_queue) or its connection's in-flight cap
-// (max_inflight_per_conn) is answered immediately with kBusy — bounded
-// memory, explicit signal, client retries. PING, STATS and METRICS bypass
-// admission (they never touch the engine), so health and observability stay
-// responsive exactly when the daemon is saturated.
+// Admission control / backpressure: a request that would take the admitted
+// count past max_queue, or its connection's past max_inflight_per_conn, is
+// answered immediately with kBusy — bounded memory, explicit signal, client
+// retries. Both counts drop only when the I/O thread routes the reply, so
+// admission never races the workers. PING, STATS and METRICS bypass
+// admission (they never touch the engine), so health and observability
+// stay responsive exactly when the daemon is saturated.
 //
 // Graceful reload: reload(new_engine) flips a shared_ptr behind a mutex.
-// Workers snapshot the pointer per batch, so requests in flight finish on
-// the engine they were admitted under and later batches pick up the new
+// Workers snapshot the pointer per request, so a request in progress
+// finishes on the engine it started on and later requests pick up the new
 // one — zero dropped requests, no socket churn. Engines with a different
 // vertex count are rejected (queued queries must stay answerable).
 //
@@ -31,9 +31,11 @@
 // the global obs::Registry mirroring ServerStats as usne_net_* series, and
 // the METRICS request returns the registry's Prometheus text page (answered
 // inline by the I/O thread, like STATS). Request-lifecycle trace spans
-// (net.read / net.batch_coalesce / net.engine / net.write) and the
-// usne_net_queue_wait_us / usne_net_request_latency_us histograms cover the
-// path from socket read to socket write.
+// (net.read / net.queue_wait / net.engine / net.write) and one sample per
+// answered request in each hop histogram cover admission to socket write:
+// usne_net_queue_wait_us (admitted to popped) + usne_net_engine_us (popped
+// to reply built) = usne_net_request_latency_us, then
+// usne_net_reply_wait_us (reply built to handed to send(2)).
 //
 // Request conservation (inv::Category::kDaemon): every well-framed request
 // is eventually answered, rejected, or in flight —
@@ -63,20 +65,15 @@ struct ServerOptions {
   /// Worker threads answering requests (>= 1).
   int workers = 2;
 
-  /// Admission bound: engine-bound requests queued but not yet being
-  /// processed. At the bound, new requests get kBusy.
+  /// Admission bound: engine-bound requests admitted whose reply the I/O
+  /// thread has not routed yet (queued, being answered, or answered and
+  /// waiting for the I/O thread). At the bound, new requests get kBusy.
   int max_queue = 1024;
 
   /// Per-connection cap on admitted-but-unanswered requests; the second
   /// backpressure lever (one greedy pipelining client cannot monopolize
   /// the queue).
   int max_inflight_per_conn = 256;
-
-  /// Batching queue flush thresholds: a worker pops as soon as the queue
-  /// holds batch_max requests, or the oldest queued request has waited
-  /// flush_us microseconds, whichever comes first.
-  int batch_max = 32;
-  std::int64_t flush_us = 500;
 
   /// Close connections idle (no traffic, nothing in flight) longer than
   /// this. <= 0 disables idle harvesting.
@@ -131,7 +128,7 @@ class Server {
   /// differs from the current engine's.
   void reload(std::shared_ptr<serve::QueryEngine> engine);
 
-  /// Current engine snapshot (what the next batch will be served by).
+  /// Current engine snapshot (what the next request will be served by).
   std::shared_ptr<serve::QueryEngine> engine() const;
 
   ServerStats stats() const;

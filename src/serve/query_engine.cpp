@@ -66,6 +66,26 @@ struct SourceMemo {
 
 thread_local SourceMemo t_memo;
 
+/// This thread's share of the cache counters of every engine it serves
+/// (`entries` unused). serve() reads it around each lane's chunk, so a
+/// batch counts its own queries however many threads share the engine.
+thread_local CacheStats t_tally;
+
+void bump(std::atomic<std::int64_t>& total, std::int64_t& mine) noexcept {
+  total.fetch_add(1, std::memory_order_relaxed);
+  ++mine;
+}
+
+/// Adds `sign` times the counters of `d` (not `entries`) to `into`.
+void add_counters(CacheStats& into, const CacheStats& d,
+                  std::int64_t sign = 1) noexcept {
+  into.hits += sign * d.hits;
+  into.misses += sign * d.misses;
+  into.coalesced += sign * d.coalesced;
+  into.sssp_runs += sign * d.sssp_runs;
+  into.evictions += sign * d.evictions;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -77,7 +97,9 @@ thread_local SourceMemo t_memo;
 // shard's other sources; concurrent requests for the same source wait on
 // the shard condition variable instead of duplicating the work. Eviction
 // drops ready entries from the LRU tail — never computing slots, and never
-// the vectors already handed out (shared_ptr keeps them alive).
+// the vectors already handed out (shared_ptr keeps them alive). A shard
+// never holds more than its capacity of ready entries, whatever is
+// computing, and `resident_` only ever moves by a shard's net change.
 
 class QueryEngine::Cache {
  public:
@@ -93,7 +115,7 @@ class QueryEngine::Cache {
   /// Accounts a memo fast-path hit so hit/miss stats stay consistent with
   /// what the queries actually cost (a memo hit is a cache hit that skipped
   /// the shard lock).
-  void count_hit() noexcept { hits_.fetch_add(1, std::memory_order_relaxed); }
+  void count_hit() noexcept { bump(hits_, t_tally.hits); }
 
   /// Returns the cached vector (counting a hit and bumping LRU recency) or
   /// nullptr without any side effects.
@@ -104,7 +126,7 @@ class QueryEngine::Cache {
     const auto it = sh.map.find(source);
     if (it == sh.map.end() || !it->second.result) return nullptr;
     touch(sh, it->second);
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    bump(hits_, t_tally.hits);
     return it->second.result;
   }
 
@@ -112,7 +134,7 @@ class QueryEngine::Cache {
   template <typename ComputeFn>
   SsspResult get(Vertex source, ComputeFn&& compute) {
     if (!enabled()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      bump(misses_, t_tally.misses);
       return std::make_shared<const std::vector<Dist>>(compute(source));
     }
     Shard& sh = slots_[shard_of(source, shards_)];
@@ -124,10 +146,10 @@ class QueryEngine::Cache {
       if (it->second.result) {
         touch(sh, it->second);
         if (waited) {
-          misses_.fetch_add(1, std::memory_order_relaxed);
-          coalesced_.fetch_add(1, std::memory_order_relaxed);
+          bump(misses_, t_tally.misses);
+          bump(coalesced_, t_tally.coalesced);
         } else {
-          hits_.fetch_add(1, std::memory_order_relaxed);
+          bump(hits_, t_tally.hits);
         }
         return it->second.result;
       }
@@ -136,7 +158,7 @@ class QueryEngine::Cache {
       sh.cv.wait(lock);
     }
 
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    bump(misses_, t_tally.misses);
     sh.lru.push_front(source);
     sh.map.emplace(source, Slot{nullptr, sh.lru.begin()});
     lock.unlock();
@@ -153,8 +175,13 @@ class QueryEngine::Cache {
 
     lock.lock();
     const auto it = sh.map.find(source);
-    if (it != sh.map.end() && !it->second.result) it->second.result = result;
-    evict_over_capacity(sh);
+    std::int64_t ready = 0;
+    if (it != sh.map.end() && !it->second.result) {
+      it->second.result = result;
+      ready = 1;
+    }
+    resident_.fetch_add(ready - evict_over_capacity(sh),
+                        std::memory_order_relaxed);
     sh.cv.notify_all();
     return result;
   }
@@ -164,12 +191,12 @@ class QueryEngine::Cache {
     stats.misses = misses_.load(std::memory_order_relaxed);
     stats.coalesced = coalesced_.load(std::memory_order_relaxed);
     stats.evictions = evictions_.load(std::memory_order_relaxed);
-    stats.entries = 0;
-    for (std::size_t s = 0; s < shards_; ++s) {
-      Shard& sh = slots_[s];
-      std::lock_guard<std::mutex> lock(sh.mutex);
-      stats.entries += static_cast<std::int64_t>(sh.map.size());
-    }
+    stats.entries = resident();
+  }
+
+  /// Ready vectors resident across all shards; at most shards x capacity.
+  std::int64_t resident() const noexcept {
+    return resident_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -196,10 +223,12 @@ class QueryEngine::Cache {
     sh.map.erase(it);
   }
 
-  void evict_over_capacity(Shard& sh) {
+  // Returns the number of ready entries evicted.
+  std::int64_t evict_over_capacity(Shard& sh) {
     // Walk from the LRU tail, skipping computing slots (their owner holds
     // no lock and expects the slot to still exist). If only computing
     // slots remain the shard runs transiently over capacity.
+    std::int64_t evicted = 0;
     auto it = sh.lru.end();
     while (static_cast<std::int64_t>(sh.map.size()) > capacity_ &&
            it != sh.lru.begin()) {
@@ -208,8 +237,10 @@ class QueryEngine::Cache {
       if (!slot->second.result) continue;
       it = sh.lru.erase(it);
       sh.map.erase(slot);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+      bump(evictions_, t_tally.evictions);
+      ++evicted;
     }
+    return evicted;
   }
 
   const std::size_t shards_;
@@ -219,6 +250,7 @@ class QueryEngine::Cache {
   std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> coalesced_{0};
   std::atomic<std::int64_t> evictions_{0};
+  std::atomic<std::int64_t> resident_{0};
 };
 
 // ---------------------------------------------------------------------------
@@ -257,7 +289,7 @@ QueryEngine::~QueryEngine() = default;
 
 std::vector<Dist> QueryEngine::compute_sssp(Vertex source) const {
   USNE_TRACE_SPAN("serve.sssp_kernel");
-  sssp_runs_.fetch_add(1, std::memory_order_relaxed);
+  bump(sssp_runs_, t_tally.sssp_runs);
   thread_local SsspScratch scratch;
   return dial_sssp_csr(csr_, source, max_w_, scratch);
 }
@@ -339,7 +371,6 @@ BatchResult QueryEngine::serve(std::span<const Query> queries,
 
   BatchResult result;
   result.answers.assign(queries.size(), 0);
-  const CacheStats before = cache_stats();
 
   // Latency recording is opt-in: the histogram is thread-safe (relaxed
   // atomics), so every serving lane records into the one instance.
@@ -394,21 +425,32 @@ BatchResult QueryEngine::serve(std::span<const Query> queries,
     }
   }
 
+  // A chunk's cache tally is what its lane's thread counted meanwhile.
+  const auto run_chunk = [&](std::size_t begin, std::size_t end) {
+    CacheStats tally;
+    add_counters(tally, t_tally, -1);
+    for (std::size_t i = begin; i < end; ++i) run_one(i);
+    add_counters(tally, t_tally);
+    return tally;
+  };
+
   Timer timer;
   if (!parallel) {
-    for (std::size_t i = 0; i < queries.size(); ++i) run_one(i);
+    result.cache = run_chunk(0, queries.size());
   } else {
     // More chunks than lanes: the pool's shared cursor then load-balances
     // skew (a chunk of hot cached sources finishes early, its lane moves
     // on). Answers land positionally, so chunking never affects results.
     const std::size_t chunks =
         std::min(queries.size(), static_cast<std::size_t>(threads) * 8);
+    std::vector<CacheStats> tallies(chunks);
     pool_->parallel_for(static_cast<int>(chunks), [&](int c) {
       const std::size_t begin = queries.size() * static_cast<std::size_t>(c) / chunks;
       const std::size_t end =
           queries.size() * (static_cast<std::size_t>(c) + 1) / chunks;
-      for (std::size_t i = begin; i < end; ++i) run_one(i);
+      tallies[static_cast<std::size_t>(c)] = run_chunk(begin, end);
     });
+    for (const CacheStats& t : tallies) add_counters(result.cache, t);
   }
   result.wall_s = timer.seconds();
   result.qps = result.wall_s > 0
@@ -422,17 +464,10 @@ BatchResult QueryEngine::serve(std::span<const Query> queries,
       ++result.point_queries;
     }
   }
-  const CacheStats after = cache_stats();
-  result.cache.hits = after.hits - before.hits;
-  result.cache.misses = after.misses - before.misses;
-  result.cache.coalesced = after.coalesced - before.coalesced;
-  result.cache.sssp_runs = after.sssp_runs - before.sssp_runs;
-  result.cache.evictions = after.evictions - before.evictions;
-  result.cache.entries = after.entries;
+  result.cache.entries = cache_->resident();
 
-  // Cache ledger conservation (audit: the deltas are only exact when no
-  // queries run outside this batch concurrently — the situation every test
-  // and bench is in). Every query is accounted exactly once as a hit or a
+  // Cache ledger conservation, exact however many threads serve this
+  // engine at once. Every query is accounted exactly once as a hit or a
   // miss — the memo fast path feeds count_hit() precisely so this ledger
   // balances — and SSSP work never exceeds the misses that requested it.
   USNE_AUDIT(inv::Category::kServeCache,
@@ -446,10 +481,10 @@ BatchResult QueryEngine::serve(std::span<const Query> queries,
                  " (sssp_runs " + std::to_string(result.cache.sssp_runs) +
                  ", coalesced " + std::to_string(result.cache.coalesced) +
                  ")");
-  // Shard accounting vs the cache_mb budget: at batch quiescence the
-  // resident entries fit the per-shard capacities, and — when capacity was
-  // derived from cache_mb — the resident bytes fit the budget (plus the
-  // documented one-entry-per-shard floor).
+  // Shard accounting vs the cache_mb budget: the resident entries fit the
+  // per-shard capacities even while other threads hold computing slots,
+  // and — when capacity was derived from cache_mb — the resident bytes fit
+  // the budget (plus the documented one-entry-per-shard floor).
   USNE_AUDIT(
       inv::Category::kServeCache,
       [&] {

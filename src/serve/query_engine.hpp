@@ -88,7 +88,7 @@ struct CacheStats {
   std::int64_t coalesced = 0;   ///< of the misses: waited on another thread
   std::int64_t sssp_runs = 0;   ///< SSSP computations actually executed
   std::int64_t evictions = 0;   ///< LRU entries dropped
-  std::int64_t entries = 0;     ///< currently resident entries
+  std::int64_t entries = 0;     ///< ready vectors currently resident
 };
 
 /// What one serve() batch did. `answers[i]` is the distance for query i;
@@ -99,7 +99,8 @@ struct BatchResult {
   std::vector<Dist> answers;
   std::int64_t point_queries = 0;
   std::int64_t all_queries = 0;
-  /// Counter deltas accrued by this batch — except `entries`, which is the
+  /// Counter deltas accrued by this batch's own queries, exact even while
+  /// other threads serve the same engine — except `entries`, which is the
   /// absolute resident-entry count after the batch (a delta would go
   /// negative under eviction and mean nothing).
   CacheStats cache;

@@ -187,6 +187,18 @@ std::shared_ptr<QueryEngine> make_engine(Vertex n = 256,
   return std::make_shared<QueryEngine>(build_emulator(g), options);
 }
 
+// `count` pair frames in one buffer. Sent with one send_raw, they reach the
+// server in one read, so admission decides all of them before any reply is
+// routed: a deterministic BUSY pattern with no timer.
+std::vector<std::uint8_t> pair_frames(std::uint64_t count) {
+  std::vector<std::uint8_t> wire;
+  const std::vector<std::uint8_t> payload = net::encode_pair_request(1, 2);
+  for (std::uint64_t id = 1; id <= count; ++id) {
+    net::append_frame(wire, MsgType::kPair, id, payload);
+  }
+  return wire;
+}
+
 std::vector<Query> make_workload(Vertex n, std::int64_t count,
                                  std::uint64_t seed = 42) {
   serve::WorkloadSpec spec;
@@ -276,17 +288,12 @@ TEST(NetServer, BusyUnderTinyAdmissionQueue) {
   ServerOptions options;
   options.workers = 1;
   options.max_queue = 1;
-  options.batch_max = 64;       // worker only flushes on the deadline...
-  options.flush_us = 300000;    // ...300 ms away: the queue stays occupied
   Server server(engine, options);
   server.start();
 
   Client client;
   client.connect("127.0.0.1", server.port());
-  const std::vector<std::uint8_t> payload = net::encode_pair_request(1, 2);
-  for (std::uint64_t id = 1; id <= 8; ++id) {
-    client.send_frame(MsgType::kPair, id, payload);
-  }
+  client.send_raw(pair_frames(8));
   int answered = 0;
   int busy = 0;
   for (int i = 0; i < 8; ++i) {
@@ -315,17 +322,12 @@ TEST(NetServer, PerConnectionInFlightCap) {
   options.workers = 1;
   options.max_queue = 1024;  // global bound out of the way
   options.max_inflight_per_conn = 2;
-  options.batch_max = 64;
-  options.flush_us = 300000;
   Server server(engine, options);
   server.start();
 
   Client client;
   client.connect("127.0.0.1", server.port());
-  const std::vector<std::uint8_t> payload = net::encode_pair_request(1, 2);
-  for (std::uint64_t id = 1; id <= 8; ++id) {
-    client.send_frame(MsgType::kPair, id, payload);
-  }
+  client.send_raw(pair_frames(8));
   int answered = 0;
   int busy = 0;
   for (int i = 0; i < 8; ++i) {
@@ -490,16 +492,12 @@ TEST(NetServer, ShutdownLedgerConservesRequests) {
   ServerOptions options;
   options.workers = 2;
   options.max_queue = 4;  // force some BUSY traffic into the ledger
-  options.batch_max = 2;
   Server server(engine, options);
   server.start();
 
   Client client;
   client.connect("127.0.0.1", server.port());
-  const std::vector<std::uint8_t> payload = net::encode_pair_request(1, 2);
-  for (std::uint64_t id = 1; id <= 64; ++id) {
-    client.send_frame(MsgType::kPair, id, payload);
-  }
+  client.send_raw(pair_frames(64));
   for (int i = 0; i < 64; ++i) {
     Frame f;
     ASSERT_TRUE(client.recv_frame(f));
@@ -509,6 +507,7 @@ TEST(NetServer, ShutdownLedgerConservesRequests) {
   const ServerStats s = server.stats();
   EXPECT_EQ(s.accepted_requests,
             s.answered_requests + s.rejected_busy + s.rejected_error);
+  EXPECT_GT(s.rejected_busy, 0);
   EXPECT_EQ(s.in_flight, 0);
   EXPECT_EQ(s.queue_depth, 0);
 

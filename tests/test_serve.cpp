@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "serve/query_engine.hpp"
 #include "serve/stats.hpp"
 #include "serve/workload.hpp"
+#include "util/invariant.hpp"
 
 namespace usne {
 namespace {
@@ -576,6 +578,53 @@ TEST(QueryEngine, CacheStatsDeltaConcurrentWithQueries) {
   EXPECT_EQ(accumulated.hits, total.hits);
   EXPECT_EQ(accumulated.misses, total.misses);
   EXPECT_EQ(accumulated.sssp_runs, total.sssp_runs);
+}
+
+TEST(QueryEngine, ConcurrentServeCallsTallyTheirOwnBatches) {
+  // Several threads serve batches on one engine at once, as daemon workers
+  // do, with the cache-ledger and budget audits on. Each batch must count
+  // exactly its own queries as hits + misses; a tiny cache keeps computing
+  // slots and evictions in flight while other batches run their audits.
+  inv::ScopedAuditsEnabled audits(true);
+  const Graph g = gen_connected_gnm(300, 1200, 29);
+  ServeOptions options;
+  options.cache_shards = 2;
+  options.cache_entries_per_shard = 4;
+  const QueryEngine engine(build_emulator(g), options);
+
+  constexpr int kThreads = 4;
+  constexpr int kBatches = 300;
+  constexpr std::int64_t kQueries = 16;
+  std::vector<std::thread> lanes;
+  std::vector<int> off(kThreads, 0);
+  std::vector<std::string> errors(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    lanes.emplace_back([&, t] {
+      const auto lane = static_cast<std::size_t>(t);
+      WorkloadSpec spec;
+      spec.kind = WorkloadKind::kZipf;
+      spec.num_queries = kQueries;
+      for (int b = 0; b < kBatches; ++b) {
+        spec.seed = static_cast<std::uint64_t>(t * kBatches + b);
+        const auto queries = serve::generate_workload(300, spec);
+        try {
+          // Odd lanes fan out over the engine's pool: its chunks tally too.
+          const BatchResult r = engine.serve(queries, 1 + t % 2);
+          if (r.cache.hits + r.cache.misses != kQueries) ++off[lane];
+        } catch (const inv::InvariantViolation& e) {
+          ++off[lane];
+          errors[lane] = e.what();
+        }
+      }
+    });
+  }
+  for (auto& t : lanes) t.join();
+  for (std::size_t t = 0; t < off.size(); ++t) {
+    EXPECT_EQ(off[t], 0) << "lane " << t << ": " << errors[t];
+  }
+  const serve::CacheStats total = engine.cache_stats();
+  EXPECT_EQ(total.hits + total.misses, kThreads * kBatches * kQueries);
+  EXPECT_LE(total.entries, 2 * 4);
 }
 
 // --- per-query latency recording (ServeOptions::record_latency) -------------
