@@ -15,10 +15,9 @@
 #include <cmath>
 #include <iostream>
 
-#include "baselines/ep01_emulator.hpp"
+#include "api/build.hpp"
 #include "bench_common.hpp"
 #include "core/emulator_centralized.hpp"
-#include "core/emulator_distributed.hpp"
 #include "core/params.hpp"
 #include "util/math.hpp"
 
@@ -30,17 +29,18 @@ void ablation_buffer_vs_ground() {
   for (const Vertex n : {1024, 2048, 4096}) {
     const Graph g = gen_connected_gnm(n, 4L * n, 55);
     const int kappa = static_cast<int>(std::ceil(std::log2(n)));
-    const auto params = CentralizedParams::compute(n, kappa, 0.25);
-    CentralizedOptions options;
-    options.keep_audit_data = false;
-    const auto ours = build_emulator_centralized(g, params, options);
-    const auto ep01 = build_emulator_ep01(g, params);
-    const std::int64_t extra = ep01.h.num_edges() - ours.h.num_edges();
+    BuildSpec spec{.algorithm = "emulator_centralized",
+                   .params = {.kappa = kappa, .eps = 0.25},
+                   .exec = {.keep_audit_data = false}};
+    const BuildOutput ours = build(g, spec);
+    spec.algorithm = "emulator_ep01";
+    const BuildOutput ep01 = build(g, spec);
+    const std::int64_t extra = ep01.h().num_edges() - ours.h().num_edges();
     table.row()
         .add(static_cast<std::int64_t>(n))
         .add(kappa)
-        .add(ours.h.num_edges())
-        .add(ep01.h.num_edges())
+        .add(ours.h().num_edges())
+        .add(ep01.h().num_edges())
         .add(extra)
         .add(static_cast<double>(extra) / static_cast<double>(n), 3);
   }
@@ -57,16 +57,18 @@ void ablation_degree_sequence() {
   for (const Vertex n : {2048, 4096}) {
     const int kappa = 8;
     const Graph g = gen_connected_gnm(n, 4L * n, 66);
-    const auto params = CentralizedParams::compute(n, kappa, 0.25);
-    CentralizedOptions options;
-    options.keep_audit_data = false;
-    const auto ep01_seq = build_emulator_centralized(g, params, options);
+    const BuildOutput ep01_seq =
+        build(g, {.algorithm = "emulator_centralized",
+                  .params = {.kappa = kappa, .eps = 0.25},
+                  .exec = {.keep_audit_data = false}});
 
     // EN17a-style sequence injected into the same skeleton: deg_i =
     // n^((2^i - 1)/(2 kappa) + 1/kappa), one extra phase to compensate for
     // the slower growth. Obtain a schedule with ell+1 phases by computing
-    // params for kappa' = 2^(ell+2) - 1, then overwrite the thresholds.
-    const int ell = params.schedule.ell() + 1;
+    // params for kappa' = 2^(ell+2) - 1, then overwrite the thresholds. A
+    // BuildSpec cannot carry an edited schedule, so this build calls
+    // Algorithm 1 directly.
+    const int ell = CentralizedParams::compute(n, kappa, 0.25).schedule.ell() + 1;
     auto en17_params = CentralizedParams::compute(
         n, static_cast<int>(ipow_sat(2, ell + 1) - 1), 0.25);
     en17_params.kappa = kappa;
@@ -75,16 +77,17 @@ void ablation_degree_sequence() {
       en17_params.schedule.deg[static_cast<std::size_t>(i)] =
           std::pow(static_cast<double>(n), expo);
     }
-    const auto en17_seq = build_emulator_centralized(g, en17_params, options);
+    const auto en17_seq =
+        build_emulator_centralized(g, en17_params, {.keep_audit_data = false});
 
     table.row()
         .add(static_cast<std::int64_t>(n))
         .add(kappa)
-        .add(ep01_seq.h.num_edges())
+        .add(ep01_seq.h().num_edges())
         .add(en17_seq.h.num_edges())
         .add(size_bound_edges(n, kappa))
-        .add(ep01_seq.h.num_edges() <= size_bound_edges(n, kappa) ? "yes" : "NO")
-        .add(static_cast<std::int64_t>(ep01_seq.phases.size()))
+        .add(ep01_seq.h().num_edges() <= size_bound_edges(n, kappa) ? "yes" : "NO")
+        .add(static_cast<std::int64_t>(ep01_seq.result.phases.size()))
         .add(static_cast<std::int64_t>(en17_seq.phases.size()));
   }
   table.print(std::cout,
@@ -96,19 +99,18 @@ void ablation_hub_threshold() {
   Table table({"factor", "rounds", "superclusters(total)", "|H|",
                "endpoints_ok"});
   const Graph g = gen_family("caveman", 256, 88);
-  const auto params = DistributedParams::compute(g.num_vertices(), 4, 0.49, 0.4);
   for (const int factor : {1, 2, 4, 8}) {
-    DistributedOptions options;
-    options.keep_audit_data = false;
-    options.hub_threshold_factor = factor;
-    const auto r = build_emulator_distributed(g, params, options);
+    const BuildOutput r = build(
+        g, {.algorithm = "emulator_congest",
+            .params = {.kappa = 4, .eps = 0.4, .rho = 0.49},
+            .exec = {.keep_audit_data = false, .hub_threshold_factor = factor}});
     std::int64_t superclusters = 0;
-    for (const auto& p : r.base.phases) superclusters += p.clusters_out;
+    for (const auto& p : r.result.phases) superclusters += p.clusters_out;
     table.row()
         .add(factor)
         .add(r.net.rounds)
         .add(superclusters)
-        .add(r.base.h.num_edges())
+        .add(r.h().num_edges())
         .add(r.endpoints_consistent() ? "yes" : "NO");
   }
   table.print(std::cout,

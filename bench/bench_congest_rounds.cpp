@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
     const Graph g = gen_family("er", 512, 2024);
     BuildSpec spec;
     spec.algorithm = "emulator_congest";
-    spec.params = {0, 4, eps, 0.49, false};
+    spec.params = {4, eps, 0.49, false};
     spec.exec.keep_audit_data = false;
     const auto r = build(g, spec);
     Table steps({"phase", "|P_i|", "popular", "|U_i|", "detect", "ruling",

@@ -11,9 +11,8 @@
 #include <cmath>
 #include <iostream>
 
+#include "api/build.hpp"
 #include "bench_common.hpp"
-#include "core/emulator_centralized.hpp"
-#include "core/params.hpp"
 #include "hopset/hopset.hpp"
 #include "util/math.hpp"
 
@@ -38,26 +37,26 @@ int main() {
     // structure. (At small kappa on bounded-degree graphs nothing is ever
     // popular and H = G: no shortcuts at all.)
     const int kappa = static_cast<int>(std::ceil(std::log2(g.num_vertices())));
-    const auto params = CentralizedParams::compute(g.num_vertices(), kappa, 0.25);
-    CentralizedOptions options;
-    options.keep_audit_data = false;
-    const auto r = build_emulator_centralized(g, params, options);
+    const BuildOutput r =
+        build(g, {.algorithm = "emulator_centralized",
+                  .params = {.kappa = kappa, .eps = 0.25},
+                  .exec = {.keep_audit_data = false}});
 
     const std::vector<Vertex> sources = {0, g.num_vertices() / 3,
                                          2 * g.num_vertices() / 5};
-    const double eps = params.schedule.alpha_bound() - 1.0;
-    const Dist beta = params.schedule.beta_bound();
+    const double eps = r.alpha - 1.0;
+    const Dist beta = r.beta;
     const int max_hops = 2 * g.num_vertices();
 
     const WeightedGraph empty(g.num_vertices());
     const auto without = measure_hopbound(g, empty, sources, eps, beta, max_hops);
-    const auto with = measure_hopbound(g, r.h, sources, eps, beta, max_hops);
+    const auto with = measure_hopbound(g, r.h(), sources, eps, beta, max_hops);
 
     table.row()
         .add(row.family)
         .add(static_cast<std::int64_t>(g.num_vertices()))
         .add(static_cast<std::int64_t>(without.hopbound))  // ~ the hop radius
-        .add(r.h.num_edges())
+        .add(r.h().num_edges())
         .add(without.hopbound)
         .add(with.hopbound)
         .add(with.hopbound > 0

@@ -8,9 +8,8 @@
 
 #include <iostream>
 
+#include "api/build.hpp"
 #include "bench_common.hpp"
-#include "core/emulator_fast.hpp"
-#include "core/params.hpp"
 #include "eval/stretch.hpp"
 #include "path/bfs.hpp"
 #include "path/sssp_kernel.hpp"
@@ -34,10 +33,10 @@ int main() {
         gen_connected_gnm(n, static_cast<std::int64_t>(n) * avg_deg / 2, 7);
     const double log_n = std::log2(static_cast<double>(n));
     const int kappa = static_cast<int>(std::ceil(log_n * 2));
-    const auto params = DistributedParams::compute(n, kappa, 0.3, 0.25);
-    FastOptions options;
-    options.keep_audit_data = false;
-    const auto r = build_emulator_fast(g, params, options);
+    const BuildOutput r =
+        build(g, {.algorithm = "emulator_fast",
+                  .params = {.kappa = kappa, .eps = 0.25, .rho = 0.3},
+                  .exec = {.keep_audit_data = false}});
 
     // Deterministic query sources.
     Rng rng(99);
@@ -54,7 +53,7 @@ int main() {
     }
     const double bfs_ms = bfs_timer.millis() / static_cast<double>(sources.size());
 
-    const auto csr = r.h.csr();
+    const auto csr = r.h().csr();
     const Dist max_w = max_edge_weight(csr);
     SsspScratch scratch;
     Timer h_timer;
@@ -68,14 +67,13 @@ int main() {
     }
     const double h_ms = h_timer.millis() / static_cast<double>(sources.size());
 
-    const auto stretch = evaluate_stretch_sampled(
-        g, r.h, params.schedule.alpha_bound(), params.schedule.beta_bound(), 8, 3);
+    const auto stretch = evaluate_stretch_sampled(g, r.h(), r.alpha, r.beta, 8, 3);
 
     table.row()
         .add(static_cast<std::int64_t>(n))
         .add(avg_deg)
         .add(g.num_edges())
-        .add(r.h.num_edges())
+        .add(r.h().num_edges())
         .add(bfs_ms, 3)
         .add(h_ms, 3)
         .add(bfs_ms / h_ms, 2)

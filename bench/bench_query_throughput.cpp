@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   const Graph g = gen_connected_gnm(n, 8 * static_cast<std::int64_t>(n), 2024);
   BuildSpec spec;
   spec.algorithm = "emulator_fast";
-  spec.params = {0, 22, 0.25, 0.3, false};
+  spec.params = {22, 0.25, 0.3, false};
   spec.exec.keep_audit_data = false;
   const BuildOutput built = build(g, spec);
 

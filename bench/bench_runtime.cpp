@@ -9,13 +9,17 @@
 
 #include <cmath>
 
-#include "core/emulator_centralized.hpp"
-#include "core/emulator_fast.hpp"
-#include "core/params.hpp"
+#include "api/build.hpp"
 #include "graph/generators.hpp"
 
 namespace usne {
 namespace {
+
+BuildSpec spec_for(const char* algorithm, int kappa, double rho = 0.45) {
+  return {.algorithm = algorithm,
+          .params = {.kappa = kappa, .eps = 0.25, .rho = rho},
+          .exec = {.keep_audit_data = false}};
+}
 
 // Workload note: kappa = 4 with average degree ~ deg_0 = n^(1/4) produces
 // mixed popularity, so many clusters survive into phase 1 and the naive
@@ -26,15 +30,12 @@ namespace {
 void BM_Algorithm1(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const Graph g = gen_connected_gnm(n, 6L * n, 9);
-  const auto params = CentralizedParams::compute(n, 4, 0.25);
-  CentralizedOptions options;
-  options.keep_audit_data = false;
+  const BuildSpec spec = spec_for("emulator_centralized", 4);
   for (auto _ : state) {
-    auto r = build_emulator_centralized(g, params, options);
-    benchmark::DoNotOptimize(r.h.num_edges());
+    auto r = build(g, spec);
+    benchmark::DoNotOptimize(r.h().num_edges());
   }
-  state.counters["edges"] =
-      static_cast<double>(build_emulator_centralized(g, params, options).h.num_edges());
+  state.counters["edges"] = static_cast<double>(build(g, spec).h().num_edges());
 }
 BENCHMARK(BM_Algorithm1)->Arg(4096)->Arg(16384)->Arg(65536)
     ->Unit(benchmark::kMillisecond);
@@ -42,15 +43,12 @@ BENCHMARK(BM_Algorithm1)->Arg(4096)->Arg(16384)->Arg(65536)
 void BM_FastCentralized(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const Graph g = gen_connected_gnm(n, 6L * n, 9);
-  const auto params = DistributedParams::compute(n, 4, 0.35, 0.25);
-  FastOptions options;
-  options.keep_audit_data = false;
+  const BuildSpec spec = spec_for("emulator_fast", 4, 0.35);
   for (auto _ : state) {
-    auto r = build_emulator_fast(g, params, options);
-    benchmark::DoNotOptimize(r.h.num_edges());
+    auto r = build(g, spec);
+    benchmark::DoNotOptimize(r.h().num_edges());
   }
-  state.counters["edges"] =
-      static_cast<double>(build_emulator_fast(g, params, options).h.num_edges());
+  state.counters["edges"] = static_cast<double>(build(g, spec).h().num_edges());
 }
 BENCHMARK(BM_FastCentralized)->Arg(4096)->Arg(16384)->Arg(65536)
     ->Unit(benchmark::kMillisecond);
@@ -74,13 +72,10 @@ Graph make_blob_chord_graph(Vertex n) {
 
 void BM_Algorithm1_Adversarial(benchmark::State& state) {
   const Graph g = make_blob_chord_graph(static_cast<Vertex>(state.range(0)));
-  const auto params =
-      CentralizedParams::compute(g.num_vertices(), 4, 0.25);
-  CentralizedOptions options;
-  options.keep_audit_data = false;
+  const BuildSpec spec = spec_for("emulator_centralized", 4);
   for (auto _ : state) {
-    auto r = build_emulator_centralized(g, params, options);
-    benchmark::DoNotOptimize(r.h.num_edges());
+    auto r = build(g, spec);
+    benchmark::DoNotOptimize(r.h().num_edges());
   }
 }
 BENCHMARK(BM_Algorithm1_Adversarial)->Arg(16384)->Arg(65536)
@@ -88,13 +83,10 @@ BENCHMARK(BM_Algorithm1_Adversarial)->Arg(16384)->Arg(65536)
 
 void BM_Fast_Adversarial(benchmark::State& state) {
   const Graph g = make_blob_chord_graph(static_cast<Vertex>(state.range(0)));
-  const auto params =
-      DistributedParams::compute(g.num_vertices(), 4, 0.35, 0.25);
-  FastOptions options;
-  options.keep_audit_data = false;
+  const BuildSpec spec = spec_for("emulator_fast", 4, 0.35);
   for (auto _ : state) {
-    auto r = build_emulator_fast(g, params, options);
-    benchmark::DoNotOptimize(r.h.num_edges());
+    auto r = build(g, spec);
+    benchmark::DoNotOptimize(r.h().num_edges());
   }
 }
 BENCHMARK(BM_Fast_Adversarial)->Arg(16384)->Arg(65536)
@@ -106,12 +98,10 @@ void BM_UltraSparseBuild(benchmark::State& state) {
   const Graph g = gen_connected_gnm(n, 6L * n, 3);
   const double log_n = std::log2(static_cast<double>(n));
   const int kappa = static_cast<int>(std::ceil(log_n * std::log2(log_n)));
-  const auto params = DistributedParams::compute(n, kappa, 0.3, 0.25);
-  FastOptions options;
-  options.keep_audit_data = false;
+  const BuildSpec spec = spec_for("emulator_fast", kappa, 0.3);
   for (auto _ : state) {
-    auto r = build_emulator_fast(g, params, options);
-    benchmark::DoNotOptimize(r.h.num_edges());
+    auto r = build(g, spec);
+    benchmark::DoNotOptimize(r.h().num_edges());
   }
 }
 BENCHMARK(BM_UltraSparseBuild)->Arg(4096)->Arg(16384)->Arg(65536)

@@ -9,9 +9,8 @@
 
 #include <iostream>
 
+#include "api/build.hpp"
 #include "bench_common.hpp"
-#include "core/emulator_centralized.hpp"
-#include "core/params.hpp"
 #include "eval/stretch.hpp"
 #include "util/math.hpp"
 
@@ -21,21 +20,19 @@ namespace {
 void sweep_exact(const std::string& family, Vertex n, int kappa, double eps,
                  Table& table) {
   const Graph g = gen_family(family, n, 77);
-  const auto params = CentralizedParams::compute(g.num_vertices(), kappa, eps);
-  CentralizedOptions options;
-  options.keep_audit_data = false;
-  const auto r = build_emulator_centralized(g, params, options);
-  const auto report = evaluate_stretch_exact(
-      g, r.h, params.schedule.alpha_bound(), params.schedule.beta_bound());
+  const BuildOutput r = build(g, {.algorithm = "emulator_centralized",
+                                  .params = {.kappa = kappa, .eps = eps},
+                                  .exec = {.keep_audit_data = false}});
+  const auto report = evaluate_stretch_exact(g, r.h(), r.alpha, r.beta);
 
   table.row()
       .add(family)
       .add(static_cast<std::int64_t>(g.num_vertices()))
       .add(kappa)
       .add(eps, 2)
-      .add(params.schedule.alpha_bound(), 3)
+      .add(r.alpha, 3)
       .add(report.max_mult, 3)
-      .add(params.schedule.beta_bound())
+      .add(r.beta)
       .add(report.max_additive)
       .add(report.violations)
       .add(report.underruns);
@@ -69,20 +66,17 @@ int main() {
                  "beta(budget)", "violations"});
   for (const Vertex n : {2048, 4096}) {
     const Graph g = gen_family("er", n, 5);
-    const auto params = CentralizedParams::compute(g.num_vertices(), 8, 0.25);
-    CentralizedOptions options;
-    options.keep_audit_data = false;
-    const auto r = build_emulator_centralized(g, params, options);
-    const auto report =
-        evaluate_stretch_sampled(g, r.h, params.schedule.alpha_bound(),
-                                 params.schedule.beta_bound(), 24, 9);
+    const BuildOutput r = build(g, {.algorithm = "emulator_centralized",
+                                    .params = {.kappa = 8, .eps = 0.25},
+                                    .exec = {.keep_audit_data = false}});
+    const auto report = evaluate_stretch_sampled(g, r.h(), r.alpha, r.beta, 24, 9);
     sampled.row()
         .add("er")
         .add(static_cast<std::int64_t>(n))
         .add(8)
         .add(report.max_mult, 3)
         .add(report.max_additive)
-        .add(params.schedule.beta_bound())
+        .add(r.beta)
         .add(report.violations);
   }
   sampled.print(std::cout, "E3b: sampled stretch on larger graphs");

@@ -9,9 +9,8 @@
 #include <cmath>
 #include <iostream>
 
+#include "api/build.hpp"
 #include "bench_common.hpp"
-#include "core/emulator_fast.hpp"
-#include "core/params.hpp"
 #include "eval/metrics.hpp"
 #include "util/math.hpp"
 
@@ -30,15 +29,15 @@ int main() {
     const double log_n = std::log2(static_cast<double>(n));
     const int kappa = static_cast<int>(std::ceil(log_n * std::log2(log_n)));
     const Graph g = gen_connected_gnm(n, 6L * n, 1234 + n);
-    const auto params = DistributedParams::compute(n, kappa, 0.3, 0.25);
-    FastOptions options;
-    options.keep_audit_data = false;
 
     Timer timer;
-    const auto r = build_emulator_fast(g, params, options);
+    const BuildOutput r =
+        build(g, {.algorithm = "emulator_fast",
+                  .params = {.kappa = kappa, .eps = 0.25, .rho = 0.3},
+                  .exec = {.keep_audit_data = false}});
     const double secs = timer.seconds();
 
-    const double excess = ultra_sparse_excess(r.h, n);
+    const double excess = ultra_sparse_excess(r.h(), n);
     const double bound_excess =
         static_cast<double>(size_bound_edges(n, kappa) - n) /
         static_cast<double>(n);
@@ -49,7 +48,7 @@ int main() {
         .add(static_cast<std::int64_t>(n))
         .add(kappa)
         .add(g.num_edges())
-        .add(r.h.num_edges())
+        .add(r.h().num_edges())
         .add(size_bound_edges(n, kappa))
         .add(excess, 4)
         .add(bound_excess, 4)

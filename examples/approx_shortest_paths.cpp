@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   const int kappa = static_cast<int>(std::ceil(2 * log_n));
   BuildSpec spec;
   spec.algorithm = "emulator_fast";
-  spec.params = {0, kappa, 0.25, 0.3, false};
+  spec.params = {kappa, 0.25, 0.3, false};
   spec.exec.keep_audit_data = false;
   Timer build_timer;
   const BuildOutput emulator = build(g, spec);

@@ -97,9 +97,9 @@ std::string h_digest(const usne::WeightedGraph& h) {
   return out.str();
 }
 
-/// `--profile` for a centralized build (emulator_fast): wall time per
-/// (phase, task), the share of the build each takes, and how much of the
-/// build the tasks cover.
+/// `--profile` for a centralized build (emulator_fast, spanner,
+/// spanner_em19): wall time per (phase, task), the share of the build each
+/// takes, and how much of the build the tasks cover.
 void print_wall_profile(const std::vector<usne::congest::PhaseProfileEntry>& prof,
                         double build_s) {
   using usne::format_double;

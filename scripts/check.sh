@@ -17,9 +17,12 @@
 #                              the BENCH_congest.json rows (the registry is
 #                              a dispatch layer — bit-for-bit, never a
 #                              semantic one), the H digest pins (usne_run's
-#                              h_digest for emulator_fast and spanner on er
-#                              and caveman at n = 16384 must equal the
-#                              committed values), and the transport smoke:
+#                              h_digest must equal the committed value for
+#                              emulator_fast and spanner on er and caveman
+#                              at n = 16384, for every registered name at
+#                              the smoke settings, and for the seven
+#                              centralized names on caveman at n = 4096),
+#                              and the transport smoke:
 #                              --transport ideal must reproduce the BENCH
 #                              counts exactly, and faulty/async runs with a
 #                              fixed --transport-seed must be identical
@@ -199,12 +202,22 @@ for algo in $(./build/usne_run --list); do
   echo "${algo}: rounds/messages/words match BENCH_congest.json"
 done
 
-echo "== H digest pins (usne_run h_digest, centralized builders at n = 2^14) =="
+echo "== H digest pins (usne_run h_digest) =="
 # FNV-1a over H's sorted (min(u,v), max(u,v), w) edge list. The builds are
-# deterministic, so any change to what the centralized builders emit (or to
-# the source detection and ruling set under them) moves a digest. Values
-# recorded with the per-vertex-list detect_sources and the flood-per-step
-# ruling_set_central, before their flat rewrite.
+# deterministic, so any change to what a builder emits (or to the source
+# detection and ruling set under them), and any registry entry that reaches
+# the wrong builder or the wrong params type, moves a digest.
+h_digest() { { grep -o '"h_digest": "[0-9a-f]*"' || true; } | grep -o '[0-9a-f]\{16\}' || true; }
+check_digest() {  # label, pinned value, measured value
+  if [ "$3" != "$2" ]; then
+    echo "FAIL: $1: h_digest '$3' != pinned $2" >&2
+    exit 1
+  fi
+  echo "$1: h_digest $3"
+}
+# emulator_fast and spanner at n = 2^14, eps 0.25. Recorded with the
+# per-vertex-list detect_sources and the flood-per-step ruling_set_central,
+# before their flat rewrite.
 for pin in "emulator_fast er 4 0.45 b338040b66c1aae2" \
            "emulator_fast er 8 0.3 65d7437bb5645164" \
            "emulator_fast caveman 8 0.3 f01e6cbe3a2db3dc" \
@@ -214,12 +227,46 @@ for pin in "emulator_fast er 4 0.45 b338040b66c1aae2" \
   read -r algo family kappa rho want <<< "${pin}"
   got="$(./build/usne_run --algo "${algo}" --family "${family}" --n 16384 \
     --kappa "${kappa}" --rho "${rho}" --eps 0.25 --seed 2024 --threads 1 \
-    --json - | { grep -o '"h_digest": "[0-9a-f]*"' || true; } | grep -o '[0-9a-f]\{16\}' || true)"
-  if [ "${got}" != "${want}" ]; then
-    echo "FAIL: ${algo} ${family} kappa=${kappa} rho=${rho}: h_digest '${got}' != pinned ${want}" >&2
+    --json - | h_digest)"
+  check_digest "${algo} ${family} n=16384 kappa=${kappa} rho=${rho}" "${want}" "${got}"
+done
+# Every registered name at the registry-smoke settings (er, n = 128,
+# kappa 4, rho 0.49, eps 0.4), read from the smoke records above; a name
+# without a pin fails. Recorded while every builder still had its own
+# options struct. At these settings spanner = spanner_em19 and
+# spanner_congest = spanner_congest_em19, so the caveman set below, where
+# the two degree sequences part, pins the centralized pair apart.
+smoke_pins="emulator_centralized a228cb2e4aeccf47
+emulator_fast 64a307cc5e05a141
+emulator_congest 3c3fe43c1c9a1ebc
+spanner cdbfdd2313ab0095
+spanner_em19 cdbfdd2313ab0095
+spanner_congest 6ded8e1c9dffea0b
+spanner_congest_em19 6ded8e1c9dffea0b
+emulator_ep01 38a5c88329d779f3
+emulator_tz06 e37476e07b4858a4
+emulator_en17 51a61cb518006572"
+for algo in $(./build/usne_run --list); do
+  want="$(printf '%s\n' "${smoke_pins}" | awk -v a="${algo}" '$1 == a {print $2}')"
+  if [ -z "${want}" ]; then
+    echo "FAIL: ${algo} has no smoke h_digest pin" >&2
     exit 1
   fi
-  echo "${algo} ${family} kappa=${kappa} rho=${rho}: h_digest ${got}"
+  check_digest "${algo} er n=128 kappa=4" "${want}" \
+    "$(h_digest < "${SMOKE_DIR}/${algo}.json")"
+done
+# The seven centralized names on caveman n = 4096, kappa 8, rho 0.3.
+for pin in "emulator_centralized f0900dad414d5147" \
+           "emulator_fast 2f43cff0b691681b" \
+           "spanner d36f0c80c9af9fb9" \
+           "spanner_em19 8c2ab853460a7b63" \
+           "emulator_ep01 b7cb3b18f593e85d" \
+           "emulator_tz06 db36a7b66aa95e5e" \
+           "emulator_en17 bd937f499d345501"; do
+  read -r algo want <<< "${pin}"
+  got="$(./build/usne_run --algo "${algo}" --family caveman --n 4096 \
+    --kappa 8 --rho 0.3 --eps 0.25 --seed 2024 --json - | h_digest)"
+  check_digest "${algo} caveman n=4096 kappa=8 rho=0.3" "${want}" "${got}"
 done
 
 echo "== invariant-audit counter sanity (USNE_AUDIT=1 usne_run) =="

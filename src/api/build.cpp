@@ -28,37 +28,30 @@ struct Entry {
   BuildFn fn;
 };
 
-Vertex resolve_n(const Graph& g, const BuildSpec& spec) {
-  return spec.params.n > 0 ? spec.params.n : g.num_vertices();
+CentralizedParams central_params(const Graph& g, const ParamSet& p) {
+  const Vertex n = g.num_vertices();
+  return p.rescale ? CentralizedParams::compute_rescaled(n, p.kappa, p.eps)
+                   : CentralizedParams::compute(n, p.kappa, p.eps);
 }
 
-CentralizedParams central_params(const Graph& g, const BuildSpec& s) {
-  const Vertex n = resolve_n(g, s);
-  return s.params.rescale
-             ? CentralizedParams::compute_rescaled(n, s.params.kappa, s.params.eps)
-             : CentralizedParams::compute(n, s.params.kappa, s.params.eps);
+DistributedParams dist_params(const Graph& g, const ParamSet& p) {
+  const Vertex n = g.num_vertices();
+  return p.rescale
+             ? DistributedParams::compute_rescaled(n, p.kappa, p.rho, p.eps)
+             : DistributedParams::compute(n, p.kappa, p.rho, p.eps);
 }
 
-DistributedParams dist_params(const Graph& g, const BuildSpec& s) {
-  const Vertex n = resolve_n(g, s);
-  return s.params.rescale
-             ? DistributedParams::compute_rescaled(n, s.params.kappa, s.params.rho,
-                                                   s.params.eps)
-             : DistributedParams::compute(n, s.params.kappa, s.params.rho,
-                                          s.params.eps);
+SpannerParams spanner_params(const Graph& g, const ParamSet& p) {
+  return SpannerParams::compute(g.num_vertices(), p.kappa, p.rho, p.eps);
 }
 
-SpannerParams spanner_params(const Graph& g, const BuildSpec& s) {
-  return SpannerParams::compute(resolve_n(g, s), s.params.kappa, s.params.rho,
-                                s.params.eps);
-}
-
-/// Packages a legacy BuildResult into the uniform output (moves, no copies —
-/// the adapters must stay bit-for-bit transparent, including cost).
+/// Moves a builder's result into the uniform output. No copies: the
+/// registry must add nothing to a build's cost.
 BuildOutput pack(const AlgorithmInfo& info, BuildResult&& r) {
   BuildOutput out;
   out.algorithm = info.name;
   out.result = std::move(r);
+  out.profile = std::move(out.result.profile);
   out.stats["edges"] = out.result.h.num_edges();
   out.stats["vertices"] = out.result.h.num_vertices();
   out.stats["phases"] = static_cast<std::int64_t>(out.result.phases.size());
@@ -67,33 +60,34 @@ BuildOutput pack(const AlgorithmInfo& info, BuildResult&& r) {
   return out;
 }
 
-void add_guarantee(BuildOutput& out, const PhaseSchedule& sched,
-                   std::string description) {
-  out.has_guarantee = true;
-  out.alpha = sched.alpha_bound();
-  out.beta = sched.beta_bound();
-  out.params_description = std::move(description);
-}
-
-void add_net(BuildOutput& out, const congest::NetworkStats& net) {
+/// The same for a CONGEST build, plus its metering. The delivery model's
+/// injected-event counters reach the StatsMap only for non-ideal models,
+/// so the Ideal StatsMap stays bit-identical to the pre-transport one.
+BuildOutput pack(const AlgorithmInfo& info, DistributedBuildResult&& r,
+                 const congest::TransportSpec& transport) {
+  BuildOutput out = pack(info, std::move(r.base));
   out.distributed = true;
-  out.net = net;
-  out.stats["rounds"] = net.rounds;
-  out.stats["messages"] = net.messages;
-  out.stats["words"] = net.words;
+  out.net = r.net;
+  out.stats["rounds"] = r.net.rounds;
+  out.stats["messages"] = r.net.messages;
+  out.stats["words"] = r.net.words;
+  out.transport = r.transport;
+  if (transport.model != congest::TransportModel::kIdeal) {
+    out.stats["transport_dropped"] = r.transport.dropped;
+    out.stats["transport_duplicated"] = r.transport.duplicated;
+    out.stats["transport_delayed"] = r.transport.delayed;
+  }
+  out.local = std::move(r.local);
+  return out;
 }
 
-/// Surfaces the delivery model's injected-event counters. The stats keys
-/// appear only for non-ideal models so the Ideal StatsMap stays
-/// bit-identical to the pre-transport registry output.
-void add_transport(BuildOutput& out, const congest::TransportCounters& tc,
-                   const congest::TransportSpec& spec) {
-  out.transport = tc;
-  if (spec.model != congest::TransportModel::kIdeal) {
-    out.stats["transport_dropped"] = tc.dropped;
-    out.stats["transport_duplicated"] = tc.duplicated;
-    out.stats["transport_delayed"] = tc.delayed;
-  }
+template <typename Params>
+BuildOutput with_guarantee(BuildOutput out, const Params& params) {
+  out.has_guarantee = true;
+  out.alpha = params.schedule.alpha_bound();
+  out.beta = params.schedule.beta_bound();
+  out.params_description = params.describe();
+  return out;
 }
 
 const std::vector<Entry>& registry() {
@@ -107,12 +101,9 @@ const std::vector<Entry>& registry() {
           "emulator", "centralized", /*deterministic=*/true, /*uses_rho=*/false,
           /*uses_seed=*/false, /*supports_rescale=*/true, /*baseline=*/false},
          [](const Graph& g, const BuildSpec& s, const AlgorithmInfo& info) {
-           const auto params = central_params(g, s);
-           CentralizedOptions o;
-           o.keep_audit_data = s.exec.keep_audit_data;
-           auto out = pack(info, build_emulator_centralized(g, params, o));
-           add_guarantee(out, params.schedule, params.describe());
-           return out;
+           const auto params = central_params(g, s.params);
+           return with_guarantee(
+               pack(info, build_emulator_centralized(g, params, s.exec)), params);
          }});
 
     t.push_back(
@@ -121,15 +112,9 @@ const std::vector<Entry>& registry() {
           "emulator", "centralized", true, /*uses_rho=*/true, false,
           /*supports_rescale=*/true, false},
          [](const Graph& g, const BuildSpec& s, const AlgorithmInfo& info) {
-           const auto params = dist_params(g, s);
-           FastOptions o;
-           o.keep_audit_data = s.exec.keep_audit_data;
-           std::vector<congest::PhaseProfileEntry> profile;
-           if (s.exec.profile) o.profile = &profile;
-           auto out = pack(info, build_emulator_fast(g, params, o));
-           out.profile = std::move(profile);
-           add_guarantee(out, params.schedule, params.describe());
-           return out;
+           const auto params = dist_params(g, s.params);
+           return with_guarantee(
+               pack(info, build_emulator_fast(g, params, s.exec)), params);
          }});
 
     t.push_back(
@@ -138,21 +123,11 @@ const std::vector<Entry>& registry() {
           "emulator", "congest", true, /*uses_rho=*/true, false,
           /*supports_rescale=*/true, false, /*supports_transport=*/true},
          [](const Graph& g, const BuildSpec& s, const AlgorithmInfo& info) {
-           const auto params = dist_params(g, s);
-           DistributedOptions o;
-           o.keep_audit_data = s.exec.keep_audit_data;
-           o.hub_threshold_factor = s.exec.hub_threshold_factor;
-           o.num_threads = s.exec.num_threads;
-           o.transport = s.exec.transport;
-           o.profile = s.exec.profile;
-           auto r = build_emulator_distributed(g, params, o);
-           auto out = pack(info, std::move(r.base));
-           add_net(out, r.net);
-           add_transport(out, r.transport, s.exec.transport);
-           out.local = std::move(r.local);
-           out.profile = std::move(r.profile);
-           add_guarantee(out, params.schedule, params.describe());
-           return out;
+           const auto params = dist_params(g, s.params);
+           return with_guarantee(
+               pack(info, build_emulator_distributed(g, params, s.exec),
+                    s.exec.transport),
+               params);
          }});
 
     t.push_back(
@@ -161,12 +136,9 @@ const std::vector<Entry>& registry() {
           "spanner", "centralized", true, /*uses_rho=*/true, false, false,
           false},
          [](const Graph& g, const BuildSpec& s, const AlgorithmInfo& info) {
-           const auto params = spanner_params(g, s);
-           SpannerOptions o;
-           o.keep_audit_data = s.exec.keep_audit_data;
-           auto out = pack(info, build_spanner(g, params, o));
-           add_guarantee(out, params.schedule, params.describe());
-           return out;
+           const auto params = spanner_params(g, s.params);
+           return with_guarantee(pack(info, build_spanner(g, params, s.exec)),
+                                 params);
          }});
 
     t.push_back(
@@ -175,19 +147,16 @@ const std::vector<Entry>& registry() {
           "spanner", "congest", true, /*uses_rho=*/true, false, false, false,
           /*supports_transport=*/true},
          [](const Graph& g, const BuildSpec& s, const AlgorithmInfo& info) {
-           const auto params = spanner_params(g, s);
-           auto r = build_spanner_congest(g, params, s.exec.keep_audit_data,
-                                          s.exec.num_threads, s.exec.transport,
-                                          s.exec.profile);
-           auto out = pack(info, std::move(r.base));
-           add_net(out, r.net);
-           add_transport(out, r.transport, s.exec.transport);
-           out.profile = std::move(r.profile);
-           add_guarantee(out, params.schedule, params.describe());
-           return out;
+           const auto params = spanner_params(g, s.params);
+           return with_guarantee(
+               pack(info, build_spanner_congest(g, params, s.exec),
+                    s.exec.transport),
+               params);
          }});
 
     // --- the four baselines ------------------------------------------
+    // [EM19] is the SS4 path-insertion skeleton driven by the SS3 degree
+    // sequence: the spanner builders with DistributedParams.
     t.push_back(
         {{"spanner_em19",
           "[EM19] baseline: SS4 skeleton with the SS3 degree sequence, "
@@ -195,12 +164,9 @@ const std::vector<Entry>& registry() {
           "spanner", "centralized", true, /*uses_rho=*/true, false,
           /*supports_rescale=*/true, /*baseline=*/true},
          [](const Graph& g, const BuildSpec& s, const AlgorithmInfo& info) {
-           const auto params = dist_params(g, s);
-           SpannerOptions o;
-           o.keep_audit_data = s.exec.keep_audit_data;
-           auto out = pack(info, build_spanner_em19(g, params, o));
-           add_guarantee(out, params.schedule, params.describe());
-           return out;
+           const auto params = dist_params(g, s.params);
+           return with_guarantee(pack(info, build_spanner(g, params, s.exec)),
+                                 params);
          }});
 
     t.push_back(
@@ -210,17 +176,11 @@ const std::vector<Entry>& registry() {
           /*supports_rescale=*/true, /*baseline=*/true,
           /*supports_transport=*/true},
          [](const Graph& g, const BuildSpec& s, const AlgorithmInfo& info) {
-           const auto params = dist_params(g, s);
-           auto r = build_spanner_congest_em19(g, params, s.exec.keep_audit_data,
-                                               s.exec.num_threads,
-                                               s.exec.transport,
-                                               s.exec.profile);
-           auto out = pack(info, std::move(r.base));
-           add_net(out, r.net);
-           add_transport(out, r.transport, s.exec.transport);
-           out.profile = std::move(r.profile);
-           add_guarantee(out, params.schedule, params.describe());
-           return out;
+           const auto params = dist_params(g, s.params);
+           return with_guarantee(
+               pack(info, build_spanner_congest(g, params, s.exec),
+                    s.exec.transport),
+               params);
          }});
 
     t.push_back(
@@ -229,10 +189,9 @@ const std::vector<Entry>& registry() {
           "emulator", "centralized", true, false, false,
           /*supports_rescale=*/true, /*baseline=*/true},
          [](const Graph& g, const BuildSpec& s, const AlgorithmInfo& info) {
-           const auto params = central_params(g, s);
-           auto out = pack(info, build_emulator_ep01(g, params));
-           add_guarantee(out, params.schedule, params.describe());
-           return out;
+           const auto params = central_params(g, s.params);
+           return with_guarantee(pack(info, build_emulator_ep01(g, params)),
+                                 params);
          }});
 
     t.push_back(
@@ -241,11 +200,9 @@ const std::vector<Entry>& registry() {
           "emulator", "centralized", /*deterministic=*/false, false,
           /*uses_seed=*/true, false, /*baseline=*/true},
          [](const Graph& g, const BuildSpec& s, const AlgorithmInfo& info) {
-           const Vertex n = resolve_n(g, s);
-           auto out =
-               pack(info, build_emulator_tz06(g, n, s.params.kappa, s.exec.seed));
+           auto out = pack(info, build_emulator_tz06(g, s.params.kappa, s.exec.seed));
            std::ostringstream desc;
-           desc << "tz06: n=" << n << " kappa=" << s.params.kappa
+           desc << "tz06: n=" << g.num_vertices() << " kappa=" << s.params.kappa
                 << " seed=" << s.exec.seed << " (randomized, no per-instance "
                 << "guarantee)";
            out.params_description = desc.str();
@@ -258,11 +215,10 @@ const std::vector<Entry>& registry() {
           "emulator", "centralized", /*deterministic=*/false, false,
           /*uses_seed=*/true, false, /*baseline=*/true},
          [](const Graph& g, const BuildSpec& s, const AlgorithmInfo& info) {
-           const Vertex n = resolve_n(g, s);
-           auto out = pack(info, build_emulator_en17(g, n, s.params.kappa,
+           auto out = pack(info, build_emulator_en17(g, s.params.kappa,
                                                      s.params.eps, s.exec.seed));
            std::ostringstream desc;
-           desc << "en17: n=" << n << " kappa=" << s.params.kappa
+           desc << "en17: n=" << g.num_vertices() << " kappa=" << s.params.kappa
                 << " eps=" << s.params.eps << " seed=" << s.exec.seed
                 << " (randomized, no per-instance guarantee)";
            out.params_description = desc.str();
@@ -288,7 +244,16 @@ const Entry& find_entry(const std::string& name) {
 
 bool BuildOutput::endpoints_consistent() const {
   if (local.empty()) return true;
-  return endpoints_know_all_edges(result.h, local);
+  for (const WeightedEdge& e : result.h.edges()) {
+    const auto knows = [&](Vertex at, Vertex other) {
+      for (const auto& [o, w] : local[static_cast<std::size_t>(at)]) {
+        if (o == other && w == e.w) return true;
+      }
+      return false;
+    };
+    if (!knows(e.u, e.v) || !knows(e.v, e.u)) return false;
+  }
+  return true;
 }
 
 std::string BuildOutput::stats_json() const {

@@ -1,28 +1,27 @@
 #pragma once
 
-// Unified construction API — the single front door to every emulator and
-// spanner construction in the repository.
+// Unified construction API — the one way to build an emulator or spanner.
 //
-// The paper defines one family of constructions; historically the repo
-// exposed them as nine unrelated free functions, each with its own
-// params/options/result triple, so every bench, example and test
-// re-implemented the same dispatch, metering and JSON glue. This header
-// replaces that with a string-keyed registry:
+// The paper defines one family of constructions (Algorithm 1, the §3
+// CONGEST and fast centralized emulators, the §4 spanner) plus the
+// baselines it compares against. This header names each of them in a
+// string-keyed registry:
 //
 //   BuildSpec spec;
 //   spec.algorithm = "emulator_congest";          // see usne::algorithms()
-//   spec.params = {.n = 0, .kappa = 4, .eps = 0.4, .rho = 0.49};
+//   spec.params = {.kappa = 4, .eps = 0.4, .rho = 0.49};
 //   spec.exec.num_threads = 4;
 //   BuildOutput out = usne::build(g, spec);
 //   out.h().num_edges(); out.alpha; out.beta; out.stats.at("rounds");
 //
-// Every registered algorithm is a *thin adapter* over the corresponding
-// legacy builder (core/*, baselines/*): semantics, outputs and the
-// round/message/word counts are bit-for-bit identical to calling the free
-// function directly (enforced by tests/test_api.cpp and the scripts/check.sh
-// registry smoke pass). The legacy functions remain the implementation
-// layer; new scenario work (fault injection, async delivery, new workloads)
-// plugs into this registry instead of adding a tenth bespoke entry point.
+// A registry entry computes the params type its builder (core/*,
+// baselines/*) takes from the ParamSet, with n = g.num_vertices(), calls
+// the builder with spec.exec, moves the result into the BuildOutput and
+// fills in the StatsMap and the (alpha, beta) guarantee. Tests, benches,
+// examples, usne_run, usne_served and perfbench all build through here;
+// the builders themselves are called directly only for what a BuildSpec
+// cannot say (Algorithm 1's processing order, a hand-edited schedule,
+// params computed for another n).
 
 #include <cstdint>
 #include <map>
@@ -39,69 +38,30 @@ namespace usne {
 
 /// Unified numeric parameters. Each algorithm consumes the subset it
 /// understands (see AlgorithmInfo::uses_rho / uses_seed in describe()):
-/// centralized Algorithm 1 reads {n, kappa, eps}; the §3/§4 constructions
+/// centralized Algorithm 1 reads {kappa, eps}; the §3/§4 constructions
 /// additionally read rho; the randomized baselines read the seed from
-/// ExecOptions.
+/// ExecOptions. The schedule's n is always g.num_vertices().
 struct ParamSet {
-  /// Size parameter fed to the schedule computation. 0 (the default) means
-  /// "use g.num_vertices()" — the common case.
-  Vertex n = 0;
   int kappa = 4;
   double eps = 0.25;
   double rho = 0.45;
 
   /// When true, use the paper's §2.2.4/§3.2.4 rescaling (compute_rescaled):
   /// eps is then the *target* multiplicative stretch, not the internal
-  /// recurrence parameter. Only supported where the legacy params type
+  /// recurrence parameter. Only supported where the builder's params type
   /// offers it (AlgorithmInfo::supports_rescale); build() throws otherwise.
   bool rescale = false;
 };
 
-/// Execution knobs shared by all constructions. Each algorithm consumes the
-/// subset that applies; the rest are ignored (e.g. num_threads for a
-/// centralized build).
-struct ExecOptions {
-  /// Worker lanes for the CONGEST parallel round scheduler (1 = serial,
-  /// 0 = hardware concurrency). Counts and outputs are bit-for-bit
-  /// identical for any value.
-  int num_threads = 1;
-
-  /// Retain partition snapshots / edge logs / per-node knowledge for
-  /// auditing. Disable for large benchmarks.
-  bool keep_audit_data = true;
-
-  /// Hub threshold multiplier of the distributed emulator (paper: 2).
-  int hub_threshold_factor = 2;
-
-  /// Seed for the randomized baselines (emulator_tz06, emulator_en17).
-  std::uint64_t seed = 1;
-
-  /// Delivery model for the CONGEST simulator's links
-  /// (congest/transport.hpp): Ideal (default), Faulty (seeded per-message
-  /// drop/duplicate), or Async (seeded per-message latency). Only the
-  /// CONGEST algorithms consume it (AlgorithmInfo::supports_transport);
-  /// build() rejects a non-ideal model on any other algorithm rather than
-  /// silently running the ideal path. Injected-event counters surface in
-  /// BuildOutput::transport and, for non-ideal models, in the StatsMap as
-  /// transport_dropped / transport_duplicated / transport_delayed.
-  congest::TransportSpec transport{};
-
-  /// Collect the per-task construction profile (BuildOutput::profile),
-  /// the `usne_run --profile` view. CONGEST algorithms report scheduler
-  /// stage times — deliver/compute/replay/end_round — per (phase, task);
-  /// emulator_fast reports wall time per (phase, task) (FastOptions::profile);
-  /// the other centralized builds ignore it. Measurement only: counts, H
-  /// and every checksum are bit-identical with profiling on or off, and
-  /// the default (off) reads no clocks in the scheduler or the builder.
-  bool profile = false;
-};
+// ExecOptions, the execution knobs of BuildSpec, is defined with the
+// builders that take it (core/cluster.hpp).
 
 /// A complete, serializable description of one build: which algorithm plus
 /// all parameters. The unit of dispatch for benches, examples and usne_run.
 struct BuildSpec {
   std::string algorithm;
-  ParamSet params;
-  ExecOptions exec;
+  ParamSet params{};
+  ExecOptions exec{};
 };
 
 /// Uniform counters reported by every build (sorted keys, ready for JSON):
@@ -129,14 +89,14 @@ struct AlgorithmInfo {
 
 /// Output of usne::build(): the constructed graph H, the computed
 /// (alpha, beta) stretch guarantee, the uniform StatsMap, and — when
-/// ExecOptions::keep_audit_data was set — the full legacy audit bundle
+/// ExecOptions::keep_audit_data was set — the full audit bundle
 /// (partition snapshots, edge log, per-node local knowledge).
 struct BuildOutput {
   std::string algorithm;
 
-  /// The legacy result bundle: H plus phase stats, and the audit data iff
-  /// keep_audit_data was requested. Identical to what the corresponding
-  /// free function returns.
+  /// The builder's result bundle: H plus phase stats, and the audit data
+  /// iff keep_audit_data was requested. Its profile has been moved to
+  /// `profile` below.
   BuildResult result;
 
   /// Round/message/word metering (CONGEST variants; zeros otherwise).
@@ -151,7 +111,8 @@ struct BuildOutput {
 
   /// Construction profile (ExecOptions::profile): labeled per-(phase, task)
   /// scheduler stage times, e.g. "p0.detect" (wall time only for
-  /// emulator_fast, which has no scheduler). Empty unless requested.
+  /// emulator_fast and spanner, which have no scheduler). Empty unless
+  /// requested.
   std::vector<congest::PhaseProfileEntry> profile;
 
   /// True when `net` is meaningful (the algorithm ran on the simulator).

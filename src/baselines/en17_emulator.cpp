@@ -19,8 +19,9 @@ double en17_degree(Vertex n, int kappa, int gamma, int phase) {
 
 }  // namespace
 
-BuildResult build_emulator_en17(const Graph& g, Vertex n, int kappa, double eps,
+BuildResult build_emulator_en17(const Graph& g, int kappa, double eps,
                                 std::uint64_t seed) {
+  const Vertex n = g.num_vertices();
   Rng rng(seed);
   const int gamma =
       std::max(2, kappa >= 4

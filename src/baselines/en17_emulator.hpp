@@ -24,7 +24,7 @@
 namespace usne {
 
 /// Runs the EN17a-style randomized construction.
-BuildResult build_emulator_en17(const Graph& g, Vertex n, int kappa, double eps,
+BuildResult build_emulator_en17(const Graph& g, int kappa, double eps,
                                 std::uint64_t seed);
 
 }  // namespace usne

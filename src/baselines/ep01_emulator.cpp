@@ -1,6 +1,7 @@
 #include "baselines/ep01_emulator.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "graph/connectivity.hpp"
 #include "path/bfs.hpp"
@@ -9,6 +10,9 @@ namespace usne {
 
 BuildResult build_emulator_ep01(const Graph& g, const CentralizedParams& params) {
   const Vertex n = g.num_vertices();
+  if (params.n != n) {
+    throw std::invalid_argument("params were computed for a different n");
+  }
   const PhaseSchedule& sched = params.schedule;
   const int ell = sched.ell();
 

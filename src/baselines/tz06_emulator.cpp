@@ -8,8 +8,8 @@
 
 namespace usne {
 
-BuildResult build_emulator_tz06(const Graph& g, Vertex n, int kappa,
-                                std::uint64_t seed) {
+BuildResult build_emulator_tz06(const Graph& g, int kappa, std::uint64_t seed) {
+  const Vertex n = g.num_vertices();
   Rng rng(seed);
   int ell = 0;
   while ((std::int64_t{1} << (ell + 1)) - 1 < kappa) ++ell;

@@ -24,7 +24,6 @@ namespace usne {
 /// Runs the TZ06-style randomized construction with the Ep01 degree
 /// sequence (deg_i = n^(2^i/kappa)) and ell = ceil(log2((kappa+1)/2)) + 1
 /// levels.
-BuildResult build_emulator_tz06(const Graph& g, Vertex n, int kappa,
-                                std::uint64_t seed);
+BuildResult build_emulator_tz06(const Graph& g, int kappa, std::uint64_t seed);
 
 }  // namespace usne

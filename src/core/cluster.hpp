@@ -1,17 +1,67 @@
 #pragma once
 
 // Cluster and partial-partition machinery shared by all SAI constructions,
-// plus the per-build bookkeeping (edge charging log, phase statistics,
-// partition snapshots) that the audit module and the benches consume.
+// the execution options every builder takes, and the per-build bookkeeping
+// (edge charging log, phase statistics, partition snapshots, construction
+// profile) that the audit module and the benches consume.
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "congest/network.hpp"
+#include "congest/transport.hpp"
 #include "graph/graph.hpp"
 #include "graph/weighted_graph.hpp"
 
 namespace usne {
+
+/// Execution knobs shared by every builder in core/ and baselines/, and
+/// carried by usne::build's BuildSpec. Each builder consumes the subset
+/// that applies; the rest are ignored (e.g. num_threads for a centralized
+/// build).
+struct ExecOptions {
+  /// Worker lanes for the CONGEST parallel round scheduler (1 = serial,
+  /// 0 = hardware concurrency). Counts and outputs are bit-for-bit
+  /// identical for any value.
+  int num_threads = 1;
+
+  /// Retain partition snapshots and the edge log for auditing. Disable
+  /// for large benchmarks.
+  bool keep_audit_data = true;
+
+  /// Hub threshold multiplier of the distributed emulator (paper: 2, i.e.
+  /// a vertex holding >= 2*deg_i + 2 messages splits). Larger values split
+  /// later: fewer, larger superclusters and more per-edge pipeline rounds
+  /// (ablation bench E7c). Must be >= 1; the builder throws
+  /// std::invalid_argument otherwise.
+  int hub_threshold_factor = 2;
+
+  /// Seed for the randomized baselines (emulator_tz06, emulator_en17).
+  std::uint64_t seed = 1;
+
+  /// Delivery model for the CONGEST simulator's links
+  /// (congest/transport.hpp): Ideal (default), Faulty (seeded per-message
+  /// drop/duplicate), or Async (seeded per-message latency). Only the
+  /// CONGEST algorithms consume it (AlgorithmInfo::supports_transport);
+  /// usne::build rejects a non-ideal model on any other algorithm rather
+  /// than silently running the ideal path. Under Faulty/Async the
+  /// construction runs its fixed schedule over degraded traffic
+  /// (deterministically for a fixed seed at any thread count), which is
+  /// the robustness workload, not a correctness claim.
+  congest::TransportSpec transport{};
+
+  /// Collect the per-task construction profile (BuildResult::profile).
+  /// CONGEST builders report scheduler stage times — deliver/compute/
+  /// replay/end_round — per (phase, task); emulator_fast and the
+  /// centralized spanner report wall time per (phase, task) and open a
+  /// trace span per task; the other centralized builders ignore it.
+  /// Measurement only: counts, H and every checksum are bit-identical with
+  /// profiling on or off, and the default (off) reads no clocks in the
+  /// scheduler or the builder.
+  bool profile = false;
+};
 
 /// A cluster: a designated center r_C in C plus the member vertices.
 struct Cluster {
@@ -83,9 +133,30 @@ struct BuildResult {
   std::vector<Vertex> u_center; // per vertex: center of that cluster
   std::int64_t total_rounds = 0;  // distributed builds; 0 otherwise
 
+  /// Construction profile (ExecOptions::profile): one entry per (phase,
+  /// task), e.g. "p0.detect". Empty unless requested; usne::build moves it
+  /// to BuildOutput::profile.
+  std::vector<congest::PhaseProfileEntry> profile;
+
   std::int64_t interconnect_edges() const;
   std::int64_t supercluster_edges() const;
   std::string summary() const;
+};
+
+/// Result of a CONGEST build, emulator or spanner: the audit bundle plus
+/// the simulator's metering.
+struct DistributedBuildResult {
+  BuildResult base;
+  congest::NetworkStats net;
+
+  /// Injected-event counters of the delivery model (all zero under Ideal).
+  congest::TransportCounters transport;
+
+  /// local[v] = edges (other, weight) that vertex v learned about through
+  /// the protocol (emulator only). Every emulator edge (u,v,w) must appear
+  /// in local[u] and local[v] with the same weight. Empty for the spanner,
+  /// whose edges are their endpoints' own graph edges.
+  std::vector<std::vector<std::pair<Vertex, Dist>>> local;
 };
 
 /// Builds the singleton partition P_0 = {{v} : v in V}.

@@ -14,9 +14,9 @@ enum class Status : std::uint8_t { kInS, kInN, kSuperclustered, kInU };
 
 }  // namespace
 
-BuildResult build_emulator_centralized(const Graph& g,
-                                       const CentralizedParams& params,
-                                       const CentralizedOptions& options) {
+BuildResult build_emulator_centralized(
+    const Graph& g, const CentralizedParams& params, const ExecOptions& exec,
+    const std::vector<Vertex>& processing_order) {
   const Vertex n = g.num_vertices();
   if (params.n != n) {
     throw std::invalid_argument("params were computed for a different n");
@@ -30,7 +30,7 @@ BuildResult build_emulator_centralized(const Graph& g,
   result.u_center.assign(static_cast<std::size_t>(n), -1);
 
   std::vector<Cluster> current = singleton_partition(n);
-  if (options.keep_audit_data) result.partitions.push_back(current);
+  if (exec.keep_audit_data) result.partitions.push_back(current);
 
   // Scratch for bounded BFS (reset via the touched list).
   std::vector<Dist> dist(static_cast<std::size_t>(n), kInfDist);
@@ -45,7 +45,7 @@ BuildResult build_emulator_centralized(const Graph& g,
   auto log_edge = [&](Vertex u, Vertex v, Dist w, int phase, EdgeKind kind,
                       Vertex charged) {
     result.h.add_edge(u, v, w);
-    if (options.keep_audit_data) {
+    if (exec.keep_audit_data) {
       result.edge_log.push_back({u, v, w, phase, kind, charged});
     }
   };
@@ -74,9 +74,9 @@ BuildResult build_emulator_centralized(const Graph& g,
     // Processing order: the caller's, filtered to actual centers, followed
     // by any centers the caller did not mention (ascending).
     std::vector<Vertex> order;
-    if (!options.processing_order.empty()) {
+    if (!processing_order.empty()) {
       std::vector<bool> listed(static_cast<std::size_t>(n), false);
-      for (const Vertex v : options.processing_order) {
+      for (const Vertex v : processing_order) {
         if (v >= 0 && v < n && cluster_of[static_cast<std::size_t>(v)] != -1 &&
             !listed[static_cast<std::size_t>(v)]) {
           // Only centers of the current phase participate.
@@ -210,7 +210,7 @@ BuildResult build_emulator_centralized(const Graph& g,
     stats.clusters_out = static_cast<std::int64_t>(next.size());
     result.phases.push_back(stats);
     current = std::move(next);
-    if (options.keep_audit_data) result.partitions.push_back(current);
+    if (exec.keep_audit_data) result.partitions.push_back(current);
   }
 
   // Paper eq. (1): no popular clusters in phase ell, hence P_{ell+1} = {}.

@@ -33,23 +33,15 @@
 
 namespace usne {
 
-/// Options for the centralized builder.
-struct CentralizedOptions {
-  /// Processing order of cluster centers within every phase. Empty =
-  /// ascending vertex id (the deterministic default). The paper notes the
-  /// popular/unpopular designation depends on this order (§2.1.1, star
-  /// example); tests exercise both orders through this hook.
-  std::vector<Vertex> processing_order;
-
-  /// When true, partition snapshots (P_0..P_{ell+1}) and the edge log are
-  /// retained in the result for auditing. Disable for large benchmarks.
-  bool keep_audit_data = true;
-};
-
 /// Runs Algorithm 1. The graph may be disconnected; explorations never
-/// cross components and the guarantees hold per component.
-BuildResult build_emulator_centralized(const Graph& g,
-                                       const CentralizedParams& params,
-                                       const CentralizedOptions& options = {});
+/// cross components and the guarantees hold per component. Reads
+/// exec.keep_audit_data. `processing_order` is the order of cluster
+/// centers within every phase; empty = ascending vertex id (the
+/// deterministic default, and the only order usne::build uses). The paper
+/// notes the popular/unpopular designation depends on this order (§2.1.1,
+/// star example); tests exercise both orders through this hook.
+BuildResult build_emulator_centralized(
+    const Graph& g, const CentralizedParams& params, const ExecOptions& exec = {},
+    const std::vector<Vertex>& processing_order = {});
 
 }  // namespace usne

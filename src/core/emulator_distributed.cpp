@@ -5,11 +5,13 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "congest/bfs_forest.hpp"
 #include "congest/detect.hpp"
 #include "congest/engine.hpp"
 #include "congest/ruling_set.hpp"
+#include "core/task_clock.hpp"
 
 namespace usne {
 namespace {
@@ -41,7 +43,7 @@ struct UpMsg {
 struct Builder {
   const Graph* g = nullptr;
   const DistributedParams* params = nullptr;
-  DistributedOptions options;
+  ExecOptions exec;
   Network net;
   DistributedBuildResult out;
 
@@ -55,7 +57,7 @@ struct Builder {
   void log_edge(Vertex u, Vertex v, Dist w, int phase, EdgeKind kind,
                 Vertex charged) {
     out.base.h.add_edge(u, v, w);
-    if (options.keep_audit_data) {
+    if (exec.keep_audit_data) {
       out.base.edge_log.push_back({u, v, w, phase, kind, charged});
     }
   }
@@ -111,7 +113,7 @@ struct BacktrackCtx {
     depth_limit = rul + delta;
     const std::int64_t capdeg =
         static_cast<std::int64_t>(std::ceil(deg - 1e-9));
-    const std::int64_t factor = std::max(1, b.options.hub_threshold_factor);
+    const std::int64_t factor = b.exec.hub_threshold_factor;
     hub_threshold = factor * capdeg + 2;
     stride_rounds = factor * capdeg + 2;
 
@@ -435,7 +437,7 @@ void backtrack_superclusters(Builder& b, const BfsForest& forest, int phase,
 
   // ---- Notification epoch (down-cast) ----
   const std::int64_t capdeg = static_cast<std::int64_t>(std::ceil(deg - 1e-9));
-  const std::int64_t factor = std::max(1, b.options.hub_threshold_factor);
+  const std::int64_t factor = b.exec.hub_threshold_factor;
   const std::int64_t epoch = ctx.depth_limit + 4 * factor * capdeg + 16;
   NotifyProgram down(ctx, epoch);
   scheduler.run(down);
@@ -448,42 +450,23 @@ void backtrack_superclusters(Builder& b, const BfsForest& forest, int phase,
 
 }  // namespace
 
-bool endpoints_know_all_edges(
-    const WeightedGraph& h,
-    const std::vector<std::vector<std::pair<Vertex, Dist>>>& local) {
-  for (const WeightedEdge& e : h.edges()) {
-    bool at_u = false;
-    bool at_v = false;
-    for (const auto& [o, w] : local[static_cast<std::size_t>(e.u)]) {
-      if (o == e.v && w == e.w) at_u = true;
-    }
-    for (const auto& [o, w] : local[static_cast<std::size_t>(e.v)]) {
-      if (o == e.u && w == e.w) at_v = true;
-    }
-    if (!at_u || !at_v) return false;
-  }
-  return true;
-}
-
-bool DistributedBuildResult::endpoints_consistent() const {
-  return endpoints_know_all_edges(base.h, local);
-}
-
 DistributedBuildResult build_emulator_distributed(
-    const Graph& g, const DistributedParams& params,
-    const DistributedOptions& options) {
+    const Graph& g, const DistributedParams& params, const ExecOptions& exec) {
   const Vertex n = g.num_vertices();
   if (params.n != n) {
     throw std::invalid_argument("params were computed for a different n");
+  }
+  if (exec.hub_threshold_factor < 1) {
+    throw std::invalid_argument("hub_threshold_factor must be >= 1");
   }
   const PhaseSchedule& sched = params.schedule;
   const int ell = sched.ell();
 
   Builder b(g);
   b.params = &params;
-  b.options = options;
-  b.net.set_execution_threads(options.num_threads);
-  b.net.configure_transport(options.transport);
+  b.exec = exec;
+  b.net.set_execution_threads(exec.num_threads);
+  b.net.configure_transport(exec.transport);
   b.out.base.h = WeightedGraph(n);
   b.out.base.u_level.assign(static_cast<std::size_t>(n), -1);
   b.out.base.u_center.assign(static_cast<std::size_t>(n), -1);
@@ -491,7 +474,7 @@ DistributedBuildResult build_emulator_distributed(
   b.cluster_of.assign(static_cast<std::size_t>(n), -1);
 
   b.current = singleton_partition(n);
-  if (options.keep_audit_data) b.out.base.partitions.push_back(b.current);
+  if (exec.keep_audit_data) b.out.base.partitions.push_back(b.current);
 
   // Construction profiling: the schedulers of every task accumulate stage
   // times into one sink on the network; prof_snap cuts a labeled per-task
@@ -499,11 +482,11 @@ DistributedBuildResult build_emulator_distributed(
   // b.net.stats().rounds.
   congest::StageTimes prof_acc;
   congest::StageTimes prof_mark;
-  if (options.profile) b.net.set_profile_sink(&prof_acc);
+  if (exec.profile) b.net.set_profile_sink(&prof_acc);
   const auto prof_snap = [&](int phase, const char* task) {
-    if (!options.profile) return;
-    b.out.profile.push_back(
-        {"p" + std::to_string(phase) + "." + task, prof_acc - prof_mark});
+    if (!exec.profile) return;
+    b.out.base.profile.push_back(
+        {profile_label(phase, task), prof_acc - prof_mark});
     prof_mark = prof_acc;
   };
 
@@ -626,7 +609,7 @@ DistributedBuildResult build_emulator_distributed(
                    stats.rounds_interconnect;
     b.out.base.phases.push_back(stats);
     b.current = std::move(next);
-    if (options.keep_audit_data) b.out.base.partitions.push_back(b.current);
+    if (exec.keep_audit_data) b.out.base.partitions.push_back(b.current);
   }
 
   assert(b.current.empty());
@@ -634,7 +617,7 @@ DistributedBuildResult build_emulator_distributed(
   b.out.base.total_rounds = b.net.stats().rounds;
   b.out.net = b.net.stats();
   b.out.transport = b.net.transport().counters();
-  return b.out;
+  return std::move(b.out);
 }
 
 }  // namespace usne

@@ -28,84 +28,22 @@
 //
 // The returned result carries, besides the emulator and audit data, the
 // per-node local edge knowledge accumulated *only* through received
-// messages — endpoints_consistent() verifies the both-endpoints-know
-// property against H.
+// messages — BuildOutput::endpoints_consistent() verifies the
+// both-endpoints-know property against H.
 
-#include <utility>
-#include <vector>
-
-#include "congest/network.hpp"
-#include "congest/transport.hpp"
 #include "core/cluster.hpp"
 #include "core/params.hpp"
 #include "graph/graph.hpp"
 
 namespace usne {
 
-struct DistributedOptions {
-  bool keep_audit_data = true;
-
-  /// Hub threshold multiplier (paper: 2, i.e. a vertex holding >=
-  /// 2*deg_i + 2 messages splits). Exposed for the ablation bench E7c;
-  /// larger values split later (fewer, larger superclusters, more per-edge
-  /// pipeline rounds). Must be >= 1.
-  int hub_threshold_factor = 2;
-
-  /// Worker lanes for the parallel round scheduler (1 = serial, 0 =
-  /// hardware concurrency). The engine is deterministic: round/message/
-  /// word counts and every output are bit-for-bit identical for any value
-  /// — only wall-clock time changes.
-  int num_threads = 1;
-
-  /// Delivery model for the simulated links (congest/transport.hpp).
-  /// Ideal (the default) reproduces the classic synchronous CONGEST
-  /// semantics bit-for-bit; Faulty/Async inject seeded drops/duplicates
-  /// and latencies — the construction then runs its fixed schedule over
-  /// degraded traffic (deterministically for a fixed seed at any thread
-  /// count), which is the robustness workload, not a correctness claim.
-  congest::TransportSpec transport{};
-
-  /// Collect the per-task scheduler stage profile
-  /// (DistributedBuildResult::profile). Measurement only — counts and H
-  /// are bit-identical either way; off (the default) costs zero clock
-  /// reads.
-  bool profile = false;
-};
-
-/// Result of a distributed build: the usual audit bundle plus network
-/// metering and per-node local knowledge.
-struct DistributedBuildResult {
-  BuildResult base;
-  congest::NetworkStats net;
-
-  /// Injected-event counters of the delivery model (all zero under Ideal).
-  congest::TransportCounters transport;
-
-  /// Construction profile: one entry per (phase, task) — "p0.detect",
-  /// "p0.ruling", ... — with the scheduler stage times that task accrued.
-  /// Empty unless DistributedOptions::profile was set.
-  std::vector<congest::PhaseProfileEntry> profile;
-
-  /// local[v] = edges (other, weight) that vertex v learned about through
-  /// the protocol. Every emulator edge (u,v,w) must appear in local[u] and
-  /// local[v] with the same weight.
-  std::vector<std::vector<std::pair<Vertex, Dist>>> local;
-
-  /// Verifies the both-endpoints-know property for every edge of base.h.
-  bool endpoints_consistent() const;
-};
-
-/// True if every edge of h appears, with identical weight, in the local
-/// knowledge lists of both endpoints — the paper's both-endpoints-know
-/// property. Shared by DistributedBuildResult and the unified API's
-/// BuildOutput.
-bool endpoints_know_all_edges(
-    const WeightedGraph& h,
-    const std::vector<std::vector<std::pair<Vertex, Dist>>>& local);
-
-/// Runs the §3.1 construction on a fresh Network over g.
+/// Runs the §3.1 construction on a fresh Network over g. Reads every
+/// ExecOptions field but the seed: num_threads sets the scheduler's lanes
+/// (outputs and counts are bit-identical for any value), transport the
+/// delivery model, hub_threshold_factor the Task 3 hub threshold (throws
+/// std::invalid_argument below 1), and profile collects one entry of
+/// scheduler stage times per (phase, task) into base.profile.
 DistributedBuildResult build_emulator_distributed(
-    const Graph& g, const DistributedParams& params,
-    const DistributedOptions& options = {});
+    const Graph& g, const DistributedParams& params, const ExecOptions& exec = {});
 
 }  // namespace usne

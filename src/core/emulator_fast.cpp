@@ -4,49 +4,18 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "core/ruling_central.hpp"
+#include "core/task_clock.hpp"
 #include "obs/trace.hpp"
 #include "path/bfs.hpp"
 #include "path/source_detection.hpp"
-#include "util/timer.hpp"
 
 namespace usne {
-namespace {
-
-/// Wall time per (phase, task) into FastOptions::profile: each cut()
-/// closes the task that ran since the previous cut. Without a sink it
-/// reads no clock.
-class TaskClock {
- public:
-  explicit TaskClock(std::vector<congest::PhaseProfileEntry>* sink) : sink_(sink) {
-    if (sink_ != nullptr) mark_ = MonoClock::now();
-  }
-
-  void cut(int phase, const char* task) {
-    if (sink_ == nullptr) return;
-    const MonoClock::time_point now = MonoClock::now();
-    congest::PhaseProfileEntry entry;
-    entry.label = "p";
-    entry.label += std::to_string(phase);
-    entry.label += '.';
-    entry.label += task;
-    entry.times.wall_s = elapsed_s(mark_, now);
-    sink_->push_back(std::move(entry));
-    mark_ = now;
-  }
-
- private:
-  std::vector<congest::PhaseProfileEntry>* sink_;
-  MonoClock::time_point mark_{};
-};
-
-}  // namespace
 
 BuildResult build_emulator_fast(const Graph& g, const DistributedParams& params,
-                                const FastOptions& options) {
+                                const ExecOptions& exec) {
   const Vertex n = g.num_vertices();
   if (params.n != n) {
     throw std::invalid_argument("params were computed for a different n");
@@ -60,19 +29,19 @@ BuildResult build_emulator_fast(const Graph& g, const DistributedParams& params,
   result.u_center.assign(static_cast<std::size_t>(n), -1);
 
   std::vector<Cluster> current = singleton_partition(n);
-  if (options.keep_audit_data) result.partitions.push_back(current);
+  if (exec.keep_audit_data) result.partitions.push_back(current);
 
   auto log_edge = [&](Vertex u, Vertex v, Dist w, int phase, EdgeKind kind,
                       Vertex charged) {
     result.h.add_edge(u, v, w);
-    if (options.keep_audit_data) {
+    if (exec.keep_audit_data) {
       result.edge_log.push_back({u, v, w, phase, kind, charged});
     }
   };
 
   // cluster index by center, valid within a phase.
   std::vector<std::int32_t> cluster_of(static_cast<std::size_t>(n), -1);
-  TaskClock clock(options.profile);
+  TaskClock clock(exec.profile ? &result.profile : nullptr);
 
   for (int i = 0; i <= ell; ++i) {
     const double deg_i = sched.deg[static_cast<std::size_t>(i)];
@@ -184,7 +153,7 @@ BuildResult build_emulator_fast(const Graph& g, const DistributedParams& params,
     stats.clusters_out = static_cast<std::int64_t>(next.size());
     result.phases.push_back(stats);
     current = std::move(next);
-    if (options.keep_audit_data) result.partitions.push_back(current);
+    if (exec.keep_audit_data) result.partitions.push_back(current);
     clock.cut(i, "interconnect");
   }
 

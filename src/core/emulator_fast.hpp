@@ -22,29 +22,18 @@
 // distributed construction: |H| <= n^(1+1/kappa), stretch (alpha_ell,
 // beta_ell) from DistributedParams.
 
-#include <vector>
-
-#include "congest/network.hpp"
 #include "core/cluster.hpp"
 #include "core/params.hpp"
 #include "graph/graph.hpp"
 
 namespace usne {
 
-struct FastOptions {
-  bool keep_audit_data = true;
-
-  /// When set, receives one entry per (phase, task) — "p<i>.detect",
-  /// "p<i>.ruling", "p<i>.forest", "p<i>.interconnect" — with only
-  /// StageTimes::wall_s filled in (there is no scheduler to split it).
-  /// Ruling and forest entries appear only in phases that run them. Null
-  /// (the default) reads no clock. Each task also opens a trace span
-  /// (core.detect, core.ruling, core.forest, core.interconnect).
-  std::vector<congest::PhaseProfileEntry>* profile = nullptr;
-};
-
-/// Runs the §3.3 construction.
+/// Runs the §3.3 construction. Reads exec.keep_audit_data and
+/// exec.profile: the profile gets one wall-time entry per (phase, task) —
+/// "p<i>.detect", "p<i>.ruling", "p<i>.forest", "p<i>.interconnect" (ruling
+/// and forest only in phases that run them) — and each task opens a trace
+/// span (core.detect, core.ruling, core.forest, core.interconnect).
 BuildResult build_emulator_fast(const Graph& g, const DistributedParams& params,
-                                const FastOptions& options = {});
+                                const ExecOptions& exec = {});
 
 }  // namespace usne

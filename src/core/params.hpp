@@ -40,12 +40,6 @@
 
 namespace usne {
 
-/// Which degree sequence a SAI construction uses. The paper's main result
-/// uses Ep01 (the point of §2 is that the *original* sequence suffices);
-/// En17 is the optimized sequence used by the §4 spanner and by the
-/// degree-sequence ablation (bench E7).
-enum class DegreeSequence { Ep01, En17 };
-
 /// Shared per-phase schedule for any SAI construction.
 struct PhaseSchedule {
   std::vector<double> deg;   // popularity thresholds deg_i (real-valued)

@@ -6,23 +6,21 @@
 #include <stdexcept>
 
 #include "core/ruling_central.hpp"
+#include "core/task_clock.hpp"
+#include "obs/trace.hpp"
 #include "path/bfs.hpp"
 #include "path/source_detection.hpp"
 
 namespace usne {
-namespace {
 
-/// Shared implementation: SAI with path insertion, parameterized by the
-/// phase schedule (either SpannerParams or DistributedParams provides it).
-BuildResult build_spanner_impl(const Graph& g, Vertex params_n,
-                               const PhaseSchedule& sched,
-                               const std::vector<Dist>& rul,
-                               std::int64_t ruling_base,
-                               const SpannerOptions& options) {
+template <typename Params>
+BuildResult build_spanner(const Graph& g, const Params& params,
+                          const ExecOptions& exec) {
   const Vertex n = g.num_vertices();
-  if (params_n != n) {
+  if (params.n != n) {
     throw std::invalid_argument("params were computed for a different n");
   }
+  const PhaseSchedule& sched = params.schedule;
   const int ell = sched.ell();
 
   BuildResult result;
@@ -31,16 +29,17 @@ BuildResult build_spanner_impl(const Graph& g, Vertex params_n,
   result.u_center.assign(static_cast<std::size_t>(n), -1);
 
   std::vector<Cluster> current = singleton_partition(n);
-  if (options.keep_audit_data) result.partitions.push_back(current);
+  if (exec.keep_audit_data) result.partitions.push_back(current);
 
   std::vector<std::int32_t> cluster_of(static_cast<std::size_t>(n), -1);
+  TaskClock clock(exec.profile ? &result.profile : nullptr);
 
   // Inserts the consecutive unit edges of `path` into H.
   auto add_path = [&](const std::vector<Vertex>& path, int phase, EdgeKind kind,
                       Vertex charged, std::int64_t& counter) {
     for (std::size_t j = 0; j + 1 < path.size(); ++j) {
       result.h.add_edge(path[j], path[j + 1], 1);
-      if (options.keep_audit_data) {
+      if (exec.keep_audit_data) {
         result.edge_log.push_back(
             {std::min(path[j], path[j + 1]), std::max(path[j], path[j + 1]), 1,
              phase, kind, charged});
@@ -52,7 +51,7 @@ BuildResult build_spanner_impl(const Graph& g, Vertex params_n,
   for (int i = 0; i <= ell; ++i) {
     const double deg_i = sched.deg[static_cast<std::size_t>(i)];
     const Dist delta_i = sched.delta[static_cast<std::size_t>(i)];
-    const Dist rul_i = rul[static_cast<std::size_t>(i)];
+    const Dist rul_i = params.rul[static_cast<std::size_t>(i)];
     const std::int64_t cap =
         static_cast<std::int64_t>(std::ceil(deg_i - 1e-9)) + 1;
 
@@ -70,24 +69,34 @@ BuildResult build_spanner_impl(const Graph& g, Vertex params_n,
     }
     std::sort(centers.begin(), centers.end());
 
-    const SourceDetection detect =
-        detect_sources(g, centers, delta_i, static_cast<std::size_t>(cap));
+    SourceDetection detect;
     std::vector<Vertex> popular;
-    for (const Vertex c : centers) {
-      std::size_t others = 0;
-      for (const SourceHit& h : detect.at(c)) {
-        if (h.source != c) ++others;
+    {
+      USNE_TRACE_SPAN("core.detect");
+      detect = detect_sources(g, centers, delta_i, static_cast<std::size_t>(cap));
+      for (const Vertex c : centers) {
+        std::size_t others = 0;
+        for (const SourceHit& h : detect.at(c)) {
+          if (h.source != c) ++others;
+        }
+        if (static_cast<double>(others) + 1e-9 >= deg_i) popular.push_back(c);
       }
-      if (static_cast<double>(others) + 1e-9 >= deg_i) popular.push_back(c);
     }
+    clock.cut(i, "detect");
     stats.popular = static_cast<std::int64_t>(popular.size());
 
     std::vector<Cluster> next;
     std::vector<bool> superclustered(static_cast<std::size_t>(n), false);
 
     if (i < ell && !popular.empty()) {
-      const CentralRulingSet ruling =
-          ruling_set_central(g, popular, 2 * delta_i, ruling_base);
+      CentralRulingSet ruling;
+      {
+        USNE_TRACE_SPAN("core.ruling");
+        ruling = ruling_set_central(g, popular, 2 * delta_i, params.ruling_base);
+      }
+      clock.cut(i, "ruling");
+
+      USNE_TRACE_SPAN("core.forest");
       const MultiSourceBfsResult forest =
           multi_source_bfs(g, ruling.members, rul_i + delta_i);
 
@@ -122,24 +131,28 @@ BuildResult build_spanner_impl(const Graph& g, Vertex params_n,
                    stats.supercluster_edges);
         }
       }
+      clock.cut(i, "forest");
     }
 
     // Interconnection: unspanned clusters connect along recorded shortest
     // paths to all their neighbouring centers.
-    for (const Vertex c : centers) {
-      if (superclustered[static_cast<std::size_t>(c)]) continue;
-      ++stats.unclustered;
-      const Cluster& cluster =
-          current[static_cast<std::size_t>(cluster_of[static_cast<std::size_t>(c)])];
-      for (const Vertex m : cluster.members) {
-        result.u_level[static_cast<std::size_t>(m)] = i;
-        result.u_center[static_cast<std::size_t>(m)] = c;
-      }
-      for (const SourceHit& h : detect.at(c)) {
-        if (h.source == c) continue;
-        const std::vector<Vertex> path = detect.path_to(c, h.source);
-        assert(!path.empty());
-        add_path(path, i, EdgeKind::kSpannerPath, c, stats.interconnect_edges);
+    {
+      USNE_TRACE_SPAN("core.interconnect");
+      for (const Vertex c : centers) {
+        if (superclustered[static_cast<std::size_t>(c)]) continue;
+        ++stats.unclustered;
+        const Cluster& cluster =
+            current[static_cast<std::size_t>(cluster_of[static_cast<std::size_t>(c)])];
+        for (const Vertex m : cluster.members) {
+          result.u_level[static_cast<std::size_t>(m)] = i;
+          result.u_center[static_cast<std::size_t>(m)] = c;
+        }
+        for (const SourceHit& h : detect.at(c)) {
+          if (h.source == c) continue;
+          const std::vector<Vertex> path = detect.path_to(c, h.source);
+          assert(!path.empty());
+          add_path(path, i, EdgeKind::kSpannerPath, c, stats.interconnect_edges);
+        }
       }
     }
 
@@ -147,26 +160,18 @@ BuildResult build_spanner_impl(const Graph& g, Vertex params_n,
     stats.clusters_out = static_cast<std::int64_t>(next.size());
     result.phases.push_back(stats);
     current = std::move(next);
-    if (options.keep_audit_data) result.partitions.push_back(current);
+    if (exec.keep_audit_data) result.partitions.push_back(current);
+    clock.cut(i, "interconnect");
   }
 
   assert(current.empty());
   return result;
 }
 
-}  // namespace
-
-BuildResult build_spanner(const Graph& g, const SpannerParams& params,
-                          const SpannerOptions& options) {
-  return build_spanner_impl(g, params.n, params.schedule, params.rul,
-                            params.ruling_base, options);
-}
-
-BuildResult build_spanner_em19(const Graph& g, const DistributedParams& params,
-                               const SpannerOptions& options) {
-  return build_spanner_impl(g, params.n, params.schedule, params.rul,
-                            params.ruling_base, options);
-}
+template BuildResult build_spanner(const Graph&, const SpannerParams&,
+                                   const ExecOptions&);
+template BuildResult build_spanner(const Graph&, const DistributedParams&,
+                                   const ExecOptions&);
 
 bool is_subgraph(const WeightedGraph& h, const Graph& g) {
   for (const WeightedEdge& e : h.edges()) {

@@ -16,8 +16,9 @@
 // degree sequence instead reproduces the [EM19] baseline with its
 // O(beta * n^(1+1/kappa)) edges — the comparison of bench E5.
 //
-// Both builders run as centralized simulations of the distributed algorithm
-// (paper §3.3); round schedules are inherited from the §3 construction.
+// This builder runs as a centralized simulation of the distributed
+// algorithm (paper §3.3); round schedules are inherited from the §3
+// construction. core/spanner_distributed.hpp runs it on the simulator.
 
 #include "core/cluster.hpp"
 #include "core/params.hpp"
@@ -25,19 +26,15 @@
 
 namespace usne {
 
-struct SpannerOptions {
-  bool keep_audit_data = true;
-};
-
-/// §4 spanner with the [EN17a] degree sequence. All edges have weight 1 and
-/// exist in G.
-BuildResult build_spanner(const Graph& g, const SpannerParams& params,
-                          const SpannerOptions& options = {});
-
-/// [EM19] baseline: the same path-insertion skeleton driven by the §3
-/// degree sequence. Edge count is Theta(beta) times larger at equal kappa.
-BuildResult build_spanner_em19(const Graph& g, const DistributedParams& params,
-                               const SpannerOptions& options = {});
+/// Runs the §4 skeleton. `Params` picks the degree sequence:
+/// SpannerParams, the paper's [EN17a] sequence, or DistributedParams, the
+/// §3 sequence of the [EM19] baseline, whose edge count is Theta(beta)
+/// times larger at equal kappa. All edges have weight 1 and exist in G.
+/// Reads exec.keep_audit_data and exec.profile (one wall-time entry per
+/// (phase, task) and one trace span per task, as in build_emulator_fast).
+template <typename Params>
+BuildResult build_spanner(const Graph& g, const Params& params,
+                          const ExecOptions& exec = {});
 
 /// True if every edge of h is an edge of g (the spanner subgraph property).
 bool is_subgraph(const WeightedGraph& h, const Graph& g);

@@ -10,6 +10,7 @@
 #include "congest/detect.hpp"
 #include "congest/engine.hpp"
 #include "congest/ruling_set.hpp"
+#include "core/task_clock.hpp"
 
 namespace usne {
 namespace {
@@ -245,27 +246,26 @@ class PathMarksProgram final : public NodeProgram {
   bool finished_ = false;
 };
 
-DistributedSpannerResult build_impl(const Graph& g, Vertex params_n,
-                                    const PhaseSchedule& sched,
-                                    const std::vector<Dist>& rul,
-                                    std::int64_t ruling_base,
-                                    bool keep_audit_data, int num_threads,
-                                    const congest::TransportSpec& transport,
-                                    bool profile) {
+}  // namespace
+
+template <typename Params>
+DistributedBuildResult build_spanner_congest(const Graph& g, const Params& params,
+                                             const ExecOptions& exec) {
   const Vertex n = g.num_vertices();
-  if (params_n != n) {
+  if (params.n != n) {
     throw std::invalid_argument("params were computed for a different n");
   }
+  const PhaseSchedule& sched = params.schedule;
   const int ell = sched.ell();
 
-  DistributedSpannerResult out;
+  DistributedBuildResult out;
   out.base.h = WeightedGraph(n);
   out.base.u_level.assign(static_cast<std::size_t>(n), -1);
   out.base.u_center.assign(static_cast<std::size_t>(n), -1);
 
   Network net(g);
-  net.set_execution_threads(num_threads);
-  net.configure_transport(transport);
+  net.set_execution_threads(exec.num_threads);
+  net.configure_transport(exec.transport);
   Scheduler scheduler(net);
 
   // Construction profiling: one stage-time sink on the network, cut into
@@ -273,23 +273,23 @@ DistributedSpannerResult build_impl(const Graph& g, Vertex params_n,
   // uses with net.stats().rounds.
   congest::StageTimes prof_acc;
   congest::StageTimes prof_mark;
-  if (profile) net.set_profile_sink(&prof_acc);
+  if (exec.profile) net.set_profile_sink(&prof_acc);
   const auto prof_snap = [&](int phase, const char* task) {
-    if (!profile) return;
-    out.profile.push_back(
-        {"p" + std::to_string(phase) + "." + task, prof_acc - prof_mark});
+    if (!exec.profile) return;
+    out.base.profile.push_back(
+        {profile_label(phase, task), prof_acc - prof_mark});
     prof_mark = prof_acc;
   };
 
   std::vector<Cluster> current = singleton_partition(n);
-  if (keep_audit_data) out.base.partitions.push_back(current);
+  if (exec.keep_audit_data) out.base.partitions.push_back(current);
   std::vector<std::int32_t> cluster_of(static_cast<std::size_t>(n), -1);
   std::vector<bool> is_center(static_cast<std::size_t>(n), false);
 
   for (int i = 0; i <= ell; ++i) {
     const double deg_i = sched.deg[static_cast<std::size_t>(i)];
     const Dist delta_i = sched.delta[static_cast<std::size_t>(i)];
-    const Dist rul_i = rul[static_cast<std::size_t>(i)];
+    const Dist rul_i = params.rul[static_cast<std::size_t>(i)];
     const std::int64_t cap =
         static_cast<std::int64_t>(std::ceil(deg_i - 1e-9)) + 1;
 
@@ -326,7 +326,7 @@ DistributedSpannerResult build_impl(const Graph& g, Vertex params_n,
     if (i < ell && !popular.empty()) {
       mark = net.stats().rounds;
       const RulingSet ruling =
-          congest::compute_ruling_set(net, popular, 2 * delta_i, ruling_base);
+          congest::compute_ruling_set(net, popular, 2 * delta_i, params.ruling_base);
       stats.rounds_ruling = net.stats().rounds - mark;
       prof_snap(i, "ruling");
 
@@ -339,7 +339,7 @@ DistributedSpannerResult build_impl(const Graph& g, Vertex params_n,
       mark = net.stats().rounds;
       MarkUpcastProgram upcast(n, forest, is_center, rul_i + delta_i,
                                out.base.h,
-                               keep_audit_data ? &out.base.edge_log : nullptr,
+                               exec.keep_audit_data ? &out.base.edge_log : nullptr,
                                i, stats.supercluster_edges);
       scheduler.run(upcast);
       stats.rounds_backtrack = net.stats().rounds - mark;
@@ -382,7 +382,7 @@ DistributedSpannerResult build_impl(const Graph& g, Vertex params_n,
     }
     mark = net.stats().rounds;
     PathMarksProgram marks(n, det, u_centers, delta_i, cap, out.base.h,
-                           keep_audit_data ? &out.base.edge_log : nullptr, i,
+                           exec.keep_audit_data ? &out.base.edge_log : nullptr, i,
                            stats.interconnect_edges);
     scheduler.run(marks);
     stats.rounds_interconnect = net.stats().rounds - mark;
@@ -398,7 +398,7 @@ DistributedSpannerResult build_impl(const Graph& g, Vertex params_n,
                    stats.rounds_interconnect;
     out.base.phases.push_back(stats);
     current = std::move(next);
-    if (keep_audit_data) out.base.partitions.push_back(current);
+    if (exec.keep_audit_data) out.base.partitions.push_back(current);
   }
 
   assert(current.empty());
@@ -409,22 +409,11 @@ DistributedSpannerResult build_impl(const Graph& g, Vertex params_n,
   return out;
 }
 
-}  // namespace
-
-DistributedSpannerResult build_spanner_congest(
-    const Graph& g, const SpannerParams& params, bool keep_audit_data,
-    int num_threads, const congest::TransportSpec& transport, bool profile) {
-  return build_impl(g, params.n, params.schedule, params.rul,
-                    params.ruling_base, keep_audit_data, num_threads,
-                    transport, profile);
-}
-
-DistributedSpannerResult build_spanner_congest_em19(
-    const Graph& g, const DistributedParams& params, bool keep_audit_data,
-    int num_threads, const congest::TransportSpec& transport, bool profile) {
-  return build_impl(g, params.n, params.schedule, params.rul,
-                    params.ruling_base, keep_audit_data, num_threads,
-                    transport, profile);
-}
+template DistributedBuildResult build_spanner_congest(const Graph&,
+                                                      const SpannerParams&,
+                                                      const ExecOptions&);
+template DistributedBuildResult build_spanner_congest(const Graph&,
+                                                      const DistributedParams&,
+                                                      const ExecOptions&);
 
 }  // namespace usne

@@ -18,48 +18,22 @@
 //     per edge per round.
 //
 // Both endpoints of every spanner edge trivially know it (it is their own
-// incident graph edge). Driven by SpannerParams (Corollary 4.4) or by
-// DistributedParams (the [EM19] baseline, for round-for-round comparison).
+// incident graph edge).
 
-#include "congest/network.hpp"
-#include "congest/transport.hpp"
 #include "core/cluster.hpp"
 #include "core/params.hpp"
 #include "graph/graph.hpp"
 
 namespace usne {
 
-struct DistributedSpannerResult {
-  BuildResult base;
-  congest::NetworkStats net;
-
-  /// Injected-event counters of the delivery model (all zero under Ideal).
-  congest::TransportCounters transport;
-
-  /// Construction profile: one entry per (phase, task) — "p0.detect",
-  /// "p0.ruling", ... — with the scheduler stage times that task accrued.
-  /// Empty unless `profile` was requested.
-  std::vector<congest::PhaseProfileEntry> profile;
-};
-
-/// §4 spanner (EN17a-style degree sequence) in CONGEST. `num_threads`
-/// selects the engine's parallel round fan-out (1 = serial, 0 = hardware
-/// concurrency); results are bit-for-bit identical for any value.
-/// `transport` selects the delivery model (congest/transport.hpp): Ideal
-/// (the default) is the classic synchronous semantics; Faulty/Async run
-/// the same fixed schedule over seeded drops/duplicates/latencies,
-/// deterministically for a fixed seed at any thread count.
-/// `profile` collects the per-task scheduler stage profile (measurement
-/// only; outputs and counts are bit-identical either way).
-DistributedSpannerResult build_spanner_congest(
-    const Graph& g, const SpannerParams& params, bool keep_audit_data = true,
-    int num_threads = 1, const congest::TransportSpec& transport = {},
-    bool profile = false);
-
-/// [EM19] baseline (§3 degree sequence) in CONGEST.
-DistributedSpannerResult build_spanner_congest_em19(
-    const Graph& g, const DistributedParams& params,
-    bool keep_audit_data = true, int num_threads = 1,
-    const congest::TransportSpec& transport = {}, bool profile = false);
+/// Runs the §4 spanner on a fresh Network over g. `Params` picks the
+/// degree sequence as in build_spanner: SpannerParams (Corollary 4.4) or
+/// DistributedParams (the [EM19] baseline). Reads exec.keep_audit_data,
+/// num_threads (outputs and counts are bit-identical for any value),
+/// transport and profile (scheduler stage times per (phase, task) into
+/// base.profile). `local` stays empty.
+template <typename Params>
+DistributedBuildResult build_spanner_congest(const Graph& g, const Params& params,
+                                             const ExecOptions& exec = {});
 
 }  // namespace usne

@@ -4,13 +4,12 @@
 // emulators (Elkin & Matar, PODC 2021) and everything around them.
 //
 // Typical entry points:
-//   * usne::build(g, BuildSpec)    — unified front door to every
-//     construction (api/build.hpp); usne::algorithms() enumerates them
+//   * usne::build(g, BuildSpec)    — the one way to build an emulator or
+//     spanner (api/build.hpp): Algorithm 1 (§2), the CONGEST and fast
+//     centralized emulators (§3), the §4 spanners and the baselines;
+//     usne::algorithms() enumerates them, usne::describe() documents one
 //   * CentralizedParams / DistributedParams / SpannerParams  (core/params.hpp)
-//   * build_emulator_centralized   — Algorithm 1 (§2)
-//   * build_emulator_fast          — fast centralized simulation (§3.3)
-//   * build_emulator_distributed   — CONGEST construction (§3.1)
-//   * build_spanner / build_spanner_congest — near-additive spanners (§4)
+//     — the schedules and computed (alpha, beta) guarantees behind them
 //   * serve::QueryEngine           — concurrent batched distance queries on
 //     any BuildOutput (sharded SSSP cache, reproducible workloads)
 //   * net::Server / net::Client    — TCP serving daemon around the engine
@@ -23,7 +22,6 @@
 // builds.
 
 #include "api/build.hpp"
-#include "baselines/em19_spanner.hpp"
 #include "baselines/en17_emulator.hpp"
 #include "baselines/ep01_emulator.hpp"
 #include "baselines/tz06_emulator.hpp"

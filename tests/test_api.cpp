@@ -1,8 +1,7 @@
-// Unified construction API (api/build.hpp): registry enumeration and
-// adapter equivalence. Every registered algorithm must produce a
-// BuildOutput whose edges and stats are bit-for-bit identical to calling
-// the corresponding legacy free function directly — the registry is a
-// dispatch layer, never a semantic one.
+// Unified construction API (api/build.hpp): registry enumeration, metadata,
+// the guarantee each deterministic name reports, and the ExecOptions/ParamSet
+// switches every registered name must honour. That each name reaches the
+// right builder is pinned by the h_digest pins of scripts/check.sh.
 
 #include "api/build.hpp"
 
@@ -10,16 +9,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
-#include "baselines/en17_emulator.hpp"
-#include "baselines/ep01_emulator.hpp"
-#include "baselines/tz06_emulator.hpp"
-#include "core/emulator_centralized.hpp"
-#include "core/emulator_distributed.hpp"
-#include "core/emulator_fast.hpp"
 #include "core/params.hpp"
-#include "core/spanner.hpp"
-#include "core/spanner_distributed.hpp"
 #include "graph/generators.hpp"
 
 namespace usne {
@@ -43,28 +35,47 @@ BuildSpec spec_for(const std::string& algo) {
   return spec;
 }
 
-void expect_same_graph(const WeightedGraph& got, const WeightedGraph& want) {
-  ASSERT_EQ(got.num_edges(), want.num_edges());
-  EXPECT_EQ(got.num_vertices(), want.num_vertices());
-  // edges() is in insertion order of first occurrence, so bit-for-bit
-  // adapters must match element-wise, not just as sets.
-  EXPECT_EQ(got.edges(), want.edges());
+// The (alpha, beta) guarantee and params description a deterministic name
+// must report, computed here from the parameter engine rather than read back
+// from the registry: Algorithm 1 and [EP01] take the §2 schedule, the §3
+// emulators and the [EM19] spanners the §3 degree sequence, the §4 spanners
+// their own.
+struct Guarantee {
+  double alpha = 0;
+  Dist beta = 0;
+  std::string description;
+};
+
+template <typename Params>
+Guarantee guarantee_of(const Params& p) {
+  return {p.schedule.alpha_bound(), p.schedule.beta_bound(), p.describe()};
 }
 
-void expect_matches_legacy(const BuildOutput& out, const BuildResult& legacy) {
-  expect_same_graph(out.h(), legacy.h);
-  ASSERT_EQ(out.result.phases.size(), legacy.phases.size());
-  for (std::size_t i = 0; i < legacy.phases.size(); ++i) {
-    EXPECT_EQ(out.result.phases[i].clusters_in, legacy.phases[i].clusters_in);
-    EXPECT_EQ(out.result.phases[i].popular, legacy.phases[i].popular);
-    EXPECT_EQ(out.result.phases[i].rounds, legacy.phases[i].rounds);
+Guarantee expected_guarantee(const std::string& name, Vertex n, bool rescale) {
+  if (name == "emulator_centralized" || name == "emulator_ep01") {
+    return guarantee_of(
+        rescale ? CentralizedParams::compute_rescaled(n, kKappa, kEps)
+                : CentralizedParams::compute(n, kKappa, kEps));
   }
-  EXPECT_EQ(out.result.total_rounds, legacy.total_rounds);
-  EXPECT_EQ(out.stats.at("edges"), legacy.h.num_edges());
-  EXPECT_EQ(out.stats.at("phases"),
-            static_cast<std::int64_t>(legacy.phases.size()));
-  EXPECT_EQ(out.stats.at("interconnect_edges"), legacy.interconnect_edges());
-  EXPECT_EQ(out.stats.at("supercluster_edges"), legacy.supercluster_edges());
+  if (name == "emulator_fast" || name == "emulator_congest" ||
+      name == "spanner_em19" || name == "spanner_congest_em19") {
+    return guarantee_of(
+        rescale ? DistributedParams::compute_rescaled(n, kKappa, kRho, kEps)
+                : DistributedParams::compute(n, kKappa, kRho, kEps));
+  }
+  if ((name == "spanner" || name == "spanner_congest") && !rescale) {
+    return guarantee_of(SpannerParams::compute(n, kKappa, kRho, kEps));
+  }
+  ADD_FAILURE() << "no expected guarantee for " << name
+                << (rescale ? " (rescaled)" : "");
+  return {};
+}
+
+void expect_guarantee(const BuildOutput& out, const Guarantee& want) {
+  EXPECT_TRUE(out.has_guarantee);
+  EXPECT_DOUBLE_EQ(out.alpha, want.alpha);
+  EXPECT_EQ(out.beta, want.beta);
+  EXPECT_EQ(out.params_description, want.description);
 }
 
 TEST(Registry, EnumeratesAllNineConstructions) {
@@ -129,7 +140,7 @@ TEST(Registry, EveryAlgorithmBuildsWithGuaranteeMetadata) {
               describe(name).model == "congest" ? 1u : 0u);
     EXPECT_EQ(out.distributed, describe(name).model == "congest");
     if (describe(name).deterministic) {
-      EXPECT_TRUE(out.has_guarantee);
+      expect_guarantee(out, expected_guarantee(name, g.num_vertices(), false));
       EXPECT_GE(out.alpha, 1.0);
       EXPECT_GT(out.beta, 0);
     } else {
@@ -143,165 +154,56 @@ TEST(Registry, EveryAlgorithmBuildsWithGuaranteeMetadata) {
   }
 }
 
-// --- adapter equivalence, one test per legacy entry point ---------------
-
-TEST(AdapterEquivalence, EmulatorCentralized) {
+// One pass over every registered name: the ExecOptions switches that must
+// leave H alone, and the rescale support matrix.
+TEST(Registry, ExecSwitchesKeepHAndRescaleFollowsDescribe) {
   const Graph g = test_graph();
-  const auto params = CentralizedParams::compute(kN, kKappa, kEps);
-  const auto legacy = build_emulator_centralized(g, params);
-  const auto out = build(g, spec_for("emulator_centralized"));
-  expect_matches_legacy(out, legacy);
-  EXPECT_DOUBLE_EQ(out.alpha, params.schedule.alpha_bound());
-  EXPECT_EQ(out.beta, params.schedule.beta_bound());
-  EXPECT_EQ(out.params_description, params.describe());
-}
+  for (const std::string& name : algorithms()) {
+    SCOPED_TRACE(name);
+    const AlgorithmInfo& info = describe(name);
+    const BuildOutput full = build(g, spec_for(name));
 
-TEST(AdapterEquivalence, EmulatorCentralizedRescaled) {
-  const Graph g = test_graph();
-  const auto params = CentralizedParams::compute_rescaled(kN, kKappa, kEps);
-  const auto legacy = build_emulator_centralized(g, params);
-  auto spec = spec_for("emulator_centralized");
-  spec.params.rescale = true;
-  const auto out = build(g, spec);
-  expect_matches_legacy(out, legacy);
-  EXPECT_LE(out.alpha, 1.0 + kEps);
-}
+    // Audit data: the builders that record snapshots and an edge log drop
+    // both without it, and build the same H.
+    auto lean_spec = spec_for(name);
+    lean_spec.exec.keep_audit_data = false;
+    const BuildOutput lean = build(g, lean_spec);
+    const bool records = name != "emulator_ep01" && name != "emulator_tz06" &&
+                         name != "emulator_en17";
+    EXPECT_EQ(full.result.partitions.empty(), !records);
+    EXPECT_EQ(full.result.edge_log.empty(), !records);
+    EXPECT_TRUE(lean.result.partitions.empty());
+    EXPECT_TRUE(lean.result.edge_log.empty());
+    EXPECT_EQ(lean.h().edges(), full.h().edges());
+    EXPECT_EQ(lean.stats, full.stats);
 
-TEST(AdapterEquivalence, EmulatorFast) {
-  const Graph g = test_graph();
-  const auto params = DistributedParams::compute(kN, kKappa, kRho, kEps);
-  const auto legacy = build_emulator_fast(g, params);
-  const auto out = build(g, spec_for("emulator_fast"));
-  expect_matches_legacy(out, legacy);
-}
+    // Profiling: measurement only. The CONGEST builders report scheduler
+    // stages, emulator_fast and the centralized spanners wall time; the
+    // rest record nothing.
+    auto profiled_spec = spec_for(name);
+    profiled_spec.exec.profile = true;
+    const BuildOutput profiled = build(g, profiled_spec);
+    const bool profiles = info.model == "congest" || name == "emulator_fast" ||
+                          name == "spanner" || name == "spanner_em19";
+    EXPECT_TRUE(full.profile.empty());
+    EXPECT_EQ(profiled.profile.empty(), !profiles);
+    EXPECT_EQ(profiled.h().edges(), full.h().edges());
+    EXPECT_EQ(profiled.stats, full.stats);
 
-TEST(AdapterEquivalence, EmulatorCongestIncludingNetCounts) {
-  const Graph g = test_graph();
-  const auto params = DistributedParams::compute(kN, kKappa, kRho, kEps);
-  const auto legacy = build_emulator_distributed(g, params);
-  const auto out = build(g, spec_for("emulator_congest"));
-  expect_matches_legacy(out, legacy.base);
-  // The DistributedBuildResult round/message/word counts, bit-for-bit.
-  EXPECT_EQ(out.net.rounds, legacy.net.rounds);
-  EXPECT_EQ(out.net.messages, legacy.net.messages);
-  EXPECT_EQ(out.net.words, legacy.net.words);
-  EXPECT_EQ(out.stats.at("rounds"), legacy.net.rounds);
-  EXPECT_EQ(out.stats.at("messages"), legacy.net.messages);
-  EXPECT_EQ(out.stats.at("words"), legacy.net.words);
-  // Per-node local knowledge rides along unchanged.
-  EXPECT_EQ(out.local, legacy.local);
-  EXPECT_EQ(out.endpoints_consistent(), legacy.endpoints_consistent());
-}
-
-TEST(AdapterEquivalence, EmulatorCongestParallelEnginesAgree) {
-  const Graph g = test_graph();
-  const auto serial = build(g, spec_for("emulator_congest"));
-  auto spec = spec_for("emulator_congest");
-  spec.exec.num_threads = 2;
-  const auto parallel = build(g, spec);
-  EXPECT_EQ(parallel.net.rounds, serial.net.rounds);
-  EXPECT_EQ(parallel.net.messages, serial.net.messages);
-  EXPECT_EQ(parallel.net.words, serial.net.words);
-  expect_same_graph(parallel.h(), serial.h());
-}
-
-TEST(AdapterEquivalence, EmulatorCongestHubThresholdForwarded) {
-  const Graph g = test_graph();
-  const auto params = DistributedParams::compute(kN, kKappa, kRho, kEps);
-  DistributedOptions o;
-  o.hub_threshold_factor = 3;
-  const auto legacy = build_emulator_distributed(g, params, o);
-  auto spec = spec_for("emulator_congest");
-  spec.exec.hub_threshold_factor = 3;
-  const auto out = build(g, spec);
-  EXPECT_EQ(out.net.rounds, legacy.net.rounds);
-  EXPECT_EQ(out.net.messages, legacy.net.messages);
-  expect_same_graph(out.h(), legacy.base.h);
-}
-
-TEST(AdapterEquivalence, Spanner) {
-  const Graph g = test_graph();
-  const auto params = SpannerParams::compute(kN, kKappa, kRho, kEps);
-  const auto legacy = build_spanner(g, params);
-  const auto out = build(g, spec_for("spanner"));
-  expect_matches_legacy(out, legacy);
-  EXPECT_TRUE(is_subgraph(out.h(), g));
-}
-
-TEST(AdapterEquivalence, SpannerCongest) {
-  const Graph g = test_graph();
-  const auto params = SpannerParams::compute(kN, kKappa, kRho, kEps);
-  const auto legacy = build_spanner_congest(g, params);
-  const auto out = build(g, spec_for("spanner_congest"));
-  expect_matches_legacy(out, legacy.base);
-  EXPECT_EQ(out.net.rounds, legacy.net.rounds);
-  EXPECT_EQ(out.net.messages, legacy.net.messages);
-  EXPECT_EQ(out.net.words, legacy.net.words);
-}
-
-TEST(AdapterEquivalence, SpannerEm19) {
-  const Graph g = test_graph();
-  const auto params = DistributedParams::compute(kN, kKappa, kRho, kEps);
-  const auto legacy = build_spanner_em19(g, params);
-  const auto out = build(g, spec_for("spanner_em19"));
-  expect_matches_legacy(out, legacy);
-}
-
-TEST(AdapterEquivalence, SpannerCongestEm19) {
-  const Graph g = test_graph();
-  const auto params = DistributedParams::compute(kN, kKappa, kRho, kEps);
-  const auto legacy = build_spanner_congest_em19(g, params);
-  const auto out = build(g, spec_for("spanner_congest_em19"));
-  expect_matches_legacy(out, legacy.base);
-  EXPECT_EQ(out.net.rounds, legacy.net.rounds);
-  EXPECT_EQ(out.net.messages, legacy.net.messages);
-  EXPECT_EQ(out.net.words, legacy.net.words);
-}
-
-TEST(AdapterEquivalence, EmulatorEp01) {
-  const Graph g = test_graph();
-  const auto params = CentralizedParams::compute(kN, kKappa, kEps);
-  const auto legacy = build_emulator_ep01(g, params);
-  const auto out = build(g, spec_for("emulator_ep01"));
-  expect_matches_legacy(out, legacy);
-}
-
-TEST(AdapterEquivalence, EmulatorTz06SameSeedSameOutput) {
-  const Graph g = test_graph();
-  const auto legacy = build_emulator_tz06(g, kN, kKappa, kSeed);
-  const auto out = build(g, spec_for("emulator_tz06"));
-  expect_matches_legacy(out, legacy);
-}
-
-TEST(AdapterEquivalence, EmulatorEn17SameSeedSameOutput) {
-  const Graph g = test_graph();
-  const auto legacy = build_emulator_en17(g, kN, kKappa, kEps, kSeed);
-  const auto out = build(g, spec_for("emulator_en17"));
-  expect_matches_legacy(out, legacy);
-}
-
-TEST(AdapterEquivalence, AuditDataGatedByExecOptions) {
-  const Graph g = test_graph();
-  auto spec = spec_for("emulator_centralized");
-  spec.exec.keep_audit_data = true;
-  const auto with = build(g, spec);
-  spec.exec.keep_audit_data = false;
-  const auto without = build(g, spec);
-  EXPECT_FALSE(with.result.partitions.empty());
-  EXPECT_FALSE(with.result.edge_log.empty());
-  EXPECT_TRUE(without.result.partitions.empty());
-  EXPECT_TRUE(without.result.edge_log.empty());
-  expect_same_graph(without.h(), with.h());
-}
-
-TEST(AdapterEquivalence, ExplicitNOverridesGraphSize) {
-  const Graph g = test_graph();
-  auto spec = spec_for("emulator_centralized");
-  spec.params.n = g.num_vertices();  // explicit == inferred
-  const auto explicit_n = build(g, spec);
-  spec.params.n = 0;
-  const auto inferred = build(g, spec);
-  expect_same_graph(explicit_n.h(), inferred.h());
+    // Rescaling: rejected where unsupported, a true (1 + eps) emulator or
+    // spanner with the rescaled schedule's guarantee where supported.
+    auto rescaled = spec_for(name);
+    rescaled.params.rescale = true;
+    if (info.supports_rescale) {
+      const BuildOutput out = build(g, rescaled);
+      EXPECT_LE(out.alpha, 1.0 + kEps);
+      if (info.deterministic) {
+        expect_guarantee(out, expected_guarantee(name, g.num_vertices(), true));
+      }
+    } else {
+      EXPECT_THROW(build(g, rescaled), std::invalid_argument);
+    }
+  }
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "api/build.hpp"
 #include "core/audit.hpp"
-#include "core/emulator_centralized.hpp"
 #include "core/params.hpp"
 #include "graph/generators.hpp"
 
@@ -17,7 +17,9 @@ class AuditInjection : public ::testing::Test {
   void SetUp() override {
     graph_ = gen_connected_gnm(150, 450, 7);
     params_ = CentralizedParams::compute(150, 4, 0.25);
-    result_ = build_emulator_centralized(graph_, params_);
+    result_ = build(graph_, {.algorithm = "emulator_centralized",
+                             .params = {.kappa = 4, .eps = 0.25}})
+                  .result;
     ASSERT_TRUE(audit_all(result_, graph_, params_.schedule, 4, true).ok());
   }
 
@@ -152,11 +154,10 @@ TEST_F(AuditInjection, ReportsAreDescriptive) {
 
 TEST(AuditStandalone, MissingAuditDataReported) {
   const Graph g = gen_path(50);
-  const auto params = CentralizedParams::compute(50, 4, 0.25);
-  CentralizedOptions options;
-  options.keep_audit_data = false;
-  const auto r = build_emulator_centralized(g, params, options);
-  const auto report = audit_partitions(r, 50);
+  const auto r = build(g, {.algorithm = "emulator_centralized",
+                           .params = {.kappa = 4, .eps = 0.25},
+                           .exec = {.keep_audit_data = false}});
+  const auto report = audit_partitions(r.result, 50);
   EXPECT_FALSE(report.ok());  // snapshots absent -> explicit failure
 }
 

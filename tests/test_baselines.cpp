@@ -5,12 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/en17_emulator.hpp"
+#include <stdexcept>
+
+#include "api/build.hpp"
 #include "baselines/ep01_emulator.hpp"
-#include "baselines/tz06_emulator.hpp"
 #include "core/audit.hpp"
-#include "core/emulator_centralized.hpp"
-#include "core/params.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
 #include "path/bfs.hpp"
@@ -19,10 +18,19 @@
 namespace usne {
 namespace {
 
+/// Builds `algorithm` with eps 0.25; the seed reaches the randomized
+/// baselines (tz06, en17) only.
+BuildResult run(const Graph& g, const char* algorithm, int kappa,
+                std::uint64_t seed = 1) {
+  return build(g, {.algorithm = algorithm,
+                   .params = {.kappa = kappa, .eps = 0.25},
+                   .exec = {.seed = seed}})
+      .result;
+}
+
 TEST(Ep01Baseline, ValidEmulatorWeights) {
   const Graph g = gen_connected_gnm(200, 600, 3);
-  const auto params = CentralizedParams::compute(200, 4, 0.25);
-  const auto r = build_emulator_ep01(g, params);
+  const auto r = run(g, "emulator_ep01", 4);
   const auto report = audit_edge_weights(r, g, /*exact=*/false);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
@@ -32,9 +40,8 @@ TEST(Ep01Baseline, PaysGroundPartitionOverhead) {
   // its SAI edges. Our Algorithm 1 on the same input never exceeds
   // n^(1+1/kappa), while EP01's total must exceed the forest size alone.
   const Graph g = gen_connected_gnm(400, 1200, 7);
-  const auto params = CentralizedParams::compute(400, 8, 0.25);
-  const auto ep01 = build_emulator_ep01(g, params);
-  const auto ours = build_emulator_centralized(g, params);
+  const auto ep01 = run(g, "emulator_ep01", 8);
+  const auto ours = run(g, "emulator_centralized", 8);
 
   EXPECT_GE(ep01.phases.back().supercluster_edges, 399);  // the forest
   EXPECT_LE(ours.h.num_edges(), size_bound_edges(400, 8));
@@ -45,8 +52,7 @@ TEST(Ep01Baseline, GroundForestMakesDistancesFinite) {
   // With the ground forest, the EP01 emulator connects everything the
   // graph connects.
   const Graph g = gen_connected_gnm(150, 450, 9);
-  const auto params = CentralizedParams::compute(150, 4, 0.25);
-  const auto r = build_emulator_ep01(g, params);
+  const auto r = run(g, "emulator_ep01", 4);
   const auto report = evaluate_stretch_exact(g, r.h, 1e18, kInfDist / 2);
   EXPECT_EQ(report.underruns, 0);
   // Every connected pair is connected in H (no infinite multiplicative
@@ -54,27 +60,35 @@ TEST(Ep01Baseline, GroundForestMakesDistancesFinite) {
   EXPECT_LT(report.max_mult, 1e17);
 }
 
+TEST(Ep01Baseline, MismatchedParamsRejected) {
+  // A schedule for another n is an error, as in the other builders, not a
+  // build with the wrong degree thresholds.
+  const Graph g = gen_path(10);
+  const auto params = CentralizedParams::compute(99, 4, 0.25);
+  EXPECT_THROW(build_emulator_ep01(g, params), std::invalid_argument);
+}
+
 TEST(Tz06Baseline, ValidEmulatorWeights) {
   const Graph g = gen_connected_gnm(200, 600, 5);
-  const auto r = build_emulator_tz06(g, 200, 4, 99);
+  const auto r = run(g, "emulator_tz06", 4, 99);
   const auto report = audit_edge_weights(r, g, /*exact=*/false);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(Tz06Baseline, SeedChangesOutput) {
   const Graph g = gen_connected_gnm(300, 900, 5);
-  const auto a = build_emulator_tz06(g, 300, 4, 1);
-  const auto b = build_emulator_tz06(g, 300, 4, 2);
+  const auto a = run(g, "emulator_tz06", 4, 1);
+  const auto b = run(g, "emulator_tz06", 4, 2);
   // Randomized construction: different seeds give different emulators
   // (same seed gives identical ones).
-  const auto a2 = build_emulator_tz06(g, 300, 4, 1);
+  const auto a2 = run(g, "emulator_tz06", 4, 1);
   EXPECT_EQ(a.h.edges(), a2.h.edges());
   EXPECT_NE(a.h.edges(), b.h.edges());
 }
 
 TEST(Tz06Baseline, ConnectsLikeTheGraph) {
   const Graph g = gen_connected_gnm(150, 450, 8);
-  const auto r = build_emulator_tz06(g, 150, 4, 3);
+  const auto r = run(g, "emulator_tz06", 4, 3);
   const auto report = evaluate_stretch_exact(g, r.h, 1e18, kInfDist / 2);
   EXPECT_EQ(report.underruns, 0);
   EXPECT_LT(report.max_mult, 1e17);  // every connected pair reachable in H
@@ -82,15 +96,15 @@ TEST(Tz06Baseline, ConnectsLikeTheGraph) {
 
 TEST(En17Baseline, ValidEmulatorWeights) {
   const Graph g = gen_connected_gnm(200, 600, 13);
-  const auto r = build_emulator_en17(g, 200, 8, 0.25, 7);
+  const auto r = run(g, "emulator_en17", 8, 7);
   const auto report = audit_edge_weights(r, g, /*exact=*/false);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(En17Baseline, ReproducibleGivenSeed) {
   const Graph g = gen_connected_gnm(200, 600, 13);
-  const auto a = build_emulator_en17(g, 200, 8, 0.25, 7);
-  const auto b = build_emulator_en17(g, 200, 8, 0.25, 7);
+  const auto a = run(g, "emulator_en17", 8, 7);
+  const auto b = run(g, "emulator_en17", 8, 7);
   EXPECT_EQ(a.h.edges(), b.h.edges());
 }
 
@@ -101,11 +115,9 @@ TEST(Baselines, OursIsSparsestAtLargeKappa) {
   const Vertex n = 512;
   const Graph g = gen_connected_gnm(n, 2048, 31);
   const int kappa = 9;  // = log2(512)
-  const auto params = CentralizedParams::compute(n, kappa, 0.25);
-
-  const auto ours = build_emulator_centralized(g, params);
-  const auto ep01 = build_emulator_ep01(g, params);
-  const auto tz06 = build_emulator_tz06(g, n, kappa, 5);
+  const auto ours = run(g, "emulator_centralized", kappa);
+  const auto ep01 = run(g, "emulator_ep01", kappa);
+  const auto tz06 = run(g, "emulator_tz06", kappa, 5);
 
   EXPECT_LE(ours.h.num_edges(), size_bound_edges(n, kappa));
   EXPECT_LT(ours.h.num_edges(), ep01.h.num_edges());

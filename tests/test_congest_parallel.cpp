@@ -16,15 +16,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "api/build.hpp"
 #include "congest/bfs_forest.hpp"
 #include "congest/detect.hpp"
 #include "congest/engine.hpp"
 #include "congest/flood.hpp"
 #include "congest/network.hpp"
 #include "congest/ruling_set.hpp"
-#include "core/emulator_distributed.hpp"
-#include "core/params.hpp"
-#include "core/spanner_distributed.hpp"
 #include "graph/generators.hpp"
 
 namespace usne {
@@ -181,14 +179,13 @@ TEST(ParallelDeterminism, EmulatorE4Workloads) {
                            Workload{"torus", 256}, Workload{"ba", 256},
                            Workload{"caveman", 256}}) {
     const Graph g = gen_family(w.family, w.n, 2024);
-    const auto params =
-        DistributedParams::compute(g.num_vertices(), 4, 0.49, 0.4);
-    DistributedBuildResult expected;
+    BuildSpec spec{.algorithm = "emulator_congest",
+                   .params = {.kappa = 4, .eps = 0.4, .rho = 0.49},
+                   .exec = {.keep_audit_data = false}};
+    BuildOutput expected;
     for (const int threads : kThreadCounts) {
-      DistributedOptions options;
-      options.keep_audit_data = false;
-      options.num_threads = threads;
-      DistributedBuildResult r = build_emulator_distributed(g, params, options);
+      spec.exec.num_threads = threads;
+      BuildOutput r = build(g, spec);
       EXPECT_TRUE(r.endpoints_consistent())
           << w.family << " n=" << w.n << " threads=" << threads;
       if (threads == 1) {
@@ -197,12 +194,13 @@ TEST(ParallelDeterminism, EmulatorE4Workloads) {
       }
       // Bit-for-bit: same edges in the same insertion order, same traffic,
       // same per-node knowledge.
-      EXPECT_EQ(expected.base.h.edges(), r.base.h.edges())
+      EXPECT_EQ(expected.h().edges(), r.h().edges())
           << w.family << " n=" << w.n << " threads=" << threads;
-      EXPECT_EQ(expected.base.u_level, r.base.u_level);
-      EXPECT_EQ(expected.base.u_center, r.base.u_center);
-      EXPECT_EQ(expected.base.total_rounds, r.base.total_rounds);
+      EXPECT_EQ(expected.result.u_level, r.result.u_level);
+      EXPECT_EQ(expected.result.u_center, r.result.u_center);
+      EXPECT_EQ(expected.result.total_rounds, r.result.total_rounds);
       EXPECT_EQ(expected.local, r.local);
+      EXPECT_EQ(expected.stats, r.stats);
       expect_same_stats(expected.net, r.net, threads);
     }
   }
@@ -210,20 +208,26 @@ TEST(ParallelDeterminism, EmulatorE4Workloads) {
 
 TEST(ParallelDeterminism, SpannerConstruction) {
   const Graph g = gen_family("er", 256, 2024);
-  const auto params = SpannerParams::compute(g.num_vertices(), 4, 0.49, 0.4);
-  DistributedSpannerResult expected;
-  for (const int threads : kThreadCounts) {
-    DistributedSpannerResult r =
-        build_spanner_congest(g, params, /*keep_audit_data=*/false, threads);
-    if (threads == 1) {
-      expected = std::move(r);
-      continue;
+  // Both degree sequences: the paper's spanner and the [EM19] baseline.
+  for (const char* algorithm : {"spanner_congest", "spanner_congest_em19"}) {
+    BuildSpec spec{.algorithm = algorithm,
+                   .params = {.kappa = 4, .eps = 0.4, .rho = 0.49},
+                   .exec = {.keep_audit_data = false}};
+    BuildOutput expected;
+    for (const int threads : kThreadCounts) {
+      spec.exec.num_threads = threads;
+      BuildOutput r = build(g, spec);
+      if (threads == 1) {
+        expected = std::move(r);
+        continue;
+      }
+      EXPECT_EQ(expected.h().edges(), r.h().edges())
+          << algorithm << " threads=" << threads;
+      EXPECT_EQ(expected.result.u_level, r.result.u_level);
+      EXPECT_EQ(expected.result.u_center, r.result.u_center);
+      EXPECT_EQ(expected.stats, r.stats);
+      expect_same_stats(expected.net, r.net, threads);
     }
-    EXPECT_EQ(expected.base.h.edges(), r.base.h.edges())
-        << "threads=" << threads;
-    EXPECT_EQ(expected.base.u_level, r.base.u_level);
-    EXPECT_EQ(expected.base.u_center, r.base.u_center);
-    expect_same_stats(expected.net, r.net, threads);
   }
 }
 

@@ -22,9 +22,6 @@
 #include "congest/network.hpp"
 #include "congest/ruling_set.hpp"
 #include "congest/transport.hpp"
-#include "core/emulator_distributed.hpp"
-#include "core/params.hpp"
-#include "core/spanner_distributed.hpp"
 #include "graph/generators.hpp"
 #include "serve/query_engine.hpp"
 
@@ -60,6 +57,16 @@ TransportSpec async_spec(std::int64_t latency_max, std::uint64_t seed = 7) {
   spec.seed = seed;
   spec.latency_max = latency_max;
   return spec;
+}
+
+/// The E4 smoke build (er n = 128 settings) of a CONGEST algorithm.
+BuildSpec congest_spec(const char* algorithm, const TransportSpec& transport = {},
+                       int threads = 1) {
+  return {.algorithm = algorithm,
+          .params = {.kappa = 4, .eps = 0.4, .rho = 0.49},
+          .exec = {.num_threads = threads,
+                   .keep_audit_data = false,
+                   .transport = transport}};
 }
 
 void expect_same_stats(const NetworkStats& expected, const NetworkStats& got) {
@@ -274,27 +281,23 @@ TEST(IdealParity, PrimitivesMatchLegacyPathExactly) {
   expect_same_stats(legacy.stats(), explicit_ideal.stats());
 }
 
-TEST(IdealParity, ConstructionsMatchLegacyPathExactly) {
+TEST(IdealParity, ConstructionsMatchDefaultTransportExactly) {
   const Graph g = gen_family("er", 128, 2024);
 
-  const auto eparams = DistributedParams::compute(g.num_vertices(), 4, 0.49, 0.4);
-  DistributedOptions legacy_opts;
-  legacy_opts.keep_audit_data = false;
-  const auto e1 = build_emulator_distributed(g, eparams, legacy_opts);
-  DistributedOptions ideal_opts = legacy_opts;
-  ideal_opts.transport = TransportSpec{};
-  const auto e2 = build_emulator_distributed(g, eparams, ideal_opts);
-  EXPECT_EQ(e1.base.h.edges(), e2.base.h.edges());
+  BuildSpec spec = congest_spec("emulator_congest");
+  spec.exec.transport = {};
+  const auto e1 = build(g, congest_spec("emulator_congest"));
+  const auto e2 = build(g, spec);
+  EXPECT_EQ(e1.h().edges(), e2.h().edges());
   EXPECT_EQ(e1.local, e2.local);
   expect_same_stats(e1.net, e2.net);
   EXPECT_EQ(e2.transport.dropped, 0);
   EXPECT_EQ(e2.transport.duplicated, 0);
   EXPECT_EQ(e2.transport.delayed, 0);
 
-  const auto sparams = SpannerParams::compute(g.num_vertices(), 4, 0.49, 0.4);
-  const auto s1 = build_spanner_congest(g, sparams, false, 1);
-  const auto s2 = build_spanner_congest(g, sparams, false, 1, TransportSpec{});
-  EXPECT_EQ(s1.base.h.edges(), s2.base.h.edges());
+  const auto s1 = build(g, congest_spec("spanner_congest"));
+  const auto s2 = build(g, congest_spec("spanner_congest", TransportSpec{}));
+  EXPECT_EQ(s1.h().edges(), s2.h().edges());
   expect_same_stats(s1.net, s2.net);
 }
 
@@ -302,89 +305,56 @@ TEST(IdealParity, ConstructionsMatchLegacyPathExactly) {
 
 TEST(DegenerateTransports, ZeroRateFaultyAndUnitLatencyAsyncEqualIdeal) {
   const Graph g = gen_family("er", 128, 2024);
-  const auto params = DistributedParams::compute(g.num_vertices(), 4, 0.49, 0.4);
 
-  DistributedOptions opts;
-  opts.keep_audit_data = false;
-  const auto ideal = build_emulator_distributed(g, params, opts);
-
-  opts.transport = faulty_spec(0.0, 0.0);
-  const auto faulty0 = build_emulator_distributed(g, params, opts);
-  EXPECT_EQ(ideal.base.h.edges(), faulty0.base.h.edges());
+  const auto ideal = build(g, congest_spec("emulator_congest"));
+  const auto faulty0 =
+      build(g, congest_spec("emulator_congest", faulty_spec(0.0, 0.0)));
+  EXPECT_EQ(ideal.h().edges(), faulty0.h().edges());
   EXPECT_EQ(ideal.local, faulty0.local);
   expect_same_stats(ideal.net, faulty0.net);
   EXPECT_EQ(faulty0.transport.dropped, 0);
   EXPECT_EQ(faulty0.transport.duplicated, 0);
 
-  opts.transport = async_spec(1);
-  const auto async1 = build_emulator_distributed(g, params, opts);
-  EXPECT_EQ(ideal.base.h.edges(), async1.base.h.edges());
+  const auto async1 = build(g, congest_spec("emulator_congest", async_spec(1)));
+  EXPECT_EQ(ideal.h().edges(), async1.h().edges());
   EXPECT_EQ(ideal.local, async1.local);
   expect_same_stats(ideal.net, async1.net);
   EXPECT_EQ(async1.transport.delayed, 0);
 
-  const auto sparams = SpannerParams::compute(g.num_vertices(), 4, 0.49, 0.4);
-  const auto sideal = build_spanner_congest(g, sparams, false, 1);
+  const auto sideal = build(g, congest_spec("spanner_congest"));
   const auto sfaulty0 =
-      build_spanner_congest(g, sparams, false, 1, faulty_spec(0.0, 0.0));
-  const auto sasync1 =
-      build_spanner_congest(g, sparams, false, 1, async_spec(1));
-  EXPECT_EQ(sideal.base.h.edges(), sfaulty0.base.h.edges());
-  EXPECT_EQ(sideal.base.h.edges(), sasync1.base.h.edges());
+      build(g, congest_spec("spanner_congest", faulty_spec(0.0, 0.0)));
+  const auto sasync1 = build(g, congest_spec("spanner_congest", async_spec(1)));
+  EXPECT_EQ(sideal.h().edges(), sfaulty0.h().edges());
+  EXPECT_EQ(sideal.h().edges(), sasync1.h().edges());
   expect_same_stats(sideal.net, sfaulty0.net);
   expect_same_stats(sideal.net, sasync1.net);
 }
 
 // --- determinism at 1/2/8 threads under non-ideal transports ----------------
 
-TEST(TransportDeterminism, EmulatorUnderFaultyAndAsyncAcrossThreads) {
+TEST(TransportDeterminism, ConstructionsUnderFaultyAndAsyncAcrossThreads) {
   const Graph g = gen_family("er", 128, 2024);
-  const auto params = DistributedParams::compute(g.num_vertices(), 4, 0.49, 0.4);
-  for (const TransportSpec& transport :
-       {faulty_spec(0.05, 0.02), async_spec(4)}) {
-    DistributedBuildResult expected;
-    for (const int threads : kThreadCounts) {
-      DistributedOptions options;
-      options.keep_audit_data = false;
-      options.num_threads = threads;
-      options.transport = transport;
-      DistributedBuildResult r = build_emulator_distributed(g, params, options);
-      if (threads == 1) {
-        expected = std::move(r);
-        continue;
+  for (const char* algorithm : {"emulator_congest", "spanner_congest"}) {
+    for (const TransportSpec& transport :
+         {faulty_spec(0.05, 0.02), async_spec(4)}) {
+      BuildOutput expected;
+      for (const int threads : kThreadCounts) {
+        BuildOutput r = build(g, congest_spec(algorithm, transport, threads));
+        if (threads == 1) {
+          expected = std::move(r);
+          continue;
+        }
+        SCOPED_TRACE(std::string(algorithm) + " threads=" +
+                     std::to_string(threads));
+        EXPECT_EQ(expected.h().edges(), r.h().edges());
+        EXPECT_EQ(expected.local, r.local);
+        expect_same_stats(expected.net, r.net);
+        EXPECT_EQ(expected.transport.dropped, r.transport.dropped);
+        EXPECT_EQ(expected.transport.duplicated, r.transport.duplicated);
+        EXPECT_EQ(expected.transport.delayed, r.transport.delayed);
+        EXPECT_EQ(expected.transport.delay_rounds, r.transport.delay_rounds);
       }
-      EXPECT_EQ(expected.base.h.edges(), r.base.h.edges())
-          << "threads=" << threads;
-      EXPECT_EQ(expected.local, r.local) << "threads=" << threads;
-      expect_same_stats(expected.net, r.net);
-      EXPECT_EQ(expected.transport.dropped, r.transport.dropped);
-      EXPECT_EQ(expected.transport.duplicated, r.transport.duplicated);
-      EXPECT_EQ(expected.transport.delayed, r.transport.delayed);
-      EXPECT_EQ(expected.transport.delay_rounds, r.transport.delay_rounds);
-    }
-  }
-}
-
-TEST(TransportDeterminism, SpannerUnderFaultyAndAsyncAcrossThreads) {
-  const Graph g = gen_family("er", 128, 2024);
-  const auto params = SpannerParams::compute(g.num_vertices(), 4, 0.49, 0.4);
-  for (const TransportSpec& transport :
-       {faulty_spec(0.05, 0.02), async_spec(4)}) {
-    DistributedSpannerResult expected;
-    for (const int threads : kThreadCounts) {
-      DistributedSpannerResult r =
-          build_spanner_congest(g, params, false, threads, transport);
-      if (threads == 1) {
-        expected = std::move(r);
-        continue;
-      }
-      EXPECT_EQ(expected.base.h.edges(), r.base.h.edges())
-          << "threads=" << threads;
-      expect_same_stats(expected.net, r.net);
-      EXPECT_EQ(expected.transport.dropped, r.transport.dropped);
-      EXPECT_EQ(expected.transport.duplicated, r.transport.duplicated);
-      EXPECT_EQ(expected.transport.delayed, r.transport.delayed);
-      EXPECT_EQ(expected.transport.delay_rounds, r.transport.delay_rounds);
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "api/build.hpp"
 #include "core/audit.hpp"
 #include "core/emulator_centralized.hpp"
 #include "core/params.hpp"
@@ -21,31 +22,30 @@
 namespace usne {
 namespace {
 
-BuildResult build(const Graph& g, int kappa, double eps,
-                  CentralizedOptions options = {}) {
-  const auto params = CentralizedParams::compute(g.num_vertices(), kappa, eps);
-  return build_emulator_centralized(g, params, options);
+BuildOutput algorithm1(const Graph& g, int kappa, double eps) {
+  return build(g, {.algorithm = "emulator_centralized",
+                   .params = {.kappa = kappa, .eps = eps}});
 }
 
 TEST(EmulatorCentralized, TinyGraphs) {
   // n = 0, 1, 2: trivial but must not crash and must satisfy the size
   // bound.
-  EXPECT_EQ(build(GraphBuilder(0).build(), 4, 0.25).h.num_edges(), 0);
-  EXPECT_EQ(build(GraphBuilder(1).build(), 4, 0.25).h.num_edges(), 0);
+  EXPECT_EQ(algorithm1(GraphBuilder(0).build(), 4, 0.25).h().num_edges(), 0);
+  EXPECT_EQ(algorithm1(GraphBuilder(1).build(), 4, 0.25).h().num_edges(), 0);
   GraphBuilder b2(2);
   b2.add_edge(0, 1);
-  const auto r2 = build(b2.build(), 4, 0.25);
-  EXPECT_EQ(r2.h.num_edges(), 1);
-  EXPECT_EQ(r2.h.edge_weight(0, 1), 1);
+  const auto r2 = algorithm1(b2.build(), 4, 0.25);
+  EXPECT_EQ(r2.h().num_edges(), 1);
+  EXPECT_EQ(r2.h().edge_weight(0, 1), 1);
 }
 
 TEST(EmulatorCentralized, KappaOneIsGraphItself) {
   // kappa = 1: ell = 0, deg_0 = n, nothing is ever popular, delta_0 = 1:
   // the emulator is exactly G.
   const Graph g = gen_connected_gnm(60, 150, 3);
-  const auto r = build(g, 1, 0.25);
-  EXPECT_EQ(r.h.num_edges(), g.num_edges());
-  for (const Edge& e : g.edges()) EXPECT_EQ(r.h.edge_weight(e.u, e.v), 1);
+  const auto r = algorithm1(g, 1, 0.25);
+  EXPECT_EQ(r.h().num_edges(), g.num_edges());
+  for (const Edge& e : g.edges()) EXPECT_EQ(r.h().edge_weight(e.u, e.v), 1);
 }
 
 TEST(EmulatorCentralized, StarOrderDependence) {
@@ -56,19 +56,16 @@ TEST(EmulatorCentralized, StarOrderDependence) {
   const Graph star = gen_star(n);
   const auto params = CentralizedParams::compute(n, 4, 0.25);
 
-  CentralizedOptions first;
-  first.processing_order = {0};
-  const auto r_first = build_emulator_centralized(star, params, first);
+  // The processing order is a hook of the builder, not of BuildSpec.
+  const auto r_first = build_emulator_centralized(star, params, {}, {0});
   // Center considered first: phase 0 forms one supercluster holding all.
   EXPECT_EQ(r_first.phases[0].popular, 1);
   EXPECT_EQ(r_first.phases[0].clusters_out, 1);
 
-  CentralizedOptions last;
-  last.processing_order.resize(static_cast<std::size_t>(n));
-  std::iota(last.processing_order.begin(), last.processing_order.end(), 0);
-  std::rotate(last.processing_order.begin(), last.processing_order.begin() + 1,
-              last.processing_order.end());  // 1, 2, ..., n-1, 0
-  const auto r_last = build_emulator_centralized(star, params, last);
+  std::vector<Vertex> last(static_cast<std::size_t>(n));
+  std::iota(last.begin(), last.end(), 0);
+  std::rotate(last.begin(), last.begin() + 1, last.end());  // 1, 2, ..., n-1, 0
+  const auto r_last = build_emulator_centralized(star, params, {}, last);
   // All leaves are unpopular (their only neighbour is the center, 1 <
   // deg_0); by the time 0 is considered, every leaf is in U_0 — but the
   // leaves remain in S_0 u N_0 only until popped, so 0 sees none left...
@@ -90,24 +87,24 @@ TEST(EmulatorCentralized, SizeBoundLeadingConstantOne) {
   // The headline: |H| <= n^(1+1/kappa), not c * n^(1+1/kappa).
   for (const int kappa : {2, 3, 4, 8}) {
     const Graph g = gen_connected_gnm(400, 1600, 7);
-    const auto r = build(g, kappa, 0.25);
-    EXPECT_LE(r.h.num_edges(), size_bound_edges(400, kappa)) << "kappa " << kappa;
+    const auto r = algorithm1(g, kappa, 0.25);
+    EXPECT_LE(r.h().num_edges(), size_bound_edges(400, kappa)) << "kappa " << kappa;
   }
 }
 
 TEST(EmulatorCentralized, WeightsAreExactDistances) {
   const Graph g = gen_connected_gnm(200, 500, 11);
-  const auto r = build(g, 4, 0.25);
-  const auto report = audit_edge_weights(r, g, /*exact=*/true);
+  const auto r = algorithm1(g, 4, 0.25);
+  const auto report = audit_edge_weights(r.result, g, /*exact=*/true);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(EmulatorCentralized, StretchWithinComputedBudget) {
   const Graph g = gen_connected_gnm(250, 600, 5);
   const auto params = CentralizedParams::compute(250, 4, 0.25);
-  const auto r = build_emulator_centralized(g, params);
+  const auto r = algorithm1(g, 4, 0.25);
   const auto report = evaluate_stretch_exact(
-      g, r.h, params.schedule.alpha_bound(), params.schedule.beta_bound());
+      g, r.h(), params.schedule.alpha_bound(), params.schedule.beta_bound());
   EXPECT_TRUE(report.ok()) << "violations=" << report.violations
                            << " underruns=" << report.underruns;
   EXPECT_GT(report.pairs, 0);
@@ -115,9 +112,9 @@ TEST(EmulatorCentralized, StretchWithinComputedBudget) {
 
 TEST(EmulatorCentralized, NeverShortensDistances) {
   const Graph g = gen_torus(14, 14);
-  const auto r = build(g, 3, 0.3);
+  const auto r = algorithm1(g, 3, 0.3);
   // d_H >= d_G for all pairs (alpha = inf budget: only check underruns).
-  const auto report = evaluate_stretch_exact(g, r.h, 1e18, kInfDist / 2);
+  const auto report = evaluate_stretch_exact(g, r.h(), 1e18, kInfDist / 2);
   EXPECT_EQ(report.underruns, 0);
 }
 
@@ -125,17 +122,17 @@ TEST(EmulatorCentralized, AuditsPassOnFixedGraphs) {
   for (const char* family : {"er", "torus", "caveman", "ba", "tree"}) {
     const Graph g = gen_family(family, 220, 13);
     const auto params = CentralizedParams::compute(g.num_vertices(), 4, 0.25);
-    const auto r = build_emulator_centralized(g, params);
+    const auto r = algorithm1(g, 4, 0.25);
     const auto report =
-        audit_all(r, g, params.schedule, 4, /*exact_weights=*/true);
+        audit_all(r.result, g, params.schedule, 4, /*exact_weights=*/true);
     EXPECT_TRUE(report.ok()) << family << ": " << report.to_string();
   }
 }
 
 TEST(EmulatorCentralized, Deterministic) {
   const Graph g = gen_connected_gnm(300, 900, 17);
-  const auto a = build(g, 4, 0.25);
-  const auto b = build(g, 4, 0.25);
+  const auto a = algorithm1(g, 4, 0.25).result;
+  const auto b = algorithm1(g, 4, 0.25).result;
   ASSERT_EQ(a.h.num_edges(), b.h.num_edges());
   EXPECT_EQ(a.h.edges(), b.h.edges());
   ASSERT_EQ(a.phases.size(), b.phases.size());
@@ -152,11 +149,11 @@ TEST(EmulatorCentralized, DisconnectedGraph) {
   for (Vertex v = 0; v + 1 < 20; ++v) b.add_edge(v, v + 1);
   for (Vertex v = 20; v + 1 < 40; ++v) b.add_edge(v, v + 1);
   const Graph g = b.build();
-  const auto r = build(g, 3, 0.25);
-  for (const WeightedEdge& e : r.h.edges()) {
+  const auto r = algorithm1(g, 3, 0.25);
+  for (const WeightedEdge& e : r.h().edges()) {
     EXPECT_EQ(e.u < 20, e.v < 20) << "edge crosses components";
   }
-  const auto report = audit_edge_weights(r, g, true);
+  const auto report = audit_edge_weights(r.result, g, true);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
@@ -167,7 +164,7 @@ TEST(EmulatorCentralized, BufferJoinHappens) {
   // (distance 2 = 2*delta_0), and nothing else ever absorbs it.
   const Graph g = gen_dumbbell(16, 6);
   const auto params = CentralizedParams::compute(g.num_vertices(), 2, 0.4);
-  const auto r = build_emulator_centralized(g, params);
+  const BuildResult r = algorithm1(g, 2, 0.4).result;
   std::int64_t buffer_joins = 0;
   for (const auto& p : r.phases) buffer_joins += p.buffer_join_edges;
   EXPECT_GE(buffer_joins, 1);
@@ -191,7 +188,7 @@ TEST(EmulatorCentralized, ChargingPerVertexBudget) {
   // phase.
   const Graph g = gen_connected_gnm(300, 1200, 23);
   const auto params = CentralizedParams::compute(300, 4, 0.25);
-  const auto r = build_emulator_centralized(g, params);
+  const BuildResult r = algorithm1(g, 4, 0.25).result;
   for (int phase = 0; phase <= params.schedule.ell(); ++phase) {
     std::vector<std::int64_t> ic_charge(300, 0);
     std::vector<std::int64_t> sc_charge(300, 0);
@@ -218,9 +215,8 @@ TEST(EmulatorCentralized, SuperclustersHaveEnoughClusters) {
   // clusters of P_i — verified via the phase stats identity
   // |P_{i+1}| * (deg_i + 1) <= |P_i| - |U_i|.
   const Graph g = gen_caveman(20, 10);
-  const auto params = CentralizedParams::compute(g.num_vertices(), 2, 0.4);
-  const auto r = build_emulator_centralized(g, params);
-  for (const auto& p : r.phases) {
+  const auto r = algorithm1(g, 2, 0.4);
+  for (const auto& p : r.result.phases) {
     EXPECT_LE(static_cast<double>(p.clusters_out) * (p.deg_threshold + 1),
               static_cast<double>(p.clusters_in - p.unclustered) + 1e-6)
         << "phase " << p.phase;
@@ -239,9 +235,9 @@ TEST(EmulatorCentralized, PathGraphIsCheap) {
   // deg_0 = 4 > 2 so phase 0 has no superclusters; every vertex
   // interconnects with <= 2 neighbours. |H| = |E| = n-1.
   const Graph g = gen_path(256);
-  const auto r = build(g, 4, 0.25);
-  EXPECT_EQ(r.phases[0].popular, 0);
-  EXPECT_EQ(r.h.num_edges(), 255);
+  const auto r = algorithm1(g, 4, 0.25);
+  EXPECT_EQ(r.result.phases[0].popular, 0);
+  EXPECT_EQ(r.h().num_edges(), 255);
 }
 
 }  // namespace

@@ -5,10 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
+#include "api/build.hpp"
 #include "core/audit.hpp"
-#include "core/emulator_distributed.hpp"
 #include "core/params.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
@@ -16,6 +17,11 @@
 
 namespace usne {
 namespace {
+
+BuildSpec congest_spec(int kappa, double rho, double eps) {
+  return {.algorithm = "emulator_congest",
+          .params = {.kappa = kappa, .eps = eps, .rho = rho}};
+}
 
 struct DistCase {
   std::string family;
@@ -35,22 +41,22 @@ class DistributedSweep : public ::testing::TestWithParam<DistCase> {
                                          c.eps);
     // Building at all proves cap compliance: the Network throws
     // CongestViolation on any breach.
-    result_ = build_emulator_distributed(graph_, params_);
+    result_ = build(graph_, congest_spec(c.kappa, c.rho, c.eps));
   }
 
   Graph graph_;
   DistributedParams params_;
-  DistributedBuildResult result_;
+  BuildOutput result_;
 };
 
 TEST_P(DistributedSweep, SizeBound) {
-  EXPECT_LE(result_.base.h.num_edges(),
+  EXPECT_LE(result_.h().num_edges(),
             size_bound_edges(graph_.num_vertices(), GetParam().kappa));
 }
 
 TEST_P(DistributedSweep, StretchBound) {
   const auto report = evaluate_stretch_exact(
-      graph_, result_.base.h, params_.schedule.alpha_bound(),
+      graph_, result_.h(), params_.schedule.alpha_bound(),
       params_.schedule.beta_bound());
   EXPECT_EQ(report.violations, 0)
       << "alpha=" << params_.schedule.alpha_bound()
@@ -67,17 +73,17 @@ TEST_P(DistributedSweep, BothEndpointsKnowEveryEdge) {
 
 TEST_P(DistributedSweep, WeightsNeverBelowTrueDistance) {
   const auto report =
-      audit_edge_weights(result_.base, graph_, /*exact=*/false);
+      audit_edge_weights(result_.result, graph_, /*exact=*/false);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST_P(DistributedSweep, PartitionAndRadiusAudits) {
   const auto partitions =
-      audit_partitions(result_.base, graph_.num_vertices());
+      audit_partitions(result_.result, graph_.num_vertices());
   EXPECT_TRUE(partitions.ok()) << partitions.to_string();
-  const auto laminar = audit_laminarity(result_.base);
+  const auto laminar = audit_laminarity(result_.result);
   EXPECT_TRUE(laminar.ok()) << laminar.to_string();
-  const auto radii = audit_radii(result_.base, params_.schedule);
+  const auto radii = audit_radii(result_.result, params_.schedule);
   EXPECT_TRUE(radii.ok()) << radii.to_string();
 }
 
@@ -123,10 +129,9 @@ TEST(EmulatorDistributed, AgreesWithFastOnInvariants) {
   // The distributed and fast-centralized builds need not produce identical
   // emulators (hub splitting differs), but both satisfy identical bounds.
   const Graph g = gen_connected_gnm(160, 480, 9);
-  const auto params = DistributedParams::compute(160, 4, 0.49, 0.4);
-  const auto dist = build_emulator_distributed(g, params);
+  const auto dist = build(g, congest_spec(4, 0.49, 0.4));
   const std::int64_t bound = size_bound_edges(160, 4);
-  EXPECT_LE(dist.base.h.num_edges(), bound);
+  EXPECT_LE(dist.h().num_edges(), bound);
 }
 
 TEST(EmulatorDistributed, HubSplittingTriggersAndStaysCorrect) {
@@ -136,29 +141,40 @@ TEST(EmulatorDistributed, HubSplittingTriggersAndStaysCorrect) {
   // a graph with many popular pockets, verify the hub path actually ran
   // (hub_events > 0) and that every guarantee still holds.
   const Graph g = gen_caveman(24, 8);  // 192 vertices
+  BuildSpec spec = congest_spec(4, 0.49, 0.4);
+  spec.exec.hub_threshold_factor = 1;
+  const auto r = build(g, spec);
   const auto params = DistributedParams::compute(192, 4, 0.49, 0.4);
-  DistributedOptions options;
-  options.hub_threshold_factor = 1;
-  const auto r = build_emulator_distributed(g, params, options);
   std::int64_t hubs = 0;
-  for (const auto& p : r.base.phases) hubs += p.hub_events;
+  for (const auto& p : r.result.phases) hubs += p.hub_events;
   EXPECT_GT(hubs, 0) << "workload failed to exercise the hub path";
   EXPECT_TRUE(r.endpoints_consistent());
-  EXPECT_LE(r.base.h.num_edges(), size_bound_edges(192, 4));
+  EXPECT_LE(r.h().num_edges(), size_bound_edges(192, 4));
   const auto report = evaluate_stretch_exact(
-      g, r.base.h, params.schedule.alpha_bound(), params.schedule.beta_bound());
+      g, r.h(), params.schedule.alpha_bound(), params.schedule.beta_bound());
   EXPECT_EQ(report.violations, 0);
 
-  // The paper's default factor 2 on the same input: also fully valid.
-  const auto r2 = build_emulator_distributed(g, params);
+  // The paper's default factor 2 on the same input: also fully valid, and
+  // the factor reaches the builder (it changes the traffic).
+  const auto r2 = build(g, congest_spec(4, 0.49, 0.4));
   EXPECT_TRUE(r2.endpoints_consistent());
-  EXPECT_LE(r2.base.h.num_edges(), size_bound_edges(192, 4));
+  EXPECT_LE(r2.h().num_edges(), size_bound_edges(192, 4));
+  EXPECT_NE(r.net.rounds, r2.net.rounds);
+}
+
+TEST(EmulatorDistributed, HubThresholdFactorBelowOneThrows) {
+  // The factor must be >= 1; a smaller one is an error, not a silent 1.
+  const Graph g = gen_family("caveman", 256, 88);
+  for (const int factor : {0, -5}) {
+    BuildSpec spec = congest_spec(4, 0.49, 0.4);
+    spec.exec.hub_threshold_factor = factor;
+    EXPECT_THROW(build(g, spec), std::invalid_argument) << "factor " << factor;
+  }
 }
 
 TEST(EmulatorDistributed, MessageTrafficIsMetered) {
   const Graph g = gen_connected_gnm(96, 288, 14);
-  const auto params = DistributedParams::compute(96, 4, 0.49, 0.4);
-  const auto r = build_emulator_distributed(g, params);
+  const auto r = build(g, congest_spec(4, 0.49, 0.4));
   EXPECT_GT(r.net.messages, 0);
   EXPECT_GE(r.net.words, r.net.messages);  // every message >= 1 word
   // Words per message within the O(1) cap.
@@ -167,10 +183,9 @@ TEST(EmulatorDistributed, MessageTrafficIsMetered) {
 
 TEST(EmulatorDistributed, DeterministicIncludingRounds) {
   const Graph g = gen_connected_gnm(96, 288, 15);
-  const auto params = DistributedParams::compute(96, 4, 0.49, 0.4);
-  const auto a = build_emulator_distributed(g, params);
-  const auto b = build_emulator_distributed(g, params);
-  EXPECT_EQ(a.base.h.edges(), b.base.h.edges());
+  const auto a = build(g, congest_spec(4, 0.49, 0.4));
+  const auto b = build(g, congest_spec(4, 0.49, 0.4));
+  EXPECT_EQ(a.h().edges(), b.h().edges());
   EXPECT_EQ(a.net.rounds, b.net.rounds);
   EXPECT_EQ(a.net.messages, b.net.messages);
 }

@@ -12,10 +12,16 @@
 #include "core/params.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
+#include "test_helpers.hpp"
 #include "util/math.hpp"
 
 namespace usne {
 namespace {
+
+BuildOutput fast(const Graph& g, int kappa, double rho, double eps) {
+  return build(g, {.algorithm = "emulator_fast",
+                   .params = {.kappa = kappa, .eps = eps, .rho = rho}});
+}
 
 struct FastCase {
   std::string family;
@@ -33,22 +39,22 @@ class FastSweep : public ::testing::TestWithParam<FastCase> {
     graph_ = gen_family(c.family, c.n, c.seed);
     params_ = DistributedParams::compute(graph_.num_vertices(), c.kappa, c.rho,
                                          c.eps);
-    result_ = build_emulator_fast(graph_, params_);
+    result_ = fast(graph_, c.kappa, c.rho, c.eps);
   }
 
   Graph graph_;
   DistributedParams params_;
-  BuildResult result_;
+  BuildOutput result_;
 };
 
 TEST_P(FastSweep, SizeBound) {
-  EXPECT_LE(result_.h.num_edges(),
+  EXPECT_LE(result_.h().num_edges(),
             size_bound_edges(graph_.num_vertices(), GetParam().kappa));
 }
 
 TEST_P(FastSweep, StretchBound) {
   const auto report = evaluate_stretch_exact(
-      graph_, result_.h, params_.schedule.alpha_bound(),
+      graph_, result_.h(), params_.schedule.alpha_bound(),
       params_.schedule.beta_bound());
   EXPECT_EQ(report.violations, 0)
       << "alpha=" << params_.schedule.alpha_bound()
@@ -60,14 +66,15 @@ TEST_P(FastSweep, StretchBound) {
 TEST_P(FastSweep, Audits) {
   // Superclustering edges connect ruling roots at exact BFS-forest
   // distances, so weights are exact here too.
-  const auto report = audit_all(result_, graph_, params_.schedule,
+  const auto report = audit_all(result_.result, graph_, params_.schedule,
                                 GetParam().kappa, /*exact_weights=*/false);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST_P(FastSweep, Deterministic) {
-  const auto again = build_emulator_fast(graph_, params_);
-  EXPECT_EQ(result_.h.edges(), again.h.edges());
+  const FastCase& c = GetParam();
+  const auto again = fast(graph_, c.kappa, c.rho, c.eps);
+  EXPECT_EQ(result_.h().edges(), again.h().edges());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -94,11 +101,10 @@ TEST(EmulatorFast, UltraSparseRegime) {
   const Vertex n = 2048;
   const Graph g = gen_connected_gnm(n, 4 * n, 77);
   const int kappa = 44;  // = 4 * log2(n): comfortably omega(log n) scale
-  const auto params = DistributedParams::compute(n, kappa, 0.3, 0.25);
-  const auto r = build_emulator_fast(g, params);
+  const auto r = fast(g, kappa, 0.3, 0.25);
   // n^(1+1/44) = n * n^(0.0227) ~ 1.19n: strictly below 1.2 n here.
-  EXPECT_LE(r.h.num_edges(), size_bound_edges(n, kappa));
-  EXPECT_LT(static_cast<double>(r.h.num_edges()),
+  EXPECT_LE(r.h().num_edges(), size_bound_edges(n, kappa));
+  EXPECT_LT(static_cast<double>(r.h().num_edges()),
             1.2 * static_cast<double>(n));
 }
 
@@ -106,8 +112,7 @@ TEST(EmulatorFast, LastPhaseHasNoPopularClusters) {
   // eq. (17): |P_ell| <= n^rho = deg_ell, so phase ell sees no popular
   // clusters and the superclustering step is safely skipped.
   const Graph g = gen_connected_gnm(500, 2000, 5);
-  const auto params = DistributedParams::compute(500, 8, 0.4, 0.25);
-  const auto r = build_emulator_fast(g, params);
+  const BuildResult r = fast(g, 8, 0.4, 0.25).result;
   ASSERT_FALSE(r.phases.empty());
   EXPECT_EQ(r.phases.back().popular, 0);
   EXPECT_EQ(r.phases.back().clusters_out, 0);
@@ -116,8 +121,7 @@ TEST(EmulatorFast, LastPhaseHasNoPopularClusters) {
 TEST(EmulatorFast, PhaseSizesDecayGeometrically) {
   // eq. (15): |P_{i+1}| <= |P_i| / deg_i.
   const Graph g = gen_caveman(64, 8);  // 512 vertices with dense pockets
-  const auto params = DistributedParams::compute(512, 4, 0.45, 0.25);
-  const auto r = build_emulator_fast(g, params);
+  const BuildResult r = fast(g, 4, 0.45, 0.25).result;
   for (const auto& p : r.phases) {
     if (p.clusters_out == 0) continue;
     EXPECT_LE(static_cast<double>(p.clusters_out) * (p.deg_threshold + 1.0),
@@ -147,19 +151,7 @@ TEST(EmulatorFast, ProfileOnlyWhenRequestedAndHUnchanged) {
   EXPECT_EQ(plain.h().edges(), profiled.h().edges());
   EXPECT_EQ(plain.stats, profiled.stats);
 
-  // One entry per (phase, task): detect opens every phase and interconnect
-  // closes it; ruling and forest sit between them exactly in the phases
-  // that superclustered. Wall time only.
-  std::vector<std::string> want;
-  for (const PhaseStats& p : profiled.result.phases) {
-    const std::string tag = "p" + std::to_string(p.phase) + ".";
-    want.push_back(tag + "detect");
-    if (p.clusters_out > 0) {
-      want.push_back(tag + "ruling");
-      want.push_back(tag + "forest");
-    }
-    want.push_back(tag + "interconnect");
-  }
+  // One entry per (phase, task), wall time only.
   std::vector<std::string> got;
   for (const congest::PhaseProfileEntry& e : profiled.profile) {
     got.push_back(e.label);
@@ -167,7 +159,7 @@ TEST(EmulatorFast, ProfileOnlyWhenRequestedAndHUnchanged) {
     EXPECT_EQ(e.times.stage_sum_s(), 0.0) << e.label;
     EXPECT_EQ(e.times.rounds, 0) << e.label;
   }
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(got, test::wall_profile_labels(profiled.result.phases));
   EXPECT_GT(profiled.result.phases.front().clusters_out, 0);
 }
 

@@ -11,8 +11,8 @@
 #include <string>
 #include <tuple>
 
+#include "api/build.hpp"
 #include "core/audit.hpp"
-#include "core/emulator_centralized.hpp"
 #include "core/params.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
@@ -21,6 +21,11 @@
 
 namespace usne {
 namespace {
+
+BuildOutput algorithm1(const Graph& g, int kappa, double eps) {
+  return build(g, {.algorithm = "emulator_centralized",
+                   .params = {.kappa = kappa, .eps = eps}});
+}
 
 struct SweepCase {
   std::string family;
@@ -43,22 +48,22 @@ class EmulatorSweep : public ::testing::TestWithParam<SweepCase> {
     const SweepCase& c = GetParam();
     graph_ = gen_family(c.family, c.n, c.seed);
     params_ = CentralizedParams::compute(graph_.num_vertices(), c.kappa, c.eps);
-    result_ = build_emulator_centralized(graph_, params_);
+    result_ = algorithm1(graph_, c.kappa, c.eps);
   }
 
   Graph graph_;
   CentralizedParams params_;
-  BuildResult result_;
+  BuildOutput result_;
 };
 
 TEST_P(EmulatorSweep, SizeBound) {
-  EXPECT_LE(result_.h.num_edges(),
+  EXPECT_LE(result_.h().num_edges(),
             size_bound_edges(graph_.num_vertices(), GetParam().kappa));
 }
 
 TEST_P(EmulatorSweep, StretchBound) {
   const auto report = evaluate_stretch_exact(
-      graph_, result_.h, params_.schedule.alpha_bound(),
+      graph_, result_.h(), params_.schedule.alpha_bound(),
       params_.schedule.beta_bound());
   EXPECT_EQ(report.violations, 0)
       << "alpha=" << params_.schedule.alpha_bound()
@@ -68,14 +73,14 @@ TEST_P(EmulatorSweep, StretchBound) {
 }
 
 TEST_P(EmulatorSweep, Audits) {
-  const auto report = audit_all(result_, graph_, params_.schedule,
+  const auto report = audit_all(result_.result, graph_, params_.schedule,
                                 GetParam().kappa, /*exact_weights=*/true);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST_P(EmulatorSweep, Deterministic) {
-  const auto again = build_emulator_centralized(graph_, params_);
-  EXPECT_EQ(result_.h.edges(), again.h.edges());
+  const SweepCase& c = GetParam();
+  EXPECT_EQ(result_.h().edges(), algorithm1(graph_, c.kappa, c.eps).h().edges());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -106,11 +111,11 @@ TEST_P(EpsSweep, StretchHoldsAcrossEps) {
   const double eps = GetParam();
   const Graph g = gen_connected_gnm(220, 660, 42);
   const auto params = CentralizedParams::compute(220, 4, eps);
-  const auto r = build_emulator_centralized(g, params);
+  const auto r = algorithm1(g, 4, eps);
   const auto report = evaluate_stretch_exact(
-      g, r.h, params.schedule.alpha_bound(), params.schedule.beta_bound());
+      g, r.h(), params.schedule.alpha_bound(), params.schedule.beta_bound());
   EXPECT_EQ(report.violations, 0) << "eps=" << eps;
-  EXPECT_LE(r.h.num_edges(), size_bound_edges(220, 4));
+  EXPECT_LE(r.h().num_edges(), size_bound_edges(220, 4));
 }
 
 INSTANTIATE_TEST_SUITE_P(Eps, EpsSweep,

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "core/cluster.hpp"
+#include "core/task_clock.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "path/bfs.hpp"
@@ -43,6 +45,35 @@ inline const std::vector<std::string>& sweep_families() {
   static const std::vector<std::string> families = {
       "er", "ba", "torus", "star", "tree", "caveman", "ws"};
   return families;
+}
+
+/// Occurrences of `needle` in `haystack`.
+inline std::size_t count_of(const std::string& haystack,
+                            const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+/// The labels, in order, of the wall-time profile a centralized build
+/// (emulator_fast, spanner, spanner_em19) records with ExecOptions::profile:
+/// detect opens every phase and interconnect closes it; ruling and forest
+/// sit between them exactly in the phases that superclustered.
+inline std::vector<std::string> wall_profile_labels(
+    const std::vector<PhaseStats>& phases) {
+  std::vector<std::string> labels;
+  for (const PhaseStats& p : phases) {
+    labels.push_back(profile_label(p.phase, "detect"));
+    if (p.clusters_out > 0) {
+      labels.push_back(profile_label(p.phase, "ruling"));
+      labels.push_back(profile_label(p.phase, "forest"));
+    }
+    labels.push_back(profile_label(p.phase, "interconnect"));
+  }
+  return labels;
 }
 
 }  // namespace usne::test

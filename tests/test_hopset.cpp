@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/emulator_centralized.hpp"
+#include "api/build.hpp"
 #include "core/params.hpp"
 #include "graph/generators.hpp"
 #include "hopset/hopset.hpp"
@@ -71,7 +71,8 @@ TEST(Hopset, EmulatorReducesMeasuredHopbound) {
   const Vertex side = 18;
   const Graph g = gen_torus(side, side);  // diameter = side (= 18)
   const auto params = CentralizedParams::compute(g.num_vertices(), 4, 0.25);
-  const auto r = build_emulator_centralized(g, params);
+  const auto r = build(g, {.algorithm = "emulator_centralized",
+                           .params = {.kappa = 4, .eps = 0.25}});
 
   const std::vector<Vertex> sources = {0, 100, 250};
   const double eps = params.schedule.alpha_bound() - 1.0;
@@ -79,7 +80,7 @@ TEST(Hopset, EmulatorReducesMeasuredHopbound) {
 
   const WeightedGraph empty(g.num_vertices());
   const auto without = measure_hopbound(g, empty, sources, eps, beta, 64);
-  const auto with = measure_hopbound(g, r.h, sources, eps, beta, 64);
+  const auto with = measure_hopbound(g, r.h(), sources, eps, beta, 64);
 
   ASSERT_GT(with.hopbound, 0);
   ASSERT_GT(without.hopbound, 0);

@@ -5,12 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <tuple>
 
-#include "core/emulator_centralized.hpp"
-#include "core/emulator_distributed.hpp"
-#include "core/emulator_fast.hpp"
+#include "api/build.hpp"
 #include "core/params.hpp"
-#include "core/spanner.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -21,6 +19,12 @@
 namespace usne {
 namespace {
 
+BuildOutput build_with(const Graph& g, const char* algorithm, int kappa,
+                       double eps, double rho = 0.45) {
+  return build(g, {.algorithm = algorithm,
+                   .params = {.kappa = kappa, .eps = eps, .rho = rho}});
+}
+
 TEST(Integration, AllThreeBuildersSatisfySameContract) {
   // One input graph, three constructions (Algorithm 1, §3.3 fast, §3.1
   // CONGEST): all must satisfy the size bound and their respective stretch
@@ -30,43 +34,34 @@ TEST(Integration, AllThreeBuildersSatisfySameContract) {
   const int kappa = 4;
 
   const auto cp = CentralizedParams::compute(n, kappa, 0.3);
-  const auto c = build_emulator_centralized(g, cp);
-  EXPECT_LE(c.h.num_edges(), size_bound_edges(n, kappa));
-  EXPECT_EQ(evaluate_stretch_exact(g, c.h, cp.schedule.alpha_bound(),
-                                   cp.schedule.beta_bound())
-                .violations,
-            0);
-
   const auto dp = DistributedParams::compute(n, kappa, 0.45, 0.4);
-  const auto f = build_emulator_fast(g, dp);
-  EXPECT_LE(f.h.num_edges(), size_bound_edges(n, kappa));
-  EXPECT_EQ(evaluate_stretch_exact(g, f.h, dp.schedule.alpha_bound(),
-                                   dp.schedule.beta_bound())
-                .violations,
-            0);
-
-  const auto d = build_emulator_distributed(g, dp);
-  EXPECT_LE(d.base.h.num_edges(), size_bound_edges(n, kappa));
-  EXPECT_EQ(evaluate_stretch_exact(g, d.base.h, dp.schedule.alpha_bound(),
-                                   dp.schedule.beta_bound())
-                .violations,
-            0);
-  EXPECT_TRUE(d.endpoints_consistent());
+  for (const auto& [algorithm, eps, schedule] :
+       {std::tuple{"emulator_centralized", 0.3, &cp.schedule},
+        std::tuple{"emulator_fast", 0.4, &dp.schedule},
+        std::tuple{"emulator_congest", 0.4, &dp.schedule}}) {
+    const auto r = build_with(g, algorithm, kappa, eps);
+    EXPECT_LE(r.h().num_edges(), size_bound_edges(n, kappa)) << algorithm;
+    EXPECT_EQ(evaluate_stretch_exact(g, r.h(), schedule->alpha_bound(),
+                                     schedule->beta_bound())
+                  .violations,
+              0)
+        << algorithm;
+    EXPECT_TRUE(r.endpoints_consistent()) << algorithm;
+  }
 }
 
 TEST(Integration, EmulatorSurvivesSerialization) {
   const Graph g = gen_connected_gnm(200, 600, 4);
-  const auto params = CentralizedParams::compute(200, 4, 0.25);
-  const auto r = build_emulator_centralized(g, params);
+  const auto r = build_with(g, "emulator_centralized", 4, 0.25);
 
   std::stringstream ss;
-  write_weighted_graph(ss, r.h);
+  write_weighted_graph(ss, r.h());
   const auto back = read_weighted_graph(ss);
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->num_edges(), r.h.num_edges());
+  ASSERT_EQ(back->num_edges(), r.h().num_edges());
   // Same distances from a few sources.
   for (Vertex s = 0; s < 200; s += 37) {
-    EXPECT_EQ(dijkstra(r.h, s), dijkstra(*back, s));
+    EXPECT_EQ(dijkstra(r.h(), s), dijkstra(*back, s));
   }
 }
 
@@ -76,13 +71,13 @@ TEST(Integration, OracleAnswersWithinBudget) {
   const Vertex n = 300;
   const Graph g = gen_connected_gnm(n, 4 * n, 10);
   const auto params = CentralizedParams::compute(n, 4, 0.25);
-  const auto r = build_emulator_centralized(g, params);
+  const auto r = build_with(g, "emulator_centralized", 4, 0.25);
   const double alpha = params.schedule.alpha_bound();
   const Dist beta = params.schedule.beta_bound();
 
   for (Vertex s = 0; s < n; s += 29) {
     const auto dg = bfs_distances(g, s);
-    const auto dh = dijkstra(r.h, s);
+    const auto dh = dijkstra(r.h(), s);
     for (Vertex v = 0; v < n; v += 7) {
       if (dg[static_cast<std::size_t>(v)] == kInfDist) continue;
       EXPECT_GE(dh[static_cast<std::size_t>(v)], dg[static_cast<std::size_t>(v)]);
@@ -95,13 +90,12 @@ TEST(Integration, OracleAnswersWithinBudget) {
 
 TEST(Integration, EmulatorPlusGraphUnionNeverWorseThanEither) {
   const Graph g = gen_grid(15, 15);
-  const auto params = CentralizedParams::compute(225, 4, 0.25);
-  const auto r = build_emulator_centralized(g, params);
+  const auto r = build_with(g, "emulator_centralized", 4, 0.25);
   const auto dg = bfs_distances(g, 0);
-  const auto dh = dijkstra(r.h, 0);
+  const auto dh = dijkstra(r.h(), 0);
   // H ∪ G: H's edges plus G's at unit weight (add_edge keeps the lighter
   // copy of an edge present in both).
-  WeightedGraph hg = r.h;
+  WeightedGraph hg = r.h();
   for (const Edge& e : g.edges()) hg.add_edge(e.u, e.v, 1);
   const auto du = dijkstra(hg, 0);
   for (Vertex v = 0; v < 225; ++v) {
@@ -117,18 +111,16 @@ TEST(Integration, EmulatorPlusGraphUnionNeverWorseThanEither) {
 TEST(Integration, SpannerIsUsableAsGraph) {
   // A spanner, being a subgraph, can itself be fed back as an input graph.
   const Graph g = gen_connected_gnm(150, 600, 6);
-  const auto sp = SpannerParams::compute(150, 8, 0.4, 0.25);
-  const auto r = build_spanner(g, sp);
+  const auto r = build_with(g, "spanner", 8, 0.25, 0.4);
 
   GraphBuilder b(150);
-  for (const WeightedEdge& e : r.h.edges()) b.add_edge(e.u, e.v);
+  for (const WeightedEdge& e : r.h().edges()) b.add_edge(e.u, e.v);
   const Graph h_as_graph = b.build();
-  EXPECT_EQ(h_as_graph.num_edges(), r.h.num_edges());
+  EXPECT_EQ(h_as_graph.num_edges(), r.h().num_edges());
 
   // Building an emulator of the spanner composes the stretches.
-  const auto cp = CentralizedParams::compute(150, 4, 0.25);
-  const auto r2 = build_emulator_centralized(h_as_graph, cp);
-  EXPECT_LE(r2.h.num_edges(), size_bound_edges(150, 4));
+  const auto r2 = build_with(h_as_graph, "emulator_centralized", 4, 0.25);
+  EXPECT_LE(r2.h().num_edges(), size_bound_edges(150, 4));
 }
 
 TEST(Integration, UltraSparseHeadline) {
@@ -139,12 +131,13 @@ TEST(Integration, UltraSparseHeadline) {
   const Graph g = gen_connected_gnm(n, 8 * n, 42);
   const int kappa = 40;
   const auto params = CentralizedParams::compute(n, kappa, 0.4);
-  const auto r = build_emulator_centralized(g, params);
-  EXPECT_LE(r.h.num_edges(), size_bound_edges(n, kappa));
-  EXPECT_LT(r.h.num_edges(), static_cast<std::int64_t>(1.2 * n));
+  const auto r = build_with(g, "emulator_centralized", kappa, 0.4);
+  EXPECT_LE(r.h().num_edges(), size_bound_edges(n, kappa));
+  EXPECT_LT(r.h().num_edges(), static_cast<std::int64_t>(1.2 * n));
   // Still a valid emulator.
   const auto report = evaluate_stretch_sampled(
-      g, r.h, params.schedule.alpha_bound(), params.schedule.beta_bound(), 20, 3);
+      g, r.h(), params.schedule.alpha_bound(), params.schedule.beta_bound(),
+      20, 3);
   EXPECT_EQ(report.violations, 0);
   EXPECT_EQ(report.underruns, 0);
 }

@@ -177,7 +177,7 @@ TEST(Protocol, TypedPayloadRoundTripsAndRejectsMalformed) {
 BuildOutput build_emulator(const Graph& g, int kappa = 6) {
   BuildSpec spec;
   spec.algorithm = "emulator_fast";
-  spec.params = {0, kappa, 0.25, 0.3, false};
+  spec.params = {kappa, 0.25, 0.3, false};
   return build(g, spec);
 }
 

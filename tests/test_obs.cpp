@@ -25,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/latency_histogram.hpp"
+#include "test_helpers.hpp"
 
 namespace usne {
 namespace {
@@ -289,15 +290,7 @@ TEST(ObsMetrics, GlobalRegistryFreeFunctions) {
 
 // --- tracing -----------------------------------------------------------------
 
-/// Counts occurrences of `needle` in `hay`.
-std::size_t count_of(const std::string& hay, const std::string& needle) {
-  std::size_t n = 0;
-  for (std::size_t at = hay.find(needle); at != std::string::npos;
-       at = hay.find(needle, at + needle.size())) {
-    ++n;
-  }
-  return n;
-}
+using test::count_of;
 
 class ObsTrace : public ::testing::Test {
  protected:

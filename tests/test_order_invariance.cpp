@@ -1,7 +1,9 @@
 // The paper (§2.1.1) observes that which clusters become popular depends on
 // the order in which Algorithm 1 pops centers — but every guarantee must
 // hold for EVERY order. This suite runs Algorithm 1 under randomized
-// processing orders and checks the full contract each time.
+// processing orders and checks the full contract each time. The order is
+// a hook of the builder that a BuildSpec cannot carry, so these builds
+// call build_emulator_centralized directly.
 
 #include <gtest/gtest.h>
 
@@ -36,9 +38,8 @@ TEST_P(OrderInvariance, FullContractUnderRandomOrder) {
   const int kappa = 3 + static_cast<int>(seed % 3);
   const auto params = CentralizedParams::compute(g.num_vertices(), kappa, 0.25);
 
-  CentralizedOptions options;
-  options.processing_order = shuffled_order(g.num_vertices(), seed * 7919);
-  const auto r = build_emulator_centralized(g, params, options);
+  const auto r = build_emulator_centralized(
+      g, params, {}, shuffled_order(g.num_vertices(), seed * 7919));
 
   // (1) Size bound, regardless of which clusters happened to be popular.
   EXPECT_LE(r.h.num_edges(), size_bound_edges(g.num_vertices(), kappa));
@@ -56,10 +57,9 @@ TEST_P(OrderInvariance, SameOrderSameEmulator) {
   const std::uint64_t seed = GetParam();
   const Graph g = gen_family("ba", 150, 5);
   const auto params = CentralizedParams::compute(g.num_vertices(), 4, 0.25);
-  CentralizedOptions options;
-  options.processing_order = shuffled_order(g.num_vertices(), seed);
-  const auto a = build_emulator_centralized(g, params, options);
-  const auto b = build_emulator_centralized(g, params, options);
+  const std::vector<Vertex> order = shuffled_order(g.num_vertices(), seed);
+  const auto a = build_emulator_centralized(g, params, {}, order);
+  const auto b = build_emulator_centralized(g, params, {}, order);
   EXPECT_EQ(a.h.edges(), b.h.edges());
 }
 
@@ -72,17 +72,13 @@ TEST(OrderInvariance, DifferentOrdersMayDifferButBothValid) {
   const Graph g = gen_star(100);
   const auto params = CentralizedParams::compute(100, 4, 0.25);
 
-  CentralizedOptions center_first;
-  center_first.processing_order = {0};
-  CentralizedOptions center_last;
-  center_last.processing_order = shuffled_order(100, 3);
+  std::vector<Vertex> center_last = shuffled_order(100, 3);
   // Force 0 to the very back.
-  auto& order = center_last.processing_order;
-  order.erase(std::find(order.begin(), order.end(), 0));
-  order.push_back(0);
+  center_last.erase(std::find(center_last.begin(), center_last.end(), 0));
+  center_last.push_back(0);
 
-  const auto a = build_emulator_centralized(g, params, center_first);
-  const auto b = build_emulator_centralized(g, params, center_last);
+  const auto a = build_emulator_centralized(g, params, {}, {0});
+  const auto b = build_emulator_centralized(g, params, {}, center_last);
   EXPECT_NE(a.phases[0].popular, b.phases[0].popular);
   for (const auto* r : {&a, &b}) {
     EXPECT_LE(r->h.num_edges(), size_bound_edges(100, 4));

@@ -8,8 +8,6 @@
 #include <stdexcept>
 
 #include "api/build.hpp"
-#include "core/emulator_centralized.hpp"
-#include "core/emulator_fast.hpp"
 #include "core/params.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
@@ -66,9 +64,10 @@ TEST(Rescaling, EndToEndStretchWithinTarget) {
   const double target = 0.5;
   const Graph g = gen_connected_gnm(250, 750, 3);
   const auto params = CentralizedParams::compute_rescaled(250, 4, target);
-  const auto r = build_emulator_centralized(g, params);
+  const auto r = build(g, {.algorithm = "emulator_centralized",
+                           .params = {.kappa = 4, .eps = target, .rescale = true}});
   const auto report = evaluate_stretch_exact(
-      g, r.h, 1.0 + target, params.schedule.beta_bound());
+      g, r.h(), 1.0 + target, params.schedule.beta_bound());
   EXPECT_EQ(report.violations, 0)
       << "alpha=" << params.schedule.alpha_bound()
       << " beta=" << params.schedule.beta_bound();
@@ -79,9 +78,13 @@ TEST(Rescaling, EndToEndFastBuilder) {
   const Graph g = gen_family("torus", 256, 9);
   const auto params =
       DistributedParams::compute_rescaled(g.num_vertices(), 8, 0.4, target);
-  const auto r = build_emulator_fast(g, params);
+  const auto r = build(g, {.algorithm = "emulator_fast",
+                           .params = {.kappa = 8,
+                                      .eps = target,
+                                      .rho = 0.4,
+                                      .rescale = true}});
   const auto report = evaluate_stretch_exact(
-      g, r.h, 1.0 + target, params.schedule.beta_bound());
+      g, r.h(), 1.0 + target, params.schedule.beta_bound());
   EXPECT_EQ(report.violations, 0);
 }
 
@@ -98,7 +101,7 @@ TEST(Rescaling, UnrepresentableScheduleThrowsOverflow) {
 
   BuildSpec spec;
   spec.algorithm = "emulator_fast";
-  spec.params = {0, 16, 0.25, 0.3, /*rescale=*/true};
+  spec.params = {16, 0.25, 0.3, /*rescale=*/true};
   EXPECT_THROW(build(gen_family("er", 1024, 2024), spec), std::overflow_error);
 }
 

@@ -39,7 +39,7 @@ using serve::WorkloadSpec;
 BuildOutput build_emulator(const Graph& g, int kappa = 6) {
   BuildSpec spec;
   spec.algorithm = "emulator_fast";
-  spec.params = {0, kappa, 0.25, 0.3, false};
+  spec.params = {kappa, 0.25, 0.3, false};
   spec.exec.keep_audit_data = false;
   return build(g, spec);
 }

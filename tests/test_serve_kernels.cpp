@@ -74,7 +74,7 @@ TEST(SsspKernelTest, MatchesDijkstraOnBuiltEmulator) {
   const Graph g = gen_connected_gnm(300, 900, 3);
   BuildSpec spec;
   spec.algorithm = "emulator_centralized";
-  spec.params = {0, 4, 0.25, 0.45, false};
+  spec.params = {4, 0.25, 0.45, false};
   spec.exec.keep_audit_data = false;
   const BuildOutput built = build(g, spec);
   const auto csr = built.h().csr();

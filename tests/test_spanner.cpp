@@ -6,14 +6,26 @@
 
 #include <string>
 
+#include "api/build.hpp"
 #include "core/params.hpp"
 #include "core/spanner.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
+#include "obs/trace.hpp"
+#include "test_helpers.hpp"
 #include "util/math.hpp"
 
 namespace usne {
 namespace {
+
+/// `algorithm` is "spanner" (the paper's degree sequence) or
+/// "spanner_em19" (the [EM19] baseline's).
+BuildOutput spanner(const Graph& g, const char* algorithm, int kappa,
+                    double rho, double eps, bool keep_audit_data = true) {
+  return build(g, {.algorithm = algorithm,
+                   .params = {.kappa = kappa, .eps = eps, .rho = rho},
+                   .exec = {.keep_audit_data = keep_audit_data}});
+}
 
 struct SpannerCase {
   std::string family;
@@ -30,31 +42,31 @@ class SpannerSweep : public ::testing::TestWithParam<SpannerCase> {
     const SpannerCase& c = GetParam();
     graph_ = gen_family(c.family, c.n, c.seed);
     params_ = SpannerParams::compute(graph_.num_vertices(), c.kappa, c.rho, c.eps);
-    result_ = build_spanner(graph_, params_);
+    result_ = spanner(graph_, "spanner", c.kappa, c.rho, c.eps);
   }
 
   Graph graph_;
   SpannerParams params_;
-  BuildResult result_;
+  BuildOutput result_;
 };
 
 TEST_P(SpannerSweep, IsSubgraph) {
-  EXPECT_TRUE(is_subgraph(result_.h, graph_));
+  EXPECT_TRUE(is_subgraph(result_.h(), graph_));
 }
 
 TEST_P(SpannerSweep, SizeWithinConstantFactorOfBound) {
   // Corollary 4.4 guarantees O(n^(1+1/kappa)); assert a modest constant.
   const std::int64_t bound =
       size_bound_edges(graph_.num_vertices(), GetParam().kappa);
-  EXPECT_LE(result_.h.num_edges(), 4 * bound)
-      << "n=" << graph_.num_vertices() << " |H|=" << result_.h.num_edges();
+  EXPECT_LE(result_.h().num_edges(), 4 * bound)
+      << "n=" << graph_.num_vertices() << " |H|=" << result_.h().num_edges();
   // A spanner can never exceed G itself.
-  EXPECT_LE(result_.h.num_edges(), graph_.num_edges());
+  EXPECT_LE(result_.h().num_edges(), graph_.num_edges());
 }
 
 TEST_P(SpannerSweep, StretchBound) {
   const auto report = evaluate_stretch_exact(
-      graph_, result_.h, params_.schedule.alpha_bound(),
+      graph_, result_.h(), params_.schedule.alpha_bound(),
       params_.schedule.beta_bound());
   EXPECT_EQ(report.violations, 0)
       << "alpha=" << params_.schedule.alpha_bound()
@@ -64,8 +76,9 @@ TEST_P(SpannerSweep, StretchBound) {
 }
 
 TEST_P(SpannerSweep, Deterministic) {
-  const auto again = build_spanner(graph_, params_);
-  EXPECT_EQ(result_.h.edges(), again.h.edges());
+  const SpannerCase& c = GetParam();
+  const auto again = spanner(graph_, "spanner", c.kappa, c.rho, c.eps);
+  EXPECT_EQ(result_.h().edges(), again.h().edges());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -88,9 +101,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Spanner, PathsConnectRealVertices) {
   // Every logged spanner edge is a unit edge of G (the add_path contract).
   const Graph g = gen_connected_gnm(200, 600, 11);
-  const auto params = SpannerParams::compute(200, 8, 0.4, 0.25);
-  const auto r = build_spanner(g, params);
-  for (const ChargedEdge& e : r.edge_log) {
+  const auto r = spanner(g, "spanner", 8, 0.4, 0.25);
+  for (const ChargedEdge& e : r.result.edge_log) {
     EXPECT_EQ(e.w, 1);
     EXPECT_TRUE(g.has_edge(e.u, e.v));
   }
@@ -105,14 +117,12 @@ TEST(Spanner, Em19BaselineIsDenser) {
   bool strictly_better_somewhere = false;
   for (const Vertex n : {512, 768, 1024}) {
     const Graph g = gen_connected_gnm(n, 4 * static_cast<std::int64_t>(n), 5);
-    const auto ours_p = SpannerParams::compute(n, 8, 0.4, 0.25);
-    const auto em19_p = DistributedParams::compute(n, 8, 0.4, 0.25);
-    SpannerOptions options;
-    options.keep_audit_data = false;
-    const auto ours = build_spanner(g, ours_p, options);
-    const auto em19 = build_spanner_em19(g, em19_p, options);
-    EXPECT_LE(ours.h.num_edges(), em19.h.num_edges()) << "n=" << n;
-    if (ours.h.num_edges() < em19.h.num_edges()) strictly_better_somewhere = true;
+    const auto ours = spanner(g, "spanner", 8, 0.4, 0.25, false);
+    const auto em19 = spanner(g, "spanner_em19", 8, 0.4, 0.25, false);
+    EXPECT_LE(ours.h().num_edges(), em19.h().num_edges()) << "n=" << n;
+    if (ours.h().num_edges() < em19.h().num_edges()) {
+      strictly_better_somewhere = true;
+    }
   }
   EXPECT_TRUE(strictly_better_somewhere);
 }
@@ -122,11 +132,54 @@ TEST(Spanner, Em19AlsoValid) {
   // not a strawman).
   const Graph g = gen_connected_gnm(250, 750, 21);
   const auto params = DistributedParams::compute(250, 8, 0.4, 0.25);
-  const auto r = build_spanner_em19(g, params);
-  EXPECT_TRUE(is_subgraph(r.h, g));
+  const auto r = spanner(g, "spanner_em19", 8, 0.4, 0.25);
+  EXPECT_TRUE(is_subgraph(r.h(), g));
   const auto report = evaluate_stretch_exact(
-      g, r.h, params.schedule.alpha_bound(), params.schedule.beta_bound());
+      g, r.h(), params.schedule.alpha_bound(), params.schedule.beta_bound());
   EXPECT_EQ(report.violations, 0);
+}
+
+TEST(Spanner, ProfileAndSpansPerTaskWithHUnchanged) {
+  // Both degree sequences superclustering in several phases (caveman at
+  // kappa 8), traced and profiled: one wall-time entry and one trace span
+  // per (phase, task), and H and the stats bit-identical to the plain run.
+  const Graph g = gen_family("caveman", 4096, 2024);
+  for (const char* algorithm : {"spanner", "spanner_em19"}) {
+    SCOPED_TRACE(algorithm);
+    BuildSpec spec{.algorithm = algorithm,
+                   .params = {.kappa = 8, .eps = 0.25, .rho = 0.3},
+                   .exec = {.keep_audit_data = false}};
+    const BuildOutput plain = build(g, spec);
+    spec.exec.profile = true;
+    obs::trace_reset();
+    obs::trace_set_enabled(true);
+    const BuildOutput profiled = build(g, spec);
+    obs::trace_set_enabled(false);
+    const std::string trace = obs::trace_dump_chrome_json();
+    obs::trace_reset();
+
+    EXPECT_TRUE(plain.profile.empty());
+    EXPECT_EQ(plain.h().edges(), profiled.h().edges());
+    EXPECT_EQ(plain.stats, profiled.stats);
+
+    std::vector<std::string> labels;
+    for (const congest::PhaseProfileEntry& e : profiled.profile) {
+      labels.push_back(e.label);
+      EXPECT_GE(e.times.wall_s, 0.0) << e.label;
+      EXPECT_EQ(e.times.stage_sum_s(), 0.0) << e.label;
+    }
+    const std::vector<PhaseStats>& phases = profiled.result.phases;
+    EXPECT_EQ(labels, test::wall_profile_labels(phases));
+
+    std::size_t superclustered = 0;
+    for (const PhaseStats& p : phases) superclustered += p.clusters_out > 0;
+    EXPECT_GE(superclustered, 2u);
+    // A span dumps as a begin and an end event.
+    EXPECT_EQ(test::count_of(trace, "\"core.detect\""), 2 * phases.size());
+    EXPECT_EQ(test::count_of(trace, "\"core.ruling\""), 2 * superclustered);
+    EXPECT_EQ(test::count_of(trace, "\"core.forest\""), 2 * superclustered);
+    EXPECT_EQ(test::count_of(trace, "\"core.interconnect\""), 2 * phases.size());
+  }
 }
 
 TEST(Spanner, MismatchedParamsRejected) {

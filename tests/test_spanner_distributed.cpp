@@ -7,15 +7,21 @@
 
 #include <string>
 
+#include "api/build.hpp"
 #include "core/params.hpp"
 #include "core/spanner.hpp"
-#include "core/spanner_distributed.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
 #include "util/math.hpp"
 
 namespace usne {
 namespace {
+
+BuildOutput spanner(const Graph& g, const char* algorithm, int kappa,
+                    double rho) {
+  return build(g, {.algorithm = algorithm,
+                   .params = {.kappa = kappa, .eps = 0.4, .rho = rho}});
+}
 
 struct CongestSpannerCase {
   std::string family;
@@ -32,21 +38,21 @@ class CongestSpannerSweep
     const CongestSpannerCase& c = GetParam();
     graph_ = gen_family(c.family, c.n, c.seed);
     params_ = SpannerParams::compute(graph_.num_vertices(), c.kappa, c.rho, 0.4);
-    result_ = build_spanner_congest(graph_, params_);
+    result_ = spanner(graph_, "spanner_congest", c.kappa, c.rho);
   }
 
   Graph graph_;
   SpannerParams params_;
-  DistributedSpannerResult result_;
+  BuildOutput result_;
 };
 
 TEST_P(CongestSpannerSweep, IsSubgraph) {
-  EXPECT_TRUE(is_subgraph(result_.base.h, graph_));
+  EXPECT_TRUE(is_subgraph(result_.h(), graph_));
 }
 
 TEST_P(CongestSpannerSweep, StretchBound) {
   const auto report = evaluate_stretch_exact(
-      graph_, result_.base.h, params_.schedule.alpha_bound(),
+      graph_, result_.h(), params_.schedule.alpha_bound(),
       params_.schedule.beta_bound());
   EXPECT_EQ(report.violations, 0)
       << "beta=" << params_.schedule.beta_bound()
@@ -56,15 +62,16 @@ TEST_P(CongestSpannerSweep, StretchBound) {
 
 TEST_P(CongestSpannerSweep, SizeReasonable) {
   // O(n^(1+1/kappa)); assert a modest constant, and never more than G.
-  EXPECT_LE(result_.base.h.num_edges(),
+  EXPECT_LE(result_.h().num_edges(),
             4 * size_bound_edges(graph_.num_vertices(), GetParam().kappa));
-  EXPECT_LE(result_.base.h.num_edges(), graph_.num_edges());
+  EXPECT_LE(result_.h().num_edges(), graph_.num_edges());
 }
 
 TEST_P(CongestSpannerSweep, RoundsMeteredAndDeterministic) {
   EXPECT_GT(result_.net.rounds, 0);
-  const auto again = build_spanner_congest(graph_, params_);
-  EXPECT_EQ(result_.base.h.edges(), again.base.h.edges());
+  const CongestSpannerCase& c = GetParam();
+  const auto again = spanner(graph_, "spanner_congest", c.kappa, c.rho);
+  EXPECT_EQ(result_.h().edges(), again.h().edges());
   EXPECT_EQ(result_.net.rounds, again.net.rounds);
 }
 
@@ -88,31 +95,28 @@ TEST(CongestSpanner, MatchesCentralizedSimulationSize) {
   // same phase logic; sizes agree up to the different notification
   // mechanics (dedup makes both subgraphs of the same path union).
   const Graph g = gen_connected_gnm(160, 480, 9);
-  const auto params = SpannerParams::compute(160, 4, 0.45, 0.4);
-  const auto congest = build_spanner_congest(g, params);
-  SpannerOptions options;
-  const auto central = build_spanner(g, params, options);
+  const auto congest = spanner(g, "spanner_congest", 4, 0.45).h().num_edges();
+  const auto central = spanner(g, "spanner", 4, 0.45).h().num_edges();
   // Same invariants; sizes within a small factor of each other.
-  EXPECT_LE(congest.base.h.num_edges(), 2 * central.h.num_edges() + 16);
-  EXPECT_LE(central.h.num_edges(), 2 * congest.base.h.num_edges() + 16);
+  EXPECT_LE(congest, 2 * central + 16);
+  EXPECT_LE(central, 2 * congest + 16);
 }
 
 TEST(CongestSpanner, Em19VariantRuns) {
   const Graph g = gen_connected_gnm(128, 384, 11);
   const auto params = DistributedParams::compute(128, 4, 0.45, 0.4);
-  const auto r = build_spanner_congest_em19(g, params);
-  EXPECT_TRUE(is_subgraph(r.base.h, g));
+  const auto r = spanner(g, "spanner_congest_em19", 4, 0.45);
+  EXPECT_TRUE(is_subgraph(r.h(), g));
   const auto report = evaluate_stretch_exact(
-      g, r.base.h, params.schedule.alpha_bound(), params.schedule.beta_bound());
+      g, r.h(), params.schedule.alpha_bound(), params.schedule.beta_bound());
   EXPECT_EQ(report.violations, 0);
 }
 
 TEST(CongestSpanner, UPartitionComplete) {
   const Graph g = gen_family("ws", 128, 13);
-  const auto params = SpannerParams::compute(g.num_vertices(), 4, 0.45, 0.4);
-  const auto r = build_spanner_congest(g, params);
+  const auto r = spanner(g, "spanner_congest", 4, 0.45);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_GE(r.base.u_level[static_cast<std::size_t>(v)], 0) << v;
+    EXPECT_GE(r.result.u_level[static_cast<std::size_t>(v)], 0) << v;
   }
 }
 

@@ -7,8 +7,6 @@
 #include <map>
 
 #include "api/build.hpp"
-#include "core/emulator_centralized.hpp"
-#include "core/emulator_fast.hpp"
 #include "core/params.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
@@ -67,10 +65,11 @@ TEST(PipelineSoak, EveryFamilyEndToEnd) {
     const Graph g = gen_family(family, 180, 99);
     const Vertex n = g.num_vertices();
     const auto params = CentralizedParams::compute(n, 4, 0.25);
-    const auto r = build_emulator_centralized(g, params);
-    EXPECT_LE(r.h.num_edges(), size_bound_edges(n, 4)) << family;
+    const auto r = build(g, {.algorithm = "emulator_centralized",
+                             .params = {.kappa = 4, .eps = 0.25}});
+    EXPECT_LE(r.h().num_edges(), size_bound_edges(n, 4)) << family;
     const auto stretch = evaluate_stretch_sampled(
-        g, r.h, params.schedule.alpha_bound(), params.schedule.beta_bound(),
+        g, r.h(), params.schedule.alpha_bound(), params.schedule.beta_bound(),
         6, 5);
     EXPECT_TRUE(stretch.ok()) << family << " violations=" << stretch.violations;
   }
@@ -81,10 +80,11 @@ TEST(PipelineSoak, FastBuilderEveryFamily) {
     const Graph g = gen_family(family, 180, 77);
     const Vertex n = g.num_vertices();
     const auto params = DistributedParams::compute(n, 8, 0.4, 0.3);
-    const auto r = build_emulator_fast(g, params);
-    EXPECT_LE(r.h.num_edges(), size_bound_edges(n, 8)) << family;
+    const auto r = build(g, {.algorithm = "emulator_fast",
+                             .params = {.kappa = 8, .eps = 0.3, .rho = 0.4}});
+    EXPECT_LE(r.h().num_edges(), size_bound_edges(n, 8)) << family;
     const auto stretch = evaluate_stretch_sampled(
-        g, r.h, params.schedule.alpha_bound(), params.schedule.beta_bound(),
+        g, r.h(), params.schedule.alpha_bound(), params.schedule.beta_bound(),
         6, 3);
     EXPECT_TRUE(stretch.ok()) << family << " violations=" << stretch.violations;
   }
@@ -94,13 +94,14 @@ TEST(PipelineSoak, RepeatedBuildsShareNothing) {
   // Re-entrancy: building twice from the same graph object and
   // interleaving queries must not interfere.
   const Graph g = gen_connected_gnm(200, 600, 8);
-  const auto params = CentralizedParams::compute(200, 4, 0.25);
-  const auto a = build_emulator_centralized(g, params);
-  const auto dist_a_before = dijkstra(a.h, 0);
-  const auto b = build_emulator_centralized(g, params);
-  const auto dist_a_after = dijkstra(a.h, 0);
+  const BuildSpec spec{.algorithm = "emulator_centralized",
+                       .params = {.kappa = 4, .eps = 0.25}};
+  const auto a = build(g, spec);
+  const auto dist_a_before = dijkstra(a.h(), 0);
+  const auto b = build(g, spec);
+  const auto dist_a_after = dijkstra(a.h(), 0);
   EXPECT_EQ(dist_a_before, dist_a_after);
-  EXPECT_EQ(a.h.edges(), b.h.edges());
+  EXPECT_EQ(a.h().edges(), b.h().edges());
 }
 
 TEST(PipelineSoak, HopsetAndOracleComposition) {
@@ -109,7 +110,7 @@ TEST(PipelineSoak, HopsetAndOracleComposition) {
   const Graph g = gen_torus(16, 16);
   BuildSpec spec;
   spec.algorithm = "emulator_fast";
-  spec.params = {0, 8, 0.25, 0.4, false};
+  spec.params = {8, 0.25, 0.4, false};
   spec.exec.keep_audit_data = false;
   const serve::QueryEngine engine(build(g, spec));
   const auto report = measure_hopbound(g, engine.emulator(), {0, 37},
