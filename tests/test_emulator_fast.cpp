@@ -12,7 +12,6 @@
 #include "core/params.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
-#include "test_helpers.hpp"
 #include "util/math.hpp"
 
 namespace usne {
@@ -134,33 +133,6 @@ TEST(EmulatorFast, MismatchedParamsRejected) {
   const Graph g = gen_path(10);
   const auto params = DistributedParams::compute(99, 8, 0.4, 0.25);
   EXPECT_THROW(build_emulator_fast(g, params), std::invalid_argument);
-}
-
-TEST(EmulatorFast, ProfileOnlyWhenRequestedAndHUnchanged) {
-  const Graph g = gen_family("caveman", 2048, 3);
-  BuildSpec spec;
-  spec.algorithm = "emulator_fast";
-  spec.params.kappa = 4;
-  spec.params.rho = 0.45;
-  spec.exec.keep_audit_data = false;
-  const BuildOutput plain = build(g, spec);
-  spec.exec.profile = true;
-  const BuildOutput profiled = build(g, spec);
-
-  EXPECT_TRUE(plain.profile.empty());
-  EXPECT_EQ(plain.h().edges(), profiled.h().edges());
-  EXPECT_EQ(plain.stats, profiled.stats);
-
-  // One entry per (phase, task), wall time only.
-  std::vector<std::string> got;
-  for (const congest::PhaseProfileEntry& e : profiled.profile) {
-    got.push_back(e.label);
-    EXPECT_GE(e.times.wall_s, 0.0) << e.label;
-    EXPECT_EQ(e.times.stage_sum_s(), 0.0) << e.label;
-    EXPECT_EQ(e.times.rounds, 0) << e.label;
-  }
-  EXPECT_EQ(got, test::wall_profile_labels(profiled.result.phases));
-  EXPECT_GT(profiled.result.phases.front().clusters_out, 0);
 }
 
 }  // namespace

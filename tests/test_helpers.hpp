@@ -58,18 +58,21 @@ inline std::size_t count_of(const std::string& haystack,
   return count;
 }
 
-/// The labels, in order, of the wall-time profile a centralized build
-/// (emulator_fast, spanner, spanner_em19) records with ExecOptions::profile:
-/// detect opens every phase and interconnect closes it; ruling and forest
-/// sit between them exactly in the phases that superclustered.
-inline std::vector<std::string> wall_profile_labels(
-    const std::vector<PhaseStats>& phases) {
+/// The labels, in order, of the construction profile a build records with
+/// ExecOptions::profile: detect opens every phase and interconnect closes
+/// it; ruling, forest and the CONGEST builders' Task 3 (`task3`:
+/// "backtrack" for emulator_congest, "upcast" for spanner_congest; nullptr
+/// for the centralized builders, which have no Task 3 of their own) sit
+/// between them in every phase but the last that found a popular cluster.
+inline std::vector<std::string> profile_labels(
+    const std::vector<PhaseStats>& phases, const char* task3 = nullptr) {
   std::vector<std::string> labels;
   for (const PhaseStats& p : phases) {
     labels.push_back(profile_label(p.phase, "detect"));
-    if (p.clusters_out > 0) {
+    if (p.popular > 0 && &p != &phases.back()) {
       labels.push_back(profile_label(p.phase, "ruling"));
       labels.push_back(profile_label(p.phase, "forest"));
+      if (task3 != nullptr) labels.push_back(profile_label(p.phase, task3));
     }
     labels.push_back(profile_label(p.phase, "interconnect"));
   }

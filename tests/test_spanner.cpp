@@ -140,11 +140,12 @@ TEST(Spanner, Em19AlsoValid) {
 }
 
 TEST(Spanner, ProfileAndSpansPerTaskWithHUnchanged) {
-  // Both degree sequences superclustering in several phases (caveman at
-  // kappa 8), traced and profiled: one wall-time entry and one trace span
-  // per (phase, task), and H and the stats bit-identical to the plain run.
+  // The centralized phase loop under all three of its constructions, each
+  // superclustering in several phases (caveman at kappa 8), traced and
+  // profiled: one wall-time entry and one trace span per (phase, task), and
+  // H and the stats bit-identical to the plain run.
   const Graph g = gen_family("caveman", 4096, 2024);
-  for (const char* algorithm : {"spanner", "spanner_em19"}) {
+  for (const char* algorithm : {"emulator_fast", "spanner", "spanner_em19"}) {
     SCOPED_TRACE(algorithm);
     BuildSpec spec{.algorithm = algorithm,
                    .params = {.kappa = 8, .eps = 0.25, .rho = 0.3},
@@ -167,9 +168,10 @@ TEST(Spanner, ProfileAndSpansPerTaskWithHUnchanged) {
       labels.push_back(e.label);
       EXPECT_GE(e.times.wall_s, 0.0) << e.label;
       EXPECT_EQ(e.times.stage_sum_s(), 0.0) << e.label;
+      EXPECT_EQ(e.times.rounds, 0) << e.label;
     }
     const std::vector<PhaseStats>& phases = profiled.result.phases;
-    EXPECT_EQ(labels, test::wall_profile_labels(phases));
+    EXPECT_EQ(labels, test::profile_labels(phases));
 
     std::size_t superclustered = 0;
     for (const PhaseStats& p : phases) superclustered += p.clusters_out > 0;
