@@ -17,8 +17,9 @@
 //
 // With --json FILE the per-row serving records are written as
 // BENCH_serve.json — the cross-PR throughput trajectory; scripts/check.sh
-// diffs the row *counts* (wall times move with the hardware, the scenario
-// list must not drift silently).
+// diffs the row *counts*, the answer checksums and the serial engine's
+// SSSP counts (wall times move with the hardware; the scenario list, the
+// answers and the cache behaviour must not drift silently).
 
 #include <cstring>
 #include <fstream>
@@ -187,7 +188,7 @@ int main(int argc, char** argv) {
         .add(parallel.qps, 0)
         .add(speedup, 2)
         .add(oracle.sssp_runs())
-        .add(parallel.cache.sssp_runs)
+        .add(serial.cache.sssp_runs)
         .add(hit_rate, 3)
         .add(identical ? "yes" : "NO");
 
@@ -199,7 +200,7 @@ int main(int argc, char** argv) {
             ", \"workload_seed\": 42, \"threads\": " + std::to_string(threads) +
             ", \"checksum\": " + std::to_string(parallel.checksum) +
             ", \"sssp_oracle\": " + std::to_string(oracle.sssp_runs()) +
-            ", \"sssp_engine\": " + std::to_string(parallel.cache.sssp_runs) +
+            ", \"sssp_engine\": " + std::to_string(serial.cache.sssp_runs) +
             ", \"oracle_qps\": " + format_double(oracle_qps, 0) +
             ", \"engine_serial_qps\": " + format_double(serial.qps, 0) +
             ", \"engine_parallel_qps\": " + format_double(parallel.qps, 0) +
@@ -242,9 +243,11 @@ int main(int argc, char** argv) {
               "distinct source; that dominates any thread count. On a "
               "perfectly grouped stream the single-entry cache is already "
               "optimal, so the engine's value there is thread-scaling and "
-              "thread-safety, not fewer SSSPs. 'identical' certifies "
-              "cached, uncached, serial, parallel and legacy answers agree "
-              "bit-for-bit.");
+              "thread-safety, not fewer SSSPs. 'sssp_engine' counts the "
+              "serial (1-thread) cold engine's SSSP runs, which are "
+              "reproducible; the parallel engine's count depends on "
+              "scheduling. 'identical' certifies cached, uncached, serial, "
+              "parallel and legacy answers agree bit-for-bit.");
   std::cout << "\n[E9 done in " << format_double(total.seconds(), 1) << "s]\n";
   return failed ? 1 : 0;
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify + CONGEST perf smoke.
 #
-#   scripts/check.sh           configure, build, run the full test suite,
+#   scripts/check.sh           configure with -DUSNE_WERROR=ON, build, run
+#                              the full test suite,
 #                              then smoke-run bench_congest_rounds at
 #                              --threads 1 and --threads max and emit
 #                              BENCH_congest.json (round/message/word counts
@@ -87,8 +88,8 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "== configure =="
-cmake -B build -S . >/dev/null
+echo "== configure (-Werror) =="
+cmake -B build -S . -DUSNE_WERROR=ON >/dev/null
 
 echo "== build =="
 cmake --build build -j "${JOBS}"
@@ -541,17 +542,19 @@ if [ -n "${old_serve_rows}" ] && [ "${old_serve_rows}" != "${new_serve_rows}" ];
 fi
 # Answer checksums are a pure function of (H, workload seed): the committed
 # per-row checksums must be byte-identical after regeneration — a serving
-# optimization that moves one is a wrong answer, not a speedup.
+# optimization that moves one is a wrong answer, not a speedup. The serial
+# cold engine's SSSP count (sssp_engine) is as reproducible, and pinned with
+# them: a cache change that moves it is a change to call out.
+serve_pins() { grep -o -e '"checksum": [0-9]*' -e '"sssp_engine": [0-9]*' "$1"; }
 if [ -f BENCH_serve.json ]; then
-  if ! diff <(grep -o '"checksum": [0-9]*' BENCH_serve.json) \
-            <(grep -o '"checksum": [0-9]*' BENCH_serve.json.tmp); then
-    echo "FAIL: BENCH_serve.json answer checksums drifted" >&2
+  if ! diff <(serve_pins BENCH_serve.json) <(serve_pins BENCH_serve.json.tmp); then
+    echo "FAIL: BENCH_serve.json answer checksums or sssp_engine counts drifted" >&2
     rm -f BENCH_serve.json.tmp
     exit 1
   fi
 fi
 mv BENCH_serve.json.tmp BENCH_serve.json
-echo "BENCH_serve.json: ${new_serve_rows} serving rows recorded (checksums stable)"
+echo "BENCH_serve.json: ${new_serve_rows} serving rows recorded (checksums and sssp_engine stable)"
 
 echo "== grouped-speedup floor (E9 regression gate) =="
 # On a perfectly grouped stream the legacy single-entry cache is already

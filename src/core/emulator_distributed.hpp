@@ -1,30 +1,27 @@
 #pragma once
 
 // Distributed construction of ultra-sparse near-additive emulators in the
-// CONGEST model — the paper's §3.1, executed on the simulator of
-// src/congest/ with full round/message accounting and cap enforcement.
-//
-// Per phase i (superclustering step, i < ell):
-//   Task 1  Popular-cluster detection: Algorithm 2 (modified Bellman–Ford)
-//           from the centers of P_i, delta_i strides with forwarding cap
-//           deg_i + 1.
-//   Task 2  Deterministic ruling set S_i on the popular centers W_i with
-//           separation parameter q = 2*delta_i (digit sweep, base ~ n^rho).
-//   Task 3  BFS forest rooted at S_i to depth rul_i + delta_i, then a
-//           backtracking convergecast of <origin, depth> messages toward
-//           the roots, in rul_i + delta_i strides of 2*deg_i + 2 rounds.
-//           A vertex holding >= 2*deg_i + 2 messages is a *hub*: it splits
-//           from its tree and forms superclusters locally — itself as
-//           center if it is a cluster center, otherwise one supercluster
-//           per greedily-packed child group of message count in
-//           [2*deg_i+2, 6*deg_i+6], centered at the smallest member.
-//           A final pipelined down-cast informs every joining center of its
-//           new center and superclustering-edge weight, so that BOTH
-//           endpoints of every emulator edge know it (the paper's central
-//           correctness obligation for emulators in CONGEST).
-//   Interconnection  clusters never superclustered form U_i; a second
-//           Algorithm 2 run from U_i centers gives the reverse endpoints
-//           their knowledge; edge weights are exact graph distances.
+// CONGEST model — the paper's §3.1, run by the CONGEST phase loop
+// (core/phase_loop.hpp) on the simulator of src/congest/ with full
+// round/message accounting and cap enforcement. The loop runs detection,
+// the ruling set S_i and the BFS forest rooted at S_i to depth
+// rul_i + delta_i; this construction supplies two steps:
+//   Task 3 ("backtrack")  a backtracking convergecast of <origin, depth>
+//           messages toward the roots, in rul_i + delta_i strides of
+//           2*deg_i + 2 rounds. A vertex holding >= 2*deg_i + 2 messages
+//           is a *hub*: it splits from its tree and forms superclusters
+//           locally — itself as center if it is a cluster center,
+//           otherwise one supercluster per greedily-packed child group of
+//           message count in [2*deg_i+2, 6*deg_i+6], centered at the
+//           smallest member. A final pipelined down-cast informs every
+//           joining center of its new center and superclustering-edge
+//           weight, so that BOTH endpoints of every emulator edge know it
+//           (the paper's central correctness obligation for emulators in
+//           CONGEST).
+//   Interconnection  each U_i center adds an edge to every center it heard
+//           in Task 1, weighted by the exact graph distance; before phase
+//           ell, a second Algorithm 2 run from U_i's centers gives the
+//           other endpoints their knowledge.
 //
 // The returned result carries, besides the emulator and audit data, the
 // per-node local edge knowledge accumulated *only* through received

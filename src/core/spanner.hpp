@@ -2,9 +2,9 @@
 
 // Near-additive spanners — the paper's §4.
 //
-// Same SAI skeleton as the emulator, but every insertion of a weighted
-// emulator edge (u, v, d) is replaced by inserting an actual u-v path of
-// length <= d from G, so H is a *subgraph* of G:
+// The emulator's phase loop (core/phase_loop.hpp), but every insertion of a
+// weighted emulator edge (u, v, d) is replaced by inserting an actual u-v
+// path of length <= d from G, so H is a *subgraph* of G:
 //   * superclustering: the root-paths of joining centers inside the BFS
 //     forest F_i (<= n-1 forest edges per phase);
 //   * interconnection: the recorded shortest path between the two centers.
@@ -16,9 +16,8 @@
 // degree sequence instead reproduces the [EM19] baseline with its
 // O(beta * n^(1+1/kappa)) edges — the comparison of bench E5.
 //
-// This builder runs as a centralized simulation of the distributed
-// algorithm (paper §3.3); round schedules are inherited from the §3
-// construction. core/spanner_distributed.hpp runs it on the simulator.
+// This builder runs the centralized loop (paper §3.3);
+// core/spanner_distributed.hpp runs the CONGEST one.
 
 #include "core/cluster.hpp"
 #include "core/params.hpp"

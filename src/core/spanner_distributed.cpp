@@ -1,16 +1,11 @@
 #include "core/spanner_distributed.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <unordered_set>
 
-#include "congest/bfs_forest.hpp"
-#include "congest/detect.hpp"
 #include "congest/engine.hpp"
-#include "congest/ruling_set.hpp"
-#include "core/task_clock.hpp"
+#include "core/phase_loop.hpp"
 
 namespace usne {
 namespace {
@@ -18,7 +13,6 @@ namespace {
 using congest::BfsForest;
 using congest::DetectResult;
 using congest::Message;
-using congest::Network;
 using congest::NodeProgram;
 using congest::Outbox;
 using congest::Received;
@@ -251,162 +245,33 @@ class PathMarksProgram final : public NodeProgram {
 template <typename Params>
 DistributedBuildResult build_spanner_congest(const Graph& g, const Params& params,
                                              const ExecOptions& exec) {
-  const Vertex n = g.num_vertices();
-  if (params.n != n) {
-    throw std::invalid_argument("params were computed for a different n");
-  }
-  const PhaseSchedule& sched = params.schedule;
-  const int ell = sched.ell();
-
-  DistributedBuildResult out;
-  out.base.h = WeightedGraph(n);
-  out.base.u_level.assign(static_cast<std::size_t>(n), -1);
-  out.base.u_center.assign(static_cast<std::size_t>(n), -1);
-
-  Network net(g);
-  net.set_execution_threads(exec.num_threads);
-  net.configure_transport(exec.transport);
-  Scheduler scheduler(net);
-
-  // Construction profiling: one stage-time sink on the network, cut into
-  // labeled per-task deltas — the same delta pattern the round metering
-  // uses with net.stats().rounds.
-  congest::StageTimes prof_acc;
-  congest::StageTimes prof_mark;
-  if (exec.profile) net.set_profile_sink(&prof_acc);
-  const auto prof_snap = [&](int phase, const char* task) {
-    if (!exec.profile) return;
-    out.base.profile.push_back(
-        {profile_label(phase, task), prof_acc - prof_mark});
-    prof_mark = prof_acc;
-  };
-
-  std::vector<Cluster> current = singleton_partition(n);
-  if (exec.keep_audit_data) out.base.partitions.push_back(current);
-  std::vector<std::int32_t> cluster_of(static_cast<std::size_t>(n), -1);
-  std::vector<bool> is_center(static_cast<std::size_t>(n), false);
-
-  for (int i = 0; i <= ell; ++i) {
-    const double deg_i = sched.deg[static_cast<std::size_t>(i)];
-    const Dist delta_i = sched.delta[static_cast<std::size_t>(i)];
-    const Dist rul_i = params.rul[static_cast<std::size_t>(i)];
-    const std::int64_t cap =
-        static_cast<std::int64_t>(std::ceil(deg_i - 1e-9)) + 1;
-
-    PhaseStats stats;
-    stats.phase = i;
-    stats.clusters_in = static_cast<std::int64_t>(current.size());
-    stats.deg_threshold = deg_i;
-    stats.delta = delta_i;
-
-    std::vector<Vertex> centers;
-    for (std::size_t c = 0; c < current.size(); ++c) {
-      centers.push_back(current[c].center);
-      cluster_of[static_cast<std::size_t>(current[c].center)] =
-          static_cast<std::int32_t>(c);
-      is_center[static_cast<std::size_t>(current[c].center)] = true;
-    }
-    std::sort(centers.begin(), centers.end());
-
-    std::int64_t mark = net.stats().rounds;
-    const DetectResult det = congest::detect_congest(net, centers, delta_i, cap);
-    stats.rounds_detect = net.stats().rounds - mark;
-    prof_snap(i, "detect");
-
-    std::vector<Vertex> popular;
-    for (const Vertex c : centers) {
-      if (static_cast<double>(det.heard_others(c)) + 1e-9 >= deg_i) {
-        popular.push_back(c);
-      }
-    }
-    stats.popular = static_cast<std::int64_t>(popular.size());
-
-    std::vector<Cluster> next;
-    std::vector<bool> superclustered(static_cast<std::size_t>(n), false);
-    if (i < ell && !popular.empty()) {
-      mark = net.stats().rounds;
-      const RulingSet ruling =
-          congest::compute_ruling_set(net, popular, 2 * delta_i, params.ruling_base);
-      stats.rounds_ruling = net.stats().rounds - mark;
-      prof_snap(i, "ruling");
-
-      mark = net.stats().rounds;
-      const BfsForest forest =
-          congest::build_bfs_forest(net, ruling.members, rul_i + delta_i);
-      stats.rounds_forest = net.stats().rounds - mark;
-      prof_snap(i, "forest");
-
-      mark = net.stats().rounds;
-      MarkUpcastProgram upcast(n, forest, is_center, rul_i + delta_i,
-                               out.base.h,
-                               exec.keep_audit_data ? &out.base.edge_log : nullptr,
-                               i, stats.supercluster_edges);
-      scheduler.run(upcast);
-      stats.rounds_backtrack = net.stats().rounds - mark;
-      prof_snap(i, "upcast");
-
-      // Supercluster membership (audit bookkeeping; one per tree).
-      std::vector<std::int32_t> super_of(static_cast<std::size_t>(n), -1);
-      for (const Vertex r : ruling.members) {
-        super_of[static_cast<std::size_t>(r)] = static_cast<std::int32_t>(next.size());
-        Cluster super;
-        super.center = r;
-        next.push_back(std::move(super));
-      }
-      for (const Vertex c : centers) {
-        const Vertex root = forest.root[static_cast<std::size_t>(c)];
-        if (root == -1) continue;
-        Cluster& super =
-            next[static_cast<std::size_t>(super_of[static_cast<std::size_t>(root)])];
-        const Cluster& joined =
-            current[static_cast<std::size_t>(cluster_of[static_cast<std::size_t>(c)])];
-        super.members.insert(super.members.end(), joined.members.begin(),
-                             joined.members.end());
-        superclustered[static_cast<std::size_t>(c)] = true;
-      }
-    }
-
-    // Interconnection.
-    std::vector<Vertex> u_centers;
-    for (const Vertex c : centers) {
-      if (!superclustered[static_cast<std::size_t>(c)]) u_centers.push_back(c);
-    }
-    stats.unclustered = static_cast<std::int64_t>(u_centers.size());
-    for (const Vertex c : u_centers) {
-      const Cluster& cl = current[static_cast<std::size_t>(
-          cluster_of[static_cast<std::size_t>(c)])];
-      for (const Vertex m : cl.members) {
-        out.base.u_level[static_cast<std::size_t>(m)] = i;
-        out.base.u_center[static_cast<std::size_t>(m)] = c;
-      }
-    }
-    mark = net.stats().rounds;
-    PathMarksProgram marks(n, det, u_centers, delta_i, cap, out.base.h,
-                           exec.keep_audit_data ? &out.base.edge_log : nullptr, i,
-                           stats.interconnect_edges);
-    scheduler.run(marks);
-    stats.rounds_interconnect = net.stats().rounds - mark;
-    prof_snap(i, "interconnect");
-
-    for (const Vertex c : centers) {
-      cluster_of[static_cast<std::size_t>(c)] = -1;
-      is_center[static_cast<std::size_t>(c)] = false;
-    }
-    stats.clusters_out = static_cast<std::int64_t>(next.size());
-    stats.rounds = stats.rounds_detect + stats.rounds_ruling +
-                   stats.rounds_forest + stats.rounds_backtrack +
-                   stats.rounds_interconnect;
-    out.base.phases.push_back(stats);
-    current = std::move(next);
-    if (exec.keep_audit_data) out.base.partitions.push_back(current);
-  }
-
-  assert(current.empty());
-  net.set_profile_sink(nullptr);
-  out.base.total_rounds = net.stats().rounds;
-  out.net = net.stats();
-  out.transport = net.transport().counters();
-  return out;
+  CongestBuild b(g, params.n, exec);
+  return run_congest_phases(
+      b, params, "upcast",
+      // Task 3: the join-mark up-cast adds the forest paths; membership is
+      // one supercluster per tree.
+      [](CongestBuild& build, const RulingSet& ruling, const BfsForest& forest) {
+        const Vertex n = build.g.num_vertices();
+        std::vector<bool> is_center(static_cast<std::size_t>(n), false);
+        for (const Vertex c : build.centers) {
+          is_center[static_cast<std::size_t>(c)] = true;
+        }
+        MarkUpcastProgram upcast(
+            n, forest, is_center, build.depth, build.out.base.h,
+            build.exec.keep_audit_data ? &build.out.base.edge_log : nullptr,
+            build.phase, build.stats.supercluster_edges);
+        Scheduler(build.net).run(upcast);
+        build.join_trees(ruling.members, forest.root);
+      },
+      [](CongestBuild& build, const DetectResult& detect,
+         const std::vector<Vertex>& u_centers) {
+        PathMarksProgram marks(
+            build.g.num_vertices(), detect, u_centers, build.delta, build.cap,
+            build.out.base.h,
+            build.exec.keep_audit_data ? &build.out.base.edge_log : nullptr,
+            build.phase, build.stats.interconnect_edges);
+        Scheduler(build.net).run(marks);
+      });
 }
 
 template DistributedBuildResult build_spanner_congest(const Graph&,

@@ -1,17 +1,20 @@
 #pragma once
 
 // Distributed CONGEST construction of near-additive spanners — the paper's
-// §4, run on the simulator with full round/message metering.
+// §4, run by the CONGEST phase loop (core/phase_loop.hpp) on the simulator
+// with full round/message metering.
 //
 // The spanner variant is *simpler* than the emulator in CONGEST (paper §4:
 // "the construction of superclusters becomes simpler... there is no need to
-// define hub-vertices"), because path edges are added locally:
+// define hub-vertices"), because path edges are added locally. Its two
+// steps:
 //
-//   * Superclustering: after the BFS forest is built, every spanned center
+//   * Task 3 ("upcast"): after the loop's BFS forest, every spanned center
 //     convergecasts a single 1-word join mark toward its root; every vertex
 //     that holds a mark adds its parent edge to H. No per-origin payload
 //     ever travels, so no hub splitting is needed and each tree edge
-//     carries at most one mark (deduplicated by the relays).
+//     carries at most one mark (deduplicated by the relays). Each tree is
+//     one supercluster.
 //   * Interconnection: a cluster in U_i traces a path-mark along the
 //     recorded Algorithm 2 predecessor chain to each neighbouring center;
 //     every relay adds the edge to its predecessor. Marks are pipelined one

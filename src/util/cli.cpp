@@ -32,7 +32,9 @@ Cli::Cli(int argc, char** argv, std::map<std::string, std::string> spec,
     } else {
       name = arg;
       if (switches.count(name) != 0) {
-        value = "1";  // boolean switch: never consumes the next token
+        // Boolean switch: never consumes the next token. (GCC 12 flags
+        // `value = "1"` here with a bogus -Wrestrict.)
+        value.assign(1, '1');
       } else if (i + 1 < argc &&
                  std::string(argv[i + 1]).rfind("--", 0) != 0) {
         value = argv[++i];

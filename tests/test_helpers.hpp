@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/cluster.hpp"
-#include "core/task_clock.hpp"
+#include "core/phase_loop.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "path/bfs.hpp"
