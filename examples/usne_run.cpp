@@ -253,8 +253,17 @@ int run_query(const usne::Cli& cli, const usne::Graph& g,
   } else {
     std::cout << "off\n";
   }
-  std::cout << "throughput: " << format_double(batch.qps, 0) << " qps  ("
+  const serve::KernelInfo& kernel = engine.kernel();
+  std::cout << "kernel: " << kernel.name() << " (core " << kernel.core;
+  if (kernel.structural) {
+    std::cout << ", max depth " << kernel.max_depth << ", table "
+              << kernel.table_bytes << " B, built in "
+              << format_double(kernel.build_s * 1e3, 2) << " ms";
+  }
+  std::cout << ")\n"
+            << "throughput: " << format_double(batch.qps, 0) << " qps  ("
             << format_double(batch.wall_s * 1e3, 1) << " ms; "
+            << batch.cache.structural << " structural, "
             << batch.cache.sssp_runs << " SSSP runs, "
             << batch.cache.hits << " cache hits, " << batch.cache.evictions
             << " evictions)\n"
@@ -294,6 +303,7 @@ int run_query(const usne::Cli& cli, const usne::Graph& g,
            << ", \"cache_mb\": " << format_double(options.cache_mb, 2)
            << ", \"peak_rss_mb\": " << format_double(util::peak_rss_mb(), 1)
            << ", \"edges\": " << built.h().num_edges()
+           << ", \"kernel\": " << kernel.json()
            << ", \"serve\": " << batch.stats_json()
            << ", \"latency\": "
            << (batch.latency ? batch.latency->stats_json() : std::string("{}"))

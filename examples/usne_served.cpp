@@ -183,6 +183,7 @@ int run(int argc, char** argv) {
             << ", n = " << g.num_vertices() << ", |H| = "
             << engine->emulator().num_edges() << " (built in "
             << format_double(build_s, 2) << "s)\n"
+            << "kernel: " << engine->kernel().json() << '\n'
             << "listening on " << server_options.host << ":" << server.port()
             << "  (workers = " << server_options.workers
             << ", max_queue = " << server_options.max_queue

@@ -99,6 +99,29 @@ struct BacktrackCtx {
   void enqueue_down(Vertex from, Vertex to, const Message& m) {
     down.push(from, to, m);
   }
+
+  /// v forms one supercluster around itself from the messages it holds,
+  /// and routes each origin its edge: a hub that is a center, or a forest
+  /// root at depth 0. A root is popular (a ruling-set member), so it forms
+  /// its supercluster even when every neighbour was consumed by hubs; it
+  /// joins it when it is a center.
+  void consume_at_center(Vertex v) {
+    auto& m = collected[static_cast<std::size_t>(v)];
+    const Dist dv = forest.depth[static_cast<std::size_t>(v)];
+    Cluster& super = b.new_super(v);
+    if (b.is_center(v)) b.join(super, v);
+    for (const UpMsg& um : m) {
+      if (um.origin == v) continue;
+      const Dist w = um.origin_depth - dv;
+      b.log_edge(v, um.origin, w, EdgeKind::kSupercluster, um.origin);
+      ++b.stats.supercluster_edges;
+      learn_local(b.out, v, um.origin, w);
+      b.join(super, um.origin);
+      enqueue_down(v, route[static_cast<std::size_t>(v)][um.origin],
+                   Message::of(kNotify, um.origin, v, w));
+    }
+    m.clear();
+  }
 };
 
 /// The backtracking convergecast (Task 3 second half, up direction) as a
@@ -183,19 +206,7 @@ class BacktrackProgram final : public NodeProgram {
       ++b.stats.hub_events;
       const Dist dv = c.forest.depth[static_cast<std::size_t>(v)];
       if (b.is_center(v)) {
-        // v forms a single supercluster around itself.
-        Cluster& super = b.new_super(v);
-        b.join(super, v);
-        for (const UpMsg& um : m) {
-          if (um.origin == v) continue;
-          const Dist w = um.origin_depth - dv;
-          b.log_edge(v, um.origin, w, EdgeKind::kSupercluster, um.origin);
-          ++b.stats.supercluster_edges;
-          learn_local(b.out, v, um.origin, w);
-          b.join(super, um.origin);
-          c.enqueue_down(v, c.route[static_cast<std::size_t>(v)][um.origin],
-                         Message::of(kNotify, um.origin, v, w));
-        }
+        c.consume_at_center(v);  // a single supercluster around v
       } else {
         // Partition children greedily into groups of message count in
         // [2deg+2, 6deg+6]; one supercluster per group.
@@ -351,28 +362,12 @@ void backtrack_superclusters(CongestBuild& b, const RulingSet&,
   BacktrackProgram up(ctx);
   scheduler.run(up);
 
-  // ---- Root consumption ----
+  // ---- Root consumption: each root is one more center at depth 0 ----
   const Vertex n = b.g.num_vertices();
   for (Vertex v = 0; v < n; ++v) {
-    if (!forest.spanned(v) || forest.depth[static_cast<std::size_t>(v)] != 0) {
-      continue;
+    if (forest.spanned(v) && forest.depth[static_cast<std::size_t>(v)] == 0) {
+      ctx.consume_at_center(v);
     }
-    auto& m = ctx.collected[static_cast<std::size_t>(v)];
-    // The root is popular (ruling set member), so it always forms its
-    // supercluster, even if every neighbour was consumed by hubs.
-    Cluster& super = b.new_super(v);
-    if (b.is_center(v)) b.join(super, v);
-    for (const UpMsg& um : m) {
-      if (um.origin == v) continue;
-      const Dist w = um.origin_depth;  // root depth is 0; exact BFS distance
-      b.log_edge(v, um.origin, w, EdgeKind::kSupercluster, um.origin);
-      ++b.stats.supercluster_edges;
-      learn_local(b.out, v, um.origin, w);
-      b.join(super, um.origin);
-      ctx.enqueue_down(v, ctx.route[static_cast<std::size_t>(v)][um.origin],
-                       Message::of(kNotify, um.origin, v, w));
-    }
-    m.clear();
   }
 
   // ---- Notification epoch (down-cast) ----

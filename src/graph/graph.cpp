@@ -44,12 +44,15 @@ bool Graph::has_edge(Vertex u, Vertex v) const noexcept {
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
-void check_vertex(const Graph& g, Vertex v, const char* what) {
-  if (v < 0 || v >= g.num_vertices()) {
+void check_vertex(Vertex n, Vertex v, const char* what) {
+  if (v < 0 || v >= n) {
     throw std::out_of_range(std::string(what) + ": vertex " + std::to_string(v) +
-                            " is out of range [0, " +
-                            std::to_string(g.num_vertices()) + ")");
+                            " is out of range [0, " + std::to_string(n) + ")");
   }
+}
+
+void check_vertex(const Graph& g, Vertex v, const char* what) {
+  check_vertex(g.num_vertices(), v, what);
 }
 
 bool GraphBuilder::add_edge(Vertex u, Vertex v) {

@@ -81,8 +81,9 @@ class Graph {
 };
 
 /// Throws std::out_of_range naming `v` and the caller `what` unless v is
-/// in [0, g.num_vertices()). For entry points that take vertex ids from
-/// their caller and index per-vertex arrays with them.
+/// in [0, n) (or [0, g.num_vertices())). For entry points that take vertex
+/// ids from their caller and index per-vertex arrays with them.
+void check_vertex(Vertex n, Vertex v, const char* what);
 void check_vertex(const Graph& g, Vertex v, const char* what);
 
 /// Incremental edge-list accumulator. Normalizes on build():

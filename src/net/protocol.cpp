@@ -229,6 +229,13 @@ bool parse_batch_request(std::span<const std::uint8_t> payload,
   return true;
 }
 
+bool batch_has_single_source(std::span<const std::uint8_t> payload) noexcept {
+  for (std::size_t at = 4; at < payload.size(); at += 9) {
+    if (payload[at] == 1) return true;
+  }
+  return false;
+}
+
 std::vector<std::uint8_t> encode_dist_reply(Dist d) {
   std::vector<std::uint8_t> out;
   put_u64(out, static_cast<std::uint64_t>(d));

@@ -157,6 +157,9 @@ std::vector<std::uint8_t> encode_batch_request(
     std::span<const serve::Query> queries);
 bool parse_batch_request(std::span<const std::uint8_t> payload,
                          std::vector<serve::Query>& out);
+/// True when a kBatch payload holds a single-source (`all`) item. Reads
+/// only the item flag bytes; the server routes point-only batches with it.
+bool batch_has_single_source(std::span<const std::uint8_t> payload) noexcept;
 
 std::vector<std::uint8_t> encode_dist_reply(Dist d);
 bool parse_dist_reply(std::span<const std::uint8_t> payload, Dist& d);

@@ -113,8 +113,12 @@ std::string cache_json(const serve::CacheStats& c) {
   out << "{\"coalesced\": " << c.coalesced << ", \"entries\": " << c.entries
       << ", \"evictions\": " << c.evictions << ", \"hits\": " << c.hits
       << ", \"misses\": " << c.misses << ", \"sssp_runs\": " << c.sssp_runs
-      << "}";
+      << ", \"structural\": " << c.structural << "}";
   return out.str();
+}
+
+std::uint64_t us_between(Clock::time_point a, Clock::time_point b) {
+  return static_cast<std::uint64_t>(elapsed_us(a, b));
 }
 
 }  // namespace
@@ -127,8 +131,10 @@ class Server::Impl {
     if (opt_.workers < 1) opt_.workers = 1;
     if (opt_.max_queue < 1) opt_.max_queue = 1;
     if (opt_.max_inflight_per_conn < 1) opt_.max_inflight_per_conn = 1;
-    hist_.reserve(static_cast<std::size_t>(opt_.workers));
-    for (int w = 0; w < opt_.workers; ++w) {
+    // One histogram per worker, and the last for the I/O thread's inline
+    // answers.
+    hist_.reserve(static_cast<std::size_t>(opt_.workers) + 1);
+    for (int w = 0; w <= opt_.workers; ++w) {
       hist_.push_back(std::make_unique<serve::LatencyHistogram>());
     }
   }
@@ -331,7 +337,8 @@ class Server::Impl {
     if (inv::audits_enabled()) {
       out << ", \"invariants\": " << inv::counters_json();
     }
-    out << ", \"latency\": " << merged.stats_json()
+    out << ", \"kernel\": " << eng->kernel().json()
+        << ", \"latency\": " << merged.stats_json()
         << ", \"protocol_errors\": " << s.protocol_errors
         << ", \"queue_depth\": " << s.queue_depth
         << ", \"rejected_busy\": " << s.rejected_busy
@@ -343,14 +350,14 @@ class Server::Impl {
   }
 
  private:
-  // One admitted engine-bound request, queued for a worker.
+  // One engine-bound request: queued for a worker, or answered inline.
   struct Work {
     std::uint64_t conn_id = 0;
     std::uint64_t request_id = 0;
     MsgType type = MsgType::kPing;
     std::uint16_t flags = 0;
     std::vector<std::uint8_t> payload;
-    Clock::time_point enqueued;
+    Clock::time_point admitted;
   };
 
   // A framed reply on its way back to the I/O thread; routing it settles
@@ -393,6 +400,7 @@ class Server::Impl {
     // Admitted requests whose reply is not routed yet (what max_queue
     // bounds), counted here like Conn::in_flight so no worker races it.
     int admitted = 0;
+    const auto io_slot = static_cast<std::size_t>(opt_.workers);
     serve::LatencyHistogram& reply_wait_us =
         obs::histogram("usne_net_reply_wait_us");
 
@@ -448,6 +456,16 @@ class Server::Impl {
       return flush(id, c);
     };
 
+    // Sends a settled request's reply and records an answered one's reply
+    // wait; returns false if the conn was closed.
+    auto deliver = [&](std::uint64_t id, Conn& c, Response&& r) -> bool {
+      if (!send_now(id, c, std::move(r.bytes))) return false;
+      const Clock::time_point sent = Clock::now();
+      c.last_activity = sent;
+      if (r.answered) reply_wait_us.record(us_between(r.built, sent));
+      return true;
+    };
+
     // Handles one decoded frame; returns false if the conn was closed.
     auto handle_frame = [&](std::uint64_t id, Conn& c, Frame&& f) -> bool {
       if (!is_request_type(static_cast<std::uint8_t>(f.type))) {
@@ -492,8 +510,21 @@ class Server::Impl {
           return send_now(id, c, std::move(frame_bytes));
         }
         default: {
-          // Engine-bound: admission control, then the worker queue.
           accepted_requests_.fetch_add(1, std::memory_order_relaxed);
+          Work w{id, f.request_id, f.type, f.flags, std::move(f.payload),
+                 Clock::now()};
+          // A structural engine answers a PAIR or point-only BATCH frame in
+          // well under a microsecond per query, so this thread answers it
+          // at once: no queue, no worker wake-up, no response queue and no
+          // wake pipe. SINGLE_SOURCE frames and Dial engines queue.
+          const std::shared_ptr<serve::QueryEngine> eng = engine();
+          if (eng->kernel().structural &&
+              (w.type == MsgType::kPair ||
+               (w.type == MsgType::kBatch &&
+                !batch_has_single_source(w.payload)))) {
+            return deliver(id, c, answer(*eng, w, io_slot));
+          }
+          // Engine-bound work: admission control, then the worker queue.
           const bool queue_full = admitted >= opt_.max_queue;
           const bool conn_full = c.in_flight >= opt_.max_inflight_per_conn;
           if (queue_full || conn_full) {
@@ -508,13 +539,6 @@ class Server::Impl {
           in_flight_.fetch_add(1, std::memory_order_relaxed);
           admitted += 1;
           c.in_flight += 1;
-          Work w;
-          w.conn_id = id;
-          w.request_id = f.request_id;
-          w.type = f.type;
-          w.flags = f.flags;
-          w.payload = std::move(f.payload);
-          w.enqueued = Clock::now();
           {
             std::lock_guard<std::mutex> lock(queue_mutex_);
             work_queue_.push_back(std::move(w));
@@ -589,15 +613,8 @@ class Server::Impl {
         admitted -= 1;
         auto it = conns.find(r.conn_id);
         if (it == conns.end()) continue;  // client left; reply is dropped
-        Conn& c = it->second;
-        c.in_flight -= 1;
-        if (!send_now(r.conn_id, c, std::move(r.bytes))) continue;
-        const Clock::time_point sent = Clock::now();
-        c.last_activity = sent;
-        if (r.answered) {
-          reply_wait_us.record(
-              static_cast<std::uint64_t>(elapsed_us(r.built, sent)));
-        }
+        it->second.in_flight -= 1;
+        deliver(r.conn_id, it->second, std::move(r));
       }
     };
 
@@ -703,7 +720,8 @@ class Server::Impl {
         work_queue_.pop_front();
         queue_depth_.fetch_sub(1, std::memory_order_relaxed);
       }
-      Response r = answer(wk, w);
+      Response r = answer(*engine(), wk, static_cast<std::size_t>(w));
+      in_flight_.fetch_sub(1, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> lock(response_mutex_);
         responses_.push_back(std::move(r));
@@ -712,9 +730,14 @@ class Server::Impl {
     }
   }
 
-  // Queue wait (admitted to popped) plus engine (popped to reply built) is
-  // the request latency; all three come from the same clock reads.
-  Response answer(const Work& wk, int w) {
+  // Parses, range-checks and answers one engine-bound request on `eng`
+  // (one snapshot per request: a reload() lands between requests), and
+  // frames the reply. Workers call it for queued work, the I/O thread for
+  // inline frames, whose queue wait reads 0. Queue wait (admitted to
+  // popped) plus engine (popped to reply built) is the request latency;
+  // all three come from the same clock reads.
+  Response answer(const serve::QueryEngine& eng, const Work& wk,
+                  std::size_t slot) {
     USNE_TRACE_SPAN("net.engine");
     static serve::LatencyHistogram& queue_wait_us =
         obs::histogram("usne_net_queue_wait_us");
@@ -723,9 +746,7 @@ class Server::Impl {
     static serve::LatencyHistogram& request_latency_us =
         obs::histogram("usne_net_request_latency_us");
     const Clock::time_point popped = Clock::now();
-    // One engine snapshot per request: a reload() lands between requests.
-    const std::shared_ptr<serve::QueryEngine> eng = engine();
-    const Vertex n = eng->emulator().num_vertices();
+    const Vertex n = eng.emulator().num_vertices();
     std::vector<std::uint8_t> reply;
     MsgType rtype = MsgType::kError;
     std::uint16_t rflags = 0;
@@ -740,7 +761,7 @@ class Server::Impl {
           ok = false;
           break;
         }
-        reply = encode_dist_reply(eng->query(u, v));
+        reply = encode_dist_reply(eng.query(u, v));
         rtype = MsgType::kPairReply;
         break;
       }
@@ -750,7 +771,7 @@ class Server::Impl {
           ok = false;
           break;
         }
-        const serve::SsspResult dist = eng->query_all(s);
+        const serve::SsspResult dist = eng.query_all(s);
         if ((wk.flags & kFlagFullVector) != 0) {
           reply = encode_dist_vector_reply(*dist);
           rflags = kFlagFullVector;
@@ -773,13 +794,13 @@ class Server::Impl {
           }
         }
         if (!ok) break;
-        const serve::BatchResult r = eng->serve(queries, 1);
+        const serve::BatchResult r = eng.serve(queries, 1);
         reply = encode_batch_reply(r.answers);
         rtype = MsgType::kBatchReply;
         break;
       }
       default:
-        ok = false;  // unreachable: only engine-bound types are queued
+        ok = false;  // unreachable: only engine-bound types get here
         break;
     }
 
@@ -788,19 +809,15 @@ class Server::Impl {
       append_frame(r.bytes, rtype, wk.request_id, reply, rflags);
       r.built = Clock::now();
       answered_requests_.fetch_add(1, std::memory_order_relaxed);
-      const auto us = [](Clock::time_point a, Clock::time_point b) {
-        return static_cast<std::uint64_t>(elapsed_us(a, b));
-      };
-      queue_wait_us.record(us(wk.enqueued, popped));
-      engine_us.record(us(popped, r.built));
-      hist_[static_cast<std::size_t>(w)]->record(us(wk.enqueued, r.built));
-      request_latency_us.record(us(wk.enqueued, r.built));
+      queue_wait_us.record(us_between(wk.admitted, popped));
+      engine_us.record(us_between(popped, r.built));
+      hist_[slot]->record(us_between(wk.admitted, r.built));
+      request_latency_us.record(us_between(wk.admitted, r.built));
     } else {
       rejected_error_.fetch_add(1, std::memory_order_relaxed);
       append_frame(r.bytes, MsgType::kError, wk.request_id,
                    encode_error(ErrorCode::kMalformed, "bad payload"));
     }
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
     return r;
   }
 

@@ -2,40 +2,51 @@
 
 // usne::net::Server — the network serving daemon behind `usne_served`.
 //
-// A long-running TCP front-end for serve::QueryEngine: one I/O thread runs
-// an epoll event loop over all client sockets, decoding frames
-// (net/protocol.hpp) and admitting engine-bound requests into a FIFO
-// queue; N worker threads each pop the front request as soon as one is
-// queued and answer it with one engine call against an atomically
-// swappable engine snapshot. Responses flow back to the I/O thread through
-// a response queue plus a wake pipe, so workers never touch a socket.
+// A long-running TCP front-end for serve::QueryEngine. Thread model:
 //
-// Admission control / backpressure: a request that would take the admitted
-// count past max_queue, or its connection's past max_inflight_per_conn, is
-// answered immediately with kBusy — bounded memory, explicit signal, client
-// retries. Both counts drop only when the I/O thread routes the reply, so
-// admission never races the workers. PING, STATS and METRICS bypass
-// admission (they never touch the engine), so health and observability
-// stay responsive exactly when the daemon is saturated.
+//  * One I/O thread runs an epoll event loop over all client sockets and
+//    decodes frames (net/protocol.hpp). It answers PING, STATS and METRICS
+//    itself. When the current engine snapshot is structural
+//    (QueryEngine::kernel(): point queries cost nanoseconds), it also
+//    answers PAIR frames and BATCH frames holding no single-source query
+//    itself, through the same answer routine the workers run: such a frame
+//    never meets the queue, a worker or the wake pipe.
+//  * Every other engine-bound frame (SINGLE_SOURCE, a batch holding one,
+//    any frame on a Dial-fallback engine) is admitted into a FIFO queue. N
+//    worker threads each pop the front request as soon as one is queued
+//    and answer it with one engine call against an atomically swappable
+//    engine snapshot. Their responses flow back to the I/O thread through
+//    a response queue plus a wake pipe, so workers never touch a socket.
+//
+// Admission control / backpressure: a queued request that would take the
+// admitted count past max_queue, or its connection's past
+// max_inflight_per_conn, is answered immediately with kBusy — bounded
+// memory, explicit signal, client retries. Both counts drop only when the
+// I/O thread routes the reply, so admission never races the workers.
+// Frames answered on the I/O thread are never queued, so they bypass
+// admission, as do PING, STATS and METRICS: health and observability stay
+// responsive exactly when the daemon is saturated.
 //
 // Graceful reload: reload(new_engine) flips a shared_ptr behind a mutex.
-// Workers snapshot the pointer per request, so a request in progress
-// finishes on the engine it started on and later requests pick up the new
-// one — zero dropped requests, no socket churn. Engines with a different
+// Every request is answered on one snapshot of the pointer, so a request
+// in progress finishes on the engine it started on and later requests pick
+// up the new one — zero dropped requests, no socket churn. Engines with a different
 // vertex count are rejected (queued queries must stay answerable).
 //
-// Observability: per-worker lock-free serve::LatencyHistograms (merged on
-// demand), cumulative counters, and QueryEngine::cache_stats_delta for
-// per-interval cache rates — all surfaced by the STATS request and
+// Observability: per-thread lock-free serve::LatencyHistograms (one per
+// worker plus the I/O thread's, merged on demand), cumulative counters,
+// the engine's kernel report, and QueryEngine::cache_stats_delta for
+// per-interval serving rates — all surfaced by the STATS request and
 // stats_json(). A started server additionally registers a collector with
 // the global obs::Registry mirroring ServerStats as usne_net_* series, and
 // the METRICS request returns the registry's Prometheus text page (answered
 // inline by the I/O thread, like STATS). Request-lifecycle trace spans
 // (net.read / net.queue_wait / net.engine / net.write) and one sample per
 // answered request in each hop histogram cover admission to socket write:
-// usne_net_queue_wait_us (admitted to popped) + usne_net_engine_us (popped
-// to reply built) = usne_net_request_latency_us, then
-// usne_net_reply_wait_us (reply built to handed to send(2)).
+// usne_net_queue_wait_us (admitted to popped; 0 for a frame answered on
+// the I/O thread) + usne_net_engine_us (popped to reply built) =
+// usne_net_request_latency_us, then usne_net_reply_wait_us (reply built to
+// handed to send(2)).
 //
 // Request conservation (inv::Category::kDaemon): every well-framed request
 // is eventually answered, rejected, or in flight —
@@ -62,12 +73,12 @@ struct ServerOptions {
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
 
-  /// Worker threads answering requests (>= 1).
+  /// Worker threads answering queued requests (>= 1).
   int workers = 2;
 
-  /// Admission bound: engine-bound requests admitted whose reply the I/O
-  /// thread has not routed yet (queued, being answered, or answered and
-  /// waiting for the I/O thread). At the bound, new requests get kBusy.
+  /// Admission bound: queued requests admitted whose reply the I/O thread
+  /// has not routed yet (queued, being answered, or answered and waiting
+  /// for the I/O thread). At the bound, new queued requests get kBusy.
   int max_queue = 1024;
 
   /// Per-connection cap on admitted-but-unanswered requests; the second
@@ -134,10 +145,11 @@ class Server {
   ServerStats stats() const;
 
   /// One-line JSON: ServerStats counters, merged latency histogram,
-  /// cumulative cache stats, per-interval cache stats
-  /// (cache_stats_delta), the binary's build_info block, uptime_s since
-  /// start(), and — when audits are enabled — the invariant counters. What
-  /// the STATS request returns and `usne_served --json` embeds at shutdown.
+  /// cumulative serving stats, per-interval serving stats
+  /// (cache_stats_delta), the engine's kernel (QueryEngine::kernel), the
+  /// binary's build_info block, uptime_s since start(), and — when audits
+  /// are enabled — the invariant counters. What the STATS request returns
+  /// and `usne_served --json` embeds at shutdown.
   std::string stats_json() const;
 
  private:

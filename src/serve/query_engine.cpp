@@ -67,8 +67,9 @@ struct SourceMemo {
 thread_local SourceMemo t_memo;
 
 /// This thread's share of the cache counters of every engine it serves
-/// (`entries` unused). serve() reads it around each lane's chunk, so a
-/// batch counts its own queries however many threads share the engine.
+/// (`entries` and `structural` unused). serve() reads it around each
+/// lane's chunk, so a batch counts its own queries however many threads
+/// share the engine.
 thread_local CacheStats t_tally;
 
 void bump(std::atomic<std::int64_t>& total, std::int64_t& mine) noexcept {
@@ -76,7 +77,8 @@ void bump(std::atomic<std::int64_t>& total, std::int64_t& mine) noexcept {
   ++mine;
 }
 
-/// Adds `sign` times the counters of `d` (not `entries`) to `into`.
+/// Adds `sign` times the cache counters of `d` (not `entries`, and not
+/// `structural`, which serve() counts per batch) to `into`.
 void add_counters(CacheStats& into, const CacheStats& d,
                   std::int64_t sign = 1) noexcept {
   into.hits += sign * d.hits;
@@ -84,6 +86,22 @@ void add_counters(CacheStats& into, const CacheStats& d,
   into.coalesced += sign * d.coalesced;
   into.sssp_runs += sign * d.sssp_runs;
   into.evictions += sign * d.evictions;
+}
+
+/// Audit-only: the structural kernel against Dial over all of H, from three
+/// sources to every target.
+bool agrees_with_dial(const ForestCore& structure,
+                      const WeightedGraph::Csr& csr, Dist max_w) {
+  SsspScratch scratch;
+  for (const Vertex s : {Vertex{0}, csr.n / 2, csr.n - 1}) {
+    const std::vector<Dist> dist = dial_sssp_csr(csr, s, max_w, scratch);
+    for (Vertex v = 0; v < csr.n; ++v) {
+      if (structure.distance(s, v) != dist[static_cast<std::size_t>(v)]) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -279,6 +297,11 @@ QueryEngine::QueryEngine(WeightedGraph h, double alpha, Dist beta,
     USNE_CHECK(inv::Category::kCsr, validate_csr(csr_, &error), error);
   }
   max_w_ = max_edge_weight(csr_);
+  structure_ = ForestCore::build(csr_, kernel_);
+  USNE_AUDIT(inv::Category::kSssp,
+             !structure_ || h_.num_vertices() == 0 ||
+                 agrees_with_dial(*structure_, csr_, max_w_),
+             "structural kernel disagrees with dial_sssp_csr on H");
 }
 
 QueryEngine::QueryEngine(const BuildOutput& built, ServeOptions options)
@@ -294,7 +317,12 @@ std::vector<Dist> QueryEngine::compute_sssp(Vertex source) const {
   return dial_sssp_csr(csr_, source, max_w_, scratch);
 }
 
-SsspResult QueryEngine::query_all(Vertex source) const {
+SsspResult QueryEngine::query_all(Vertex s) const {
+  check_vertex(h_.num_vertices(), s, "QueryEngine::query_all");
+  return cached_sssp(s);
+}
+
+SsspResult QueryEngine::cached_sssp(Vertex source) const {
   if (memo_enabled_) {
     SourceMemo& memo = t_memo;
     if (memo.engine == engine_id_ && memo.source == source) {
@@ -310,6 +338,16 @@ SsspResult QueryEngine::query_all(Vertex source) const {
 }
 
 Dist QueryEngine::query(Vertex u, Vertex v) const {
+  check_vertex(h_.num_vertices(), u, "QueryEngine::query");
+  check_vertex(h_.num_vertices(), v, "QueryEngine::query");
+  if (structure_) {
+    structural_.fetch_add(1, std::memory_order_relaxed);
+    return structure_->distance(u, v);
+  }
+  return cached_point(u, v);
+}
+
+Dist QueryEngine::cached_point(Vertex u, Vertex v) const {
   if (memo_enabled_) {
     const SourceMemo& memo = t_memo;
     if (memo.engine == engine_id_) {
@@ -337,12 +375,13 @@ Dist QueryEngine::query(Vertex u, Vertex v) const {
     if (memo_enabled_) t_memo = {engine_id_, v, std::move(cached)};
     return d;
   }
-  return (*query_all(u))[static_cast<std::size_t>(v)];
+  return (*cached_sssp(u))[static_cast<std::size_t>(v)];
 }
 
 CacheStats QueryEngine::cache_stats() const {
   CacheStats stats;
   cache_->fill_stats(stats);
+  stats.structural = structural_.load(std::memory_order_relaxed);
   stats.sssp_runs = sssp_runs_.load(std::memory_order_relaxed);
   return stats;
 }
@@ -351,6 +390,7 @@ CacheStats QueryEngine::cache_stats_delta() const {
   std::lock_guard<std::mutex> lock(delta_mutex_);
   const CacheStats cur = cache_stats();
   CacheStats delta;
+  delta.structural = cur.structural - delta_baseline_.structural;
   delta.hits = cur.hits - delta_baseline_.hits;
   delta.misses = cur.misses - delta_baseline_.misses;
   delta.coalesced = cur.coalesced - delta_baseline_.coalesced;
@@ -368,6 +408,10 @@ BatchResult QueryEngine::serve(std::span<const Query> queries,
         std::max(1u, std::thread::hardware_concurrency()));
   }
   threads = std::max(1, threads);
+  for (const Query& q : queries) {
+    check_vertex(h_.num_vertices(), q.u, "QueryEngine::serve");
+    if (!q.all) check_vertex(h_.num_vertices(), q.v, "QueryEngine::serve");
+  }
 
   BatchResult result;
   result.answers.assign(queries.size(), 0);
@@ -381,9 +425,11 @@ BatchResult QueryEngine::serve(std::span<const Query> queries,
     USNE_TRACE_SPAN("serve.query");
     const Query& q = queries[i];
     if (q.all) {
-      result.answers[i] = checksum_fold(*query_all(q.u));
+      result.answers[i] = checksum_fold(*cached_sssp(q.u));
+    } else if (structure_) {
+      result.answers[i] = structure_->distance(q.u, q.v);
     } else {
-      result.answers[i] = query(q.u, q.v);
+      result.answers[i] = cached_point(q.u, q.v);
     }
   };
   const std::int64_t slow_us = options_.slow_query_us;
@@ -464,19 +510,28 @@ BatchResult QueryEngine::serve(std::span<const Query> queries,
       ++result.point_queries;
     }
   }
+  // A structural engine answers every point query itself: one counter
+  // update per batch, not per query.
+  if (structure_) {
+    result.cache.structural = result.point_queries;
+    structural_.fetch_add(result.point_queries, std::memory_order_relaxed);
+  }
   result.cache.entries = cache_->resident();
 
-  // Cache ledger conservation, exact however many threads serve this
-  // engine at once. Every query is accounted exactly once as a hit or a
-  // miss — the memo fast path feeds count_hit() precisely so this ledger
-  // balances — and SSSP work never exceeds the misses that requested it.
+  // Serving ledger conservation, exact however many threads serve this
+  // engine at once. Every query is accounted exactly once as a structural
+  // answer, a hit or a miss — the memo fast path feeds count_hit()
+  // precisely so this ledger balances — and SSSP work never exceeds the
+  // misses that requested it.
   USNE_AUDIT(inv::Category::kServeCache,
-             result.cache.hits + result.cache.misses ==
+             result.cache.hits + result.cache.misses +
+                         result.cache.structural ==
                      static_cast<std::int64_t>(queries.size()) &&
                  result.cache.sssp_runs <= result.cache.misses &&
                  result.cache.coalesced <= result.cache.misses,
-             "cache ledger off: hits " + std::to_string(result.cache.hits) +
+             "serving ledger off: hits " + std::to_string(result.cache.hits) +
                  " + misses " + std::to_string(result.cache.misses) +
+                 " + structural " + std::to_string(result.cache.structural) +
                  " != queries " + std::to_string(queries.size()) +
                  " (sssp_runs " + std::to_string(result.cache.sssp_runs) +
                  ", coalesced " + std::to_string(result.cache.coalesced) +
@@ -521,12 +576,15 @@ BatchResult QueryEngine::serve(std::span<const Query> queries,
   static obs::Counter& hits_total = obs::counter("usne_serve_cache_hits_total");
   static obs::Counter& misses_total =
       obs::counter("usne_serve_cache_misses_total");
+  static obs::Counter& structural_total =
+      obs::counter("usne_serve_structural_queries_total");
   static obs::Counter& sssp_total = obs::counter("usne_serve_sssp_runs_total");
   static obs::Counter& batches_total =
       obs::counter("usne_serve_batches_total");
   queries_total.add(static_cast<std::int64_t>(queries.size()));
   hits_total.add(result.cache.hits);
   misses_total.add(result.cache.misses);
+  structural_total.add(result.cache.structural);
   sssp_total.add(result.cache.sssp_runs);
   batches_total.add(1);
   return result;
@@ -545,6 +603,7 @@ std::string BatchResult::stats_json() const {
       << ", \"qps\": " << format_double(qps, 1)
       << ", \"queries\": " << point_queries + all_queries
       << ", \"sssp_runs\": " << cache.sssp_runs
+      << ", \"structural\": " << cache.structural
       << ", \"wall_s\": " << format_double(wall_s, 4) << "}";
   return out.str();
 }

@@ -11,16 +11,22 @@
 //
 //   d_G(u,v) <= d <= alpha * d_G(u,v) + beta.
 //
-// The per-query workhorse is Dial's bucket-queue SSSP on H (dial_sssp_csr,
-// path/sssp_kernel.hpp) — per-query cost depends on |H| ~ n, never on
-// |E(G)|. On top of it sits a sharded LRU cache of per-source SSSP
-// vectors: shards are locked independently, so a query stream with source
-// locality costs one SSSP per hot source regardless of how many threads
-// are serving, and concurrent requests for the same cold source coalesce
-// into a single computation.
+// Point queries are answered from H's own shape when it allows: the
+// engine peels H into a forest hung on a core at construction
+// (serve/forest_core.hpp) and, when the core's distance table is cheap
+// (no more memory than H's CSR), answers each pair in O(log n) with no
+// SSSP and no cache (KernelInfo says which kernel was picked). Otherwise,
+// and for every single-source query, the workhorse is Dial's bucket-queue
+// SSSP on H (dial_sssp_csr, path/sssp_kernel.hpp), whose cost depends on
+// |H| ~ n, never on |E(G)|. On top of it sits a sharded LRU cache of
+// per-source SSSP vectors: shards are locked independently, so a query
+// stream with source locality costs one SSSP per hot source regardless of
+// how many threads are serving, and concurrent requests for the same cold
+// source coalesce into a single computation.
 //
-// Answers are a pure function of H, so cached, uncached, serial and
-// multi-threaded serving are bit-identical — tests/test_serve.cpp and
+// Answers are a pure function of H, so structural, cached, uncached,
+// serial and multi-threaded serving are bit-identical —
+// tests/test_serve.cpp, tests/test_serve_kernels.cpp and
 // bench_query_throughput enforce this, and BatchResult::checksum gives CI a
 // one-number seed-stability probe.
 
@@ -34,6 +40,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/weighted_graph.hpp"
+#include "serve/forest_core.hpp"
 #include "serve/latency_histogram.hpp"
 #include "serve/workload.hpp"
 #include "util/thread_pool.hpp"
@@ -81,8 +88,10 @@ struct ServeOptions {
   std::int64_t slow_query_us = 0;
 };
 
-/// Cache counter snapshot (cumulative since construction).
+/// Serving counter snapshot (cumulative since construction). Every query
+/// is counted once: as a structural answer, a cache hit or a cache miss.
 struct CacheStats {
+  std::int64_t structural = 0;  ///< point queries answered by ForestCore
   std::int64_t hits = 0;        ///< served from a cached vector
   std::int64_t misses = 0;      ///< triggered (or coalesced into) an SSSP
   std::int64_t coalesced = 0;   ///< of the misses: waited on another thread
@@ -137,12 +146,15 @@ class QueryEngine {
   ~QueryEngine();
 
   /// Point-to-point approximate distance (kInfDist if disconnected).
-  /// Serves from either endpoint's cached vector when available (distances
-  /// are symmetric), otherwise computes SSSP from u.
+  /// A structural engine answers from ForestCore. A Dial engine serves
+  /// from either endpoint's cached vector when available (distances are
+  /// symmetric), otherwise computes SSSP from u. Throws std::out_of_range
+  /// naming a vertex outside [0, n) before touching any state.
   Dist query(Vertex u, Vertex v) const;
 
-  /// All approximate distances from `source`, cached. Concurrent calls for
-  /// the same cold source coalesce into one SSSP.
+  /// All approximate distances from `source`: Dial + cache on every
+  /// engine. Concurrent calls for the same cold source coalesce into one
+  /// SSSP. Throws std::out_of_range like query().
   SsspResult query_all(Vertex source) const;
 
   /// Runs a query batch over `threads` lanes (0 = hardware concurrency,
@@ -151,7 +163,8 @@ class QueryEngine {
   /// created pool owned by the engine (rebuilt only when `threads`
   /// changes), so steady-state batches spawn no OS threads; concurrent
   /// multi-threaded serve() calls are safe but serialize on that pool —
-  /// point queries (query / query_all) never do.
+  /// point queries (query / query_all) never do. Every query's vertices
+  /// are range-checked (std::out_of_range) before any is answered.
   BatchResult serve(std::span<const Query> queries, int threads = 1) const;
 
   /// Cumulative cache counters since construction.
@@ -169,9 +182,16 @@ class QueryEngine {
   double alpha() const noexcept { return alpha_; }
   Dist beta() const noexcept { return beta_; }
 
+  /// The kernel picked for point queries at construction, and why;
+  /// kernel().structural: point queries skip the SSSP kernel and the cache.
+  const KernelInfo& kernel() const noexcept { return kernel_; }
+
  private:
   class Cache;
 
+  // query / query_all on the Dial + cache path, without the range check.
+  Dist cached_point(Vertex u, Vertex v) const;
+  SsspResult cached_sssp(Vertex source) const;
   std::vector<Dist> compute_sssp(Vertex source) const;
 
   WeightedGraph h_;
@@ -185,8 +205,12 @@ class QueryEngine {
   WeightedGraph::Csr csr_;
   Dist max_w_ = 0;
 
+  KernelInfo kernel_;
+  std::unique_ptr<const ForestCore> structure_;  // null: Dial serves points
+
   std::unique_ptr<Cache> cache_;
   mutable std::atomic<std::int64_t> sssp_runs_{0};
+  mutable std::atomic<std::int64_t> structural_{0};
 
   // Interval baseline for cache_stats_delta (the mutex orders snapshots so
   // intervals partition the monotone counters exactly).

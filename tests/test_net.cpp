@@ -187,16 +187,27 @@ std::shared_ptr<QueryEngine> make_engine(Vertex n = 256,
   return std::make_shared<QueryEngine>(build_emulator(g), options);
 }
 
-// `count` pair frames in one buffer. Sent with one send_raw, they reach the
-// server in one read, so admission decides all of them before any reply is
-// routed: a deterministic BUSY pattern with no timer.
-std::vector<std::uint8_t> pair_frames(std::uint64_t count) {
+// `count` frames of one type in one buffer. Sent with one send_raw, they
+// reach the server in one read, so admission decides all of them before any
+// reply is routed: a deterministic BUSY pattern with no timer. Only queued
+// work is admitted: SINGLE_SOURCE frames always queue, while a structural
+// engine's PAIR frames are answered inline by the I/O thread.
+std::vector<std::uint8_t> frames(MsgType type, std::uint64_t count,
+                                 const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> wire;
-  const std::vector<std::uint8_t> payload = net::encode_pair_request(1, 2);
   for (std::uint64_t id = 1; id <= count; ++id) {
-    net::append_frame(wire, MsgType::kPair, id, payload);
+    net::append_frame(wire, type, id, payload);
   }
   return wire;
+}
+
+std::vector<std::uint8_t> single_source_frames(std::uint64_t count) {
+  return frames(MsgType::kSingleSource, count,
+                net::encode_single_source_request(1));
+}
+
+std::vector<std::uint8_t> pair_frames(std::uint64_t count) {
+  return frames(MsgType::kPair, count, net::encode_pair_request(1, 2));
 }
 
 std::vector<Query> make_workload(Vertex n, std::int64_t count,
@@ -271,8 +282,8 @@ TEST(NetServer, MalformedFramesNeverReachTheEngine) {
   EXPECT_EQ(f.type, MsgType::kError);
   EXPECT_EQ(f.request_id, 5u);
 
-  // A well-framed pair request with an out-of-range vertex is rejected by
-  // the worker before the engine sees it.
+  // A well-framed pair request with an out-of-range vertex is rejected
+  // before the engine sees it.
   EXPECT_THROW(client3.query_pair(0, 64), RpcError);
 
   server.stop();
@@ -281,6 +292,7 @@ TEST(NetServer, MalformedFramesNeverReachTheEngine) {
   EXPECT_EQ(s.rejected_error, 2);
   EXPECT_EQ(s.answered_requests, 0);
   EXPECT_EQ(engine->cache_stats().sssp_runs, 0);
+  EXPECT_EQ(engine->cache_stats().structural, 0);
 }
 
 TEST(NetServer, BusyUnderTinyAdmissionQueue) {
@@ -293,13 +305,13 @@ TEST(NetServer, BusyUnderTinyAdmissionQueue) {
 
   Client client;
   client.connect("127.0.0.1", server.port());
-  client.send_raw(pair_frames(8));
+  client.send_raw(single_source_frames(8));
   int answered = 0;
   int busy = 0;
   for (int i = 0; i < 8; ++i) {
     Frame f;
     ASSERT_TRUE(client.recv_frame(f));
-    if (f.type == MsgType::kPairReply) {
+    if (f.type == MsgType::kSingleSourceReply) {
       ++answered;
     } else {
       ASSERT_EQ(f.type, MsgType::kBusy);
@@ -327,6 +339,81 @@ TEST(NetServer, PerConnectionInFlightCap) {
 
   Client client;
   client.connect("127.0.0.1", server.port());
+  client.send_raw(single_source_frames(8));
+  int answered = 0;
+  int busy = 0;
+  for (int i = 0; i < 8; ++i) {
+    Frame f;
+    ASSERT_TRUE(client.recv_frame(f));
+    if (f.type == MsgType::kSingleSourceReply) ++answered;
+    if (f.type == MsgType::kBusy) ++busy;
+  }
+  EXPECT_EQ(answered, 2);
+  EXPECT_EQ(busy, 6);
+  server.stop();
+}
+
+TEST(NetServer, StructuralFramesAreAnsweredInlineAndSkipAdmission) {
+  auto engine = make_engine(128);
+  ASSERT_TRUE(engine->kernel().structural);
+  ServerOptions options;
+  options.workers = 1;
+  options.max_queue = 1;
+  Server server(engine, options);
+  server.start();
+
+  // Eight PAIR frames and a point-only BATCH in one read: all answered by
+  // the I/O thread, none queued, so the one-slot queue never says BUSY.
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  std::vector<std::uint8_t> wire = pair_frames(8);
+  const std::vector<Query> points = {{1, 2, false}, {3, 4, false}};
+  const std::vector<Query> with_all = {{1, 2, false}, {3, 0, true}};
+  net::append_frame(wire, MsgType::kBatch, 9, net::encode_batch_request(points));
+  // Two BATCH frames holding a single-source query queue like SINGLE_SOURCE:
+  // the first takes the slot, the second is BUSY.
+  net::append_frame(wire, MsgType::kBatch, 10,
+                    net::encode_batch_request(with_all));
+  net::append_frame(wire, MsgType::kBatch, 11,
+                    net::encode_batch_request(with_all));
+  client.send_raw(wire);
+  int pairs = 0;
+  int batches = 0;
+  int busy = 0;
+  for (int i = 0; i < 11; ++i) {
+    Frame f;
+    ASSERT_TRUE(client.recv_frame(f));
+    if (f.type == MsgType::kPairReply) ++pairs;
+    if (f.type == MsgType::kBatchReply) ++batches;
+    if (f.type == MsgType::kBusy) {
+      ++busy;
+      EXPECT_EQ(f.request_id, 11u);
+    }
+  }
+  EXPECT_EQ(pairs, 8);
+  EXPECT_EQ(batches, 2);
+  EXPECT_EQ(busy, 1);
+  server.stop();
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.accepted_requests, 11);
+  EXPECT_EQ(s.answered_requests, 10);
+  EXPECT_EQ(s.rejected_busy, 1);
+  EXPECT_EQ(engine->cache_stats().structural, 8 + 2 + 1);
+}
+
+TEST(NetServer, DialEnginePairFramesQueue) {
+  // H = G on a connected G(128, 512): its core is too large for the
+  // structural table, so PAIR frames go through admission to a worker.
+  auto engine = std::make_shared<QueryEngine>(
+      WeightedGraph::unit_weights(gen_connected_gnm(128, 512, 7)), 1.0, 0);
+  ASSERT_FALSE(engine->kernel().structural);
+  ServerOptions options;
+  options.workers = 1;
+  options.max_queue = 1;
+  Server server(engine, options);
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
   client.send_raw(pair_frames(8));
   int answered = 0;
   int busy = 0;
@@ -336,8 +423,8 @@ TEST(NetServer, PerConnectionInFlightCap) {
     if (f.type == MsgType::kPairReply) ++answered;
     if (f.type == MsgType::kBusy) ++busy;
   }
-  EXPECT_EQ(answered, 2);
-  EXPECT_EQ(busy, 6);
+  EXPECT_EQ(answered, 1);
+  EXPECT_EQ(busy, 7);
   server.stop();
 }
 
@@ -497,7 +584,7 @@ TEST(NetServer, ShutdownLedgerConservesRequests) {
 
   Client client;
   client.connect("127.0.0.1", server.port());
-  client.send_raw(pair_frames(64));
+  client.send_raw(single_source_frames(64));
   for (int i = 0; i < 64; ++i) {
     Frame f;
     ASSERT_TRUE(client.recv_frame(f));

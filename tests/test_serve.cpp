@@ -1,6 +1,9 @@
 // Tests for the query-serving subsystem (src/serve/): workload generation,
 // the sharded LRU SSSP cache, batch serving determinism, and the stretch
-// guarantee of served answers.
+// guarantee of served answers. An emulator's H is a forest on a tiny core,
+// so its engine answers point queries structurally; tests that count cache
+// traffic for point queries serve a unit-weight G instead (dial_engine),
+// whose core is too large for the structural table.
 //
 // Built with -DUSNE_SAN=thread this binary is part of the ThreadSanitizer
 // gate (ctest label "tsan"): the hammer tests drive the cache from many
@@ -13,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -42,6 +46,13 @@ BuildOutput build_emulator(const Graph& g, int kappa = 6) {
   spec.params = {kappa, 0.25, 0.3, false};
   spec.exec.keep_audit_data = false;
   return build(g, spec);
+}
+
+/// H = G with unit weights on a connected G(n, 4n): its 2-core is nearly
+/// all of G, so point queries take the Dial + cache path.
+WeightedGraph dial_h(Vertex n, std::uint64_t seed) {
+  return WeightedGraph::unit_weights(
+      gen_connected_gnm(n, 4 * static_cast<std::int64_t>(n), seed));
 }
 
 // --- workload generator -----------------------------------------------------
@@ -158,8 +169,7 @@ TEST(QueryEngine, AnswersMatchDirectSssp) {
 }
 
 TEST(QueryEngine, CachedAndUncachedAnswersIdentical) {
-  const Graph g = gen_connected_gnm(400, 1600, 23);
-  const BuildOutput built = build_emulator(g);
+  const WeightedGraph h = dial_h(400, 23);
   WorkloadSpec spec;
   spec.kind = WorkloadKind::kZipf;
   spec.num_queries = 3000;
@@ -169,8 +179,9 @@ TEST(QueryEngine, CachedAndUncachedAnswersIdentical) {
   ServeOptions cached_options;
   ServeOptions uncached_options;
   uncached_options.cache_mb = 0;
-  const QueryEngine cached(built, cached_options);
-  const QueryEngine uncached(built, uncached_options);
+  const QueryEngine cached(h, 1.0, 0, cached_options);
+  const QueryEngine uncached(h, 1.0, 0, uncached_options);
+  ASSERT_FALSE(cached.kernel().structural);
   const BatchResult a = cached.serve(queries, 2);
   const BatchResult b = uncached.serve(queries, 2);
   EXPECT_EQ(a.answers, b.answers);
@@ -183,9 +194,8 @@ TEST(QueryEngine, CachedAndUncachedAnswersIdentical) {
 }
 
 TEST(QueryEngine, SymmetricPeekServesFromEitherEndpoint) {
-  const Graph g = gen_family("torus", 144, 3);
-  const BuildOutput built = build_emulator(g);
-  const QueryEngine engine(built);
+  const QueryEngine engine(dial_h(144, 3), 1.0, 0);
+  ASSERT_FALSE(engine.kernel().structural);
   const Dist direct = engine.query(5, 60);   // SSSP from 5
   const auto before = engine.cache_stats();
   const Dist via_cache = engine.query(60, 5);  // must reuse 5's vector
@@ -205,6 +215,71 @@ TEST(QueryEngine, AllQueriesFoldChecksumIntoAnswerSlot) {
   EXPECT_EQ(batch.point_queries, 1);
   EXPECT_EQ(batch.answers[0], serve::checksum_fold(*engine.query_all(7)));
   EXPECT_EQ(batch.answers[1], engine.query(7, 11));
+}
+
+TEST(QueryEngine, StructuralPointQueriesSkipTheCache) {
+  inv::ScopedAuditsEnabled audits(true);  // the serving-ledger audit runs
+  const Graph g = gen_connected_gnm(300, 1200, 61);
+  const QueryEngine engine(build_emulator(g));
+  ASSERT_TRUE(engine.kernel().structural);
+  EXPECT_STREQ(engine.kernel().name(), "structural");
+  WorkloadSpec spec;
+  spec.kind = WorkloadKind::kPointVsAll;
+  spec.num_queries = 400;
+  spec.seed = 3;
+  const auto queries = serve::generate_workload(300, spec);
+  const BatchResult batch = engine.serve(queries, 2);
+  EXPECT_EQ(batch.cache.structural, batch.point_queries);
+  EXPECT_EQ(batch.cache.hits + batch.cache.misses, batch.all_queries);
+  EXPECT_NE(batch.stats_json().find("\"structural\": " +
+                                    std::to_string(batch.point_queries)),
+            std::string::npos);
+  const serve::CacheStats d1 = engine.cache_stats_delta();
+  EXPECT_EQ(d1.structural, batch.point_queries);
+
+  // query() counts itself; single-source queries keep Dial + cache.
+  const Dist d = engine.query(4, 250);
+  EXPECT_EQ(d, (*engine.query_all(4))[250]);
+  const serve::CacheStats d2 = engine.cache_stats_delta();
+  EXPECT_EQ(d2.structural, 1);
+  EXPECT_EQ(d2.hits + d2.misses, 1);
+  EXPECT_EQ(engine.cache_stats().structural, batch.point_queries + 1);
+}
+
+TEST(QueryEngine, RejectsOutOfRangeVerticesBeforeAnyWork) {
+  const Graph g = gen_connected_gnm(300, 1200, 67);
+  const QueryEngine structural(build_emulator(g));
+  const QueryEngine dial(dial_h(300, 67), 1.0, 0);
+  ASSERT_TRUE(structural.kernel().structural);
+  ASSERT_FALSE(dial.kernel().structural);
+  const auto names = [](const std::out_of_range& e, Vertex v) {
+    return std::string(e.what()).find("vertex " + std::to_string(v) + " ") !=
+           std::string::npos;
+  };
+  for (const QueryEngine* engine : {&structural, &dial}) {
+    for (const Vertex bad : {Vertex{300}, Vertex{-1}}) {
+      EXPECT_THROW(engine->query(bad, 0), std::out_of_range);
+      EXPECT_THROW(engine->query(0, bad), std::out_of_range);
+      EXPECT_THROW(engine->query_all(bad), std::out_of_range);
+      const std::vector<Query> pair_u = {{0, 1, false}, {bad, 0, false}};
+      const std::vector<Query> pair_v = {{0, bad, false}};
+      const std::vector<Query> all = {{bad, 0, true}};
+      EXPECT_THROW(engine->serve(pair_u), std::out_of_range);
+      EXPECT_THROW(engine->serve(pair_v, 2), std::out_of_range);
+      EXPECT_THROW(engine->serve(all), std::out_of_range);
+      try {
+        engine->query(0, bad);
+      } catch (const std::out_of_range& e) {
+        EXPECT_TRUE(names(e, bad)) << e.what();
+      }
+    }
+    // Nothing was answered, cached, memoized or counted.
+    const serve::CacheStats s = engine->cache_stats();
+    EXPECT_EQ(s.structural + s.hits + s.misses + s.sssp_runs + s.entries, 0);
+    // The v slot of a single-source query is ignored, as documented.
+    const std::vector<Query> all_any_v = {{5, -7, true}};
+    EXPECT_EQ(engine->serve(all_any_v).all_queries, 1);
+  }
 }
 
 // --- query engine: LRU cache ------------------------------------------------
@@ -506,8 +581,8 @@ TEST(LatencyHistogram, ConcurrentRecordsAllLand) {
 // --- per-interval cache stats (cache_stats_delta) ---------------------------
 
 TEST(QueryEngine, CacheStatsDeltaPartitionsTheCounters) {
-  const Graph g = gen_connected_gnm(200, 800, 11);
-  const QueryEngine engine(build_emulator(g));
+  const QueryEngine engine(dial_h(200, 11), 1.0, 0);
+  ASSERT_FALSE(engine.kernel().structural);
   WorkloadSpec spec;
   spec.num_queries = 400;
   spec.seed = 5;
@@ -586,11 +661,11 @@ TEST(QueryEngine, ConcurrentServeCallsTallyTheirOwnBatches) {
   // exactly its own queries as hits + misses; a tiny cache keeps computing
   // slots and evictions in flight while other batches run their audits.
   inv::ScopedAuditsEnabled audits(true);
-  const Graph g = gen_connected_gnm(300, 1200, 29);
   ServeOptions options;
   options.cache_shards = 2;
   options.cache_entries_per_shard = 4;
-  const QueryEngine engine(build_emulator(g), options);
+  const QueryEngine engine(dial_h(300, 29), 1.0, 0, options);
+  ASSERT_FALSE(engine.kernel().structural);
 
   constexpr int kThreads = 4;
   constexpr int kBatches = 300;

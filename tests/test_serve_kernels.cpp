@@ -1,12 +1,14 @@
-// The serving kernel (path/sssp_kernel.hpp) and its serve-layer
-// integration: the flat-frontier Dial must be bit-identical to Dijkstra on
-// every input, and the per-thread source memo must change costs, never
-// results or the uncached-engine contract.
+// The serving kernels and their serve-layer integration: the flat-frontier
+// Dial (path/sssp_kernel.hpp) must be bit-identical to Dijkstra on every
+// input, the structural kernel (serve/forest_core.hpp) bit-identical to
+// Dial on every H shape the engine may serve, and the per-thread source
+// memo must change costs, never results or the uncached-engine contract.
 
 #include <gtest/gtest.h>
 
 #include "api/build.hpp"
 #include "graph/generators.hpp"
+#include "graph/stream_gen.hpp"
 #include "graph/weighted_graph.hpp"
 #include "path/dijkstra.hpp"
 #include "path/sssp_kernel.hpp"
@@ -159,6 +161,118 @@ TEST(FromEdgesTest, UnitWeightsServesG) {
 }
 
 // ---------------------------------------------------------------------------
+// Structural kernel vs Dial: the engine's point answers from >= 8 sources to
+// every target, on each H shape, with the kernel the engine must pick.
+
+WeightedGraph built_h(const std::string& algorithm, const Graph& g, int kappa,
+                      double rho) {
+  BuildSpec spec;
+  spec.algorithm = algorithm;
+  spec.params = {kappa, 0.25, rho, false};
+  spec.exec.keep_audit_data = false;
+  spec.exec.num_threads = 2;
+  return build(g, spec).h();
+}
+
+/// Compares the engine with dial_sssp_csr from 8 sources spread over H
+/// (both query directions) and returns the engine's kernel report.
+serve::KernelInfo expect_matches_dial(const WeightedGraph& h,
+                                      bool structural) {
+  const serve::QueryEngine engine(h, 1.0, 0);
+  EXPECT_EQ(engine.kernel().structural, structural) << engine.kernel().json();
+  const auto csr = h.csr();
+  const Dist w = max_edge_weight(csr);
+  SsspScratch scratch;
+  const Vertex n = h.num_vertices();
+  for (int i = 0; i < 8; ++i) {
+    const auto s = static_cast<Vertex>(static_cast<std::int64_t>(n - 1) * i / 7);
+    const std::vector<Dist> dist = dial_sssp_csr(csr, s, w, scratch);
+    std::int64_t mismatches = 0;
+    for (Vertex v = 0; v < n; ++v) {
+      const Dist want = dist[static_cast<std::size_t>(v)];
+      if (engine.query(s, v) != want || engine.query(v, s) != want) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "source " << s << ", " << engine.kernel().json();
+  }
+  const serve::CacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.structural, structural ? 16 * std::int64_t{n} : 0);
+  if (structural) {
+    EXPECT_EQ(stats.sssp_runs, 0);
+  }
+  return engine.kernel();
+}
+
+TEST(StructuralKernelTest, PerfbenchWireGroupedH) {
+  const Vertex n = Vertex{1} << 17;
+  const Graph g = stream_connected_gnm(n, std::int64_t{4} * n, 1);
+  const serve::KernelInfo k =
+      expect_matches_dial(built_h("emulator_fast", g, 8, 0.3), true);
+  EXPECT_GT(k.max_depth, 0);
+}
+
+TEST(StructuralKernelTest, PerfbenchCongestBuildH) {
+  const Graph g = gen_family("er", Vertex{1} << 14, 1);
+  expect_matches_dial(built_h("emulator_congest", g, 4, 0.45), true);
+}
+
+TEST(StructuralKernelTest, CavemanHangsTreesOnANonemptyCore) {
+  const Graph g = gen_family("caveman", 4096, 2024);
+  const serve::KernelInfo k =
+      expect_matches_dial(built_h("emulator_fast", g, 8, 0.3), true);
+  EXPECT_GT(k.core, 0);
+  EXPECT_EQ(k.table_bytes, std::int64_t{k.core} * k.core *
+                               static_cast<std::int64_t>(sizeof(Dist)));
+}
+
+TEST(StructuralKernelTest, DisconnectedRmat) {
+  const Graph g = gen_family("rmat", 4096, 1);
+  expect_matches_dial(built_h("emulator_fast", g, 8, 0.3), true);
+}
+
+TEST(StructuralKernelTest, SpannerWithDeepTrees) {
+  const Vertex n = Vertex{1} << 14;
+  const Graph g = stream_connected_gnm(n, std::int64_t{4} * n, 1);
+  const serve::KernelInfo k =
+      expect_matches_dial(built_h("spanner", g, 8, 0.3), true);
+  EXPECT_GT(k.core, 0);
+  EXPECT_GE(k.max_depth, 5);
+}
+
+TEST(StructuralKernelTest, PathAndRandomTree) {
+  // A path is one heavy chain; a random recursive tree has many light
+  // edges, so its LCA climbs several chains.
+  const Vertex n = 3000;
+  Rng rng(7);
+  WeightedGraph path(n);
+  WeightedGraph tree(n);
+  for (Vertex v = 1; v < n; ++v) {
+    path.add_edge(v - 1, v, rng.between(1, 9));
+    tree.add_edge(static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(v))),
+                  v, rng.between(1, 9));
+  }
+  // Peeling meets in the middle of the path, which becomes the root.
+  EXPECT_EQ(expect_matches_dial(path, true).max_depth, n / 2);
+  EXPECT_EQ(expect_matches_dial(tree, true).core, 0);
+}
+
+TEST(StructuralKernelTest, EdgelessH) {
+  const serve::KernelInfo k = expect_matches_dial(WeightedGraph(50), true);
+  EXPECT_EQ(k.core, 0);
+  EXPECT_EQ(k.max_depth, 0);
+}
+
+TEST(StructuralKernelTest, GridWhereHIsGFallsBackToDial) {
+  const Graph g = gen_family("grid", 4096, 1);
+  const WeightedGraph h = built_h("emulator_fast", g, 4, 0.45);
+  EXPECT_EQ(h.num_edges(), g.num_edges());
+  const serve::KernelInfo k = expect_matches_dial(h, false);
+  EXPECT_EQ(k.core, g.num_vertices());
+  EXPECT_EQ(k.json(), "{\"core\": 4096, \"name\": \"dial\"}");
+}
+
+// ---------------------------------------------------------------------------
 // Serve layer: the cache and the source memo must be invisible in every
 // answer, at every thread count.
 
@@ -202,6 +316,7 @@ TEST(ServeKernelTest, SourceMemoShortCircuitsRepeatedSources) {
   serve::ServeOptions options;
   options.cache_entries_per_shard = 4;
   const serve::QueryEngine engine(h, 1.0, 0, options);
+  ASSERT_FALSE(engine.kernel().structural);  // point queries take the cache path
 
   // A grouped run: one SSSP for the first query, memo hits for the rest.
   for (Vertex v = 1; v < 20; ++v) engine.query(7, v);
@@ -225,6 +340,7 @@ TEST(ServeKernelTest, MemoNeverActivatesWithoutCache) {
   serve::ServeOptions options;
   options.cache_mb = 0;  // uncached engines are strict recompute references
   const serve::QueryEngine engine(h, 1.0, 0, options);
+  ASSERT_FALSE(engine.kernel().structural);
   engine.query(3, 5);
   engine.query(3, 6);
   engine.query(3, 7);
