@@ -17,9 +17,9 @@
 // bit-identical to the serial engine (exit 1 otherwise — determinism is a
 // hard guarantee, not a hope) and reports the wall-clock speedup.
 // With `--json FILE`, the per-row model counts and the timing records are
-// written as JSON so CI (scripts/check.sh) can track the perf trajectory
-// across PRs, fail on serial/parallel divergence, and diff the usne_run
-// registry smoke against the same rows.
+// written as JSON; scripts/pins.json compares the counts with the
+// committed BENCH_congest.json rows, and the usne_run registry smoke with
+// the same rows.
 
 #include <cmath>
 #include <cstring>
@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
   // latencies. The counts here are the deterministic trajectory of record
   // for the degraded-network workloads — a fixed transport seed must
   // reproduce them exactly at any thread count (verified per row below and
-  // cross-checked by scripts/check.sh between the serial and parallel JSON).
+  // pinned against the committed rows by scripts/pins.json).
   std::string json_transport;
   {
     struct TransportRow {

@@ -1,4 +1,4 @@
-// Experiment E9 — emulators as hopsets (paper §1.1 / related work
+// Experiment E11 — emulators as hopsets (paper §1.1 / related work
 // [EN16a, HP17]).
 //
 // Claim (qualitative, from the paper's introduction): near-additive
@@ -18,7 +18,7 @@
 
 int main() {
   using namespace usne;
-  bench::banner("E9  bench_hopset",
+  bench::banner("E11  bench_hopset",
                 "Emulators as hopsets: hop-limited Bellman-Ford reaches the "
                 "(1+eps, beta) budget in far fewer rounds with H.");
   Timer total;
@@ -65,7 +65,7 @@ int main() {
                  : 0.0,
              1);
   }
-  table.print(std::cout, "E9: hopbound to reach the (1+eps, beta) budget");
+  table.print(std::cout, "E11: hopbound to reach the (1+eps, beta) budget");
 
   bench::note("Interpretation: without H the hopbound equals the hop "
               "radius of the source set (distances need that many BF "
@@ -73,6 +73,6 @@ int main() {
               "accuracy needs a small fraction of the rounds. This is the "
               "emulator/hopset connection the paper's introduction and "
               "survey [EN20] discuss.");
-  std::cout << "\n[E9 done in " << format_double(total.seconds(), 1) << "s]\n";
+  std::cout << "\n[E11 done in " << format_double(total.seconds(), 1) << "s]\n";
   return 0;
 }

@@ -16,11 +16,12 @@
 //     per query (and therefore share one checksum);
 //   * the engine's answers equal the legacy oracle loop's answers.
 //
-// With --json FILE the per-row serving records are written as
-// BENCH_serve.json — the cross-PR throughput trajectory; scripts/check.sh
-// diffs the row *counts*, the answer checksums and the serial engine's
-// SSSP counts (wall times move with the hardware; the scenario list, the
-// answers and the kernel and cache behaviour must not drift silently).
+// With --json FILE the per-row serving records are written in the format
+// of BENCH_serve.json, the cross-PR throughput trajectory; scripts/pins.json
+// compares the row set, the answer checksums and the serial engine's SSSP
+// counts with the committed file (wall times move with the hardware; the
+// scenario list, the answers and the kernel and cache behaviour must not
+// drift silently).
 
 #include <cstring>
 #include <fstream>

@@ -9,7 +9,7 @@
 // n = 2^20.
 //
 // Hard gate (exit 1, not a hope): serial and multi-threaded serving
-// answers are bit-identical. scripts/check.sh pins the answer checksums.
+// answers are bit-identical. scripts/pins.json pins the answer checksums.
 //
 // The serving workload is H = G with deterministic weights in [1, 16]
 // (seeded per edge): the scale tier exercises the kernel and generators,
@@ -18,9 +18,10 @@
 // of full-graph SSSPs — the serving regime the cache and source memo are
 // built for.
 //
-// scripts/check.sh runs `--smoke` (n = 2^12) as the CI gate and pins the
+// scripts/pins.json runs `--smoke` (n = 2^12) as the CI gate and pins the
 // committed BENCH_scale.json rows; the full tier is regenerated manually
-// when the trajectory should move.
+// (`build/bench_scale --json BENCH_scale.json`) when the trajectory should
+// move.
 
 #include <cstring>
 #include <fstream>

@@ -2,7 +2,7 @@
 //
 // Claim: with kappa = omega(log n), the emulator has n + o(n) edges. We set
 // kappa = ceil(log2(n) * log2(log2(n))) and track the excess (|H| - n)/n as
-// n grows: the series must decrease toward 0.
+// n grows: the series must decrease toward 0 (exit 1 otherwise).
 //
 // Uses the fast §3.3 builder, which scales to the largest n here.
 
@@ -61,5 +61,5 @@ int main() {
                     "behaviour), matching Corollary 2.15."
                   : "Shape check FAILED: excess did not decrease with n.");
   std::cout << "\n[E2 done in " << format_double(total.seconds(), 1) << "s]\n";
-  return 0;
+  return decreasing ? 0 : 1;
 }

@@ -15,7 +15,7 @@
 // loopback gate that proves the wire path answers bit-identically to the
 // in-process engine. With --verify, that engine is actually built here
 // (same build flags as usne_served) and the equality is checked on the
-// spot; without it, the checksum is just reported for check.sh to compare.
+// spot; without it, the checksum is just reported (scripts/pins.json pins it).
 //
 // Two pacing modes:
 //   --mode closed            (default) each connection keeps exactly one
@@ -44,7 +44,7 @@
 #include "api/build.hpp"
 #include "graph/generators.hpp"
 #include "net/client.hpp"
-#include "serve/latency_histogram.hpp"
+#include "obs/latency_histogram.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/workload.hpp"
 #include "util/cli.hpp"
@@ -142,10 +142,10 @@ int run(int argc, char** argv) {
   // [c*per_conn, min((c+1)*per_conn, total)).
   const std::size_t per_conn = (total + connections - 1) / connections;
 
-  std::vector<std::unique_ptr<serve::LatencyHistogram>> hist;
+  std::vector<std::unique_ptr<obs::LatencyHistogram>> hist;
   std::vector<ConnStats> conn_stats(static_cast<std::size_t>(connections));
   for (int c = 0; c < connections; ++c) {
-    hist.push_back(std::make_unique<serve::LatencyHistogram>());
+    hist.push_back(std::make_unique<obs::LatencyHistogram>());
   }
 
   const Clock::time_point start = Clock::now();
@@ -211,7 +211,7 @@ int run(int argc, char** argv) {
 
   std::int64_t busy_retries = 0;
   for (const ConnStats& st : conn_stats) busy_retries += st.busy_retries;
-  serve::LatencyHistogram merged;
+  obs::LatencyHistogram merged;
   for (const auto& h : hist) merged.merge_from(*h);
 
   // --verify: the same workload through the in-process engine must produce
@@ -256,7 +256,7 @@ int run(int argc, char** argv) {
 
   // --scrape-metrics: one METRICS round-trip once the workload has fully
   // drained — the page is quiescent, so its usne_net_* counters reconcile
-  // exactly with the daemon's request ledger (what the check.sh obs smoke
+  // exactly with the daemon's request ledger (what scripts/pins.json
   // asserts).
   if (cli.has("scrape-metrics")) {
     net::Client scraper;

@@ -17,11 +17,11 @@
 //
 // The build JSON record embeds BuildOutput::stats_json(), so the counters
 // (edges/phases, and rounds/messages/words for CONGEST variants) are the
-// same uniform StatsMap every other consumer of the API sees; the
-// scripts/check.sh registry smoke pass diffs them against BENCH_congest.json.
-// The query JSON record embeds BatchResult::stats_json() — its `checksum`
-// over all answers is the seed-stability probe of the check.sh serve smoke.
-// The build record carries `h_digest`, a fingerprint of H that check.sh pins.
+// same uniform StatsMap every other consumer of the API sees; the registry
+// smoke in scripts/pins.json compares them with BENCH_congest.json.
+// The query JSON record embeds BatchResult::stats_json(); pins.json pins
+// its `checksum` over all answers. The build record carries `h_digest`, a
+// fingerprint of H that pins.json pins.
 
 #include <algorithm>
 #include <fstream>
@@ -52,8 +52,9 @@ int run(int argc, char** argv);
 
 int main(int argc, char** argv) {
   // The registry reports unknown algorithms / unsupported parameter
-  // combinations via std::invalid_argument whose message lists the
-  // catalog, and a schedule whose beta does not fit in int64 via
+  // combinations, and gen_family an unknown --family, via
+  // std::invalid_argument whose message lists the accepted names, and a
+  // schedule whose beta does not fit in int64 via
   // std::overflow_error; surface both as a CLI error, not a terminate().
   try {
     return run(argc, argv);
@@ -118,12 +119,20 @@ void print_wall_profile(const std::vector<usne::congest::PhaseProfileEntry>& pro
             << format_double(build_s * 1e3, 3) << " ms build\n";
 }
 
+/// Share of the summed scheduler wall time the attributed stages cover.
+/// scripts/pins.json gates it at >= 0.95 for both CONGEST constructions:
+/// anything less means a stage is escaping attribution.
+double stage_coverage(
+    const std::vector<usne::congest::PhaseProfileEntry>& prof) {
+  usne::congest::StageTimes total;
+  for (const usne::congest::PhaseProfileEntry& e : prof) total += e.times;
+  return total.wall_s > 0 ? total.stage_sum_s() / total.wall_s : 1.0;
+}
+
 /// `--profile`: per-(phase, task) scheduler stage breakdown and simulator
-/// throughput (messages per second of scheduler wall) plus the
-/// attribution-coverage line the acceptance gate reads (stage_sum must
-/// reach >= 95% of the summed scheduler wall time — anything less means a
-/// stage is escaping attribution). Centralized builds have no scheduler
-/// stages and print their wall-time profile instead.
+/// throughput (messages per second of scheduler wall) plus the stage
+/// coverage. Centralized builds have no scheduler stages and print their
+/// wall-time profile instead.
 void print_profile(const usne::BuildOutput& out, double build_s) {
   using usne::format_double;
   const std::vector<usne::congest::PhaseProfileEntry>& prof = out.profile;
@@ -138,7 +147,7 @@ void print_profile(const usne::BuildOutput& out, double build_s) {
   usne::Table table({"task", "rounds", "deliver_ms", "compute_ms",
                      "replay_ms", "end_round_ms", "other_ms", "wall_ms",
                      "msgs_per_s"});
-  usne::congest::StageTimes total;
+  double wall_s = 0;
   for (const usne::congest::PhaseProfileEntry& e : prof) {
     const usne::congest::StageTimes& t = e.times;
     table.row()
@@ -151,20 +160,22 @@ void print_profile(const usne::BuildOutput& out, double build_s) {
         .add((t.init_s + t.drain_s) * 1e3, 3)
         .add(t.wall_s * 1e3, 3)
         .add(t.msgs_per_s(), 0);
-    total += t;
+    wall_s += t.wall_s;
   }
   table.print(std::cout, "construction profile");
-  const double coverage =
-      total.wall_s > 0 ? total.stage_sum_s() / total.wall_s : 1.0;
   std::cout << "profile: " << prof.size() << " tasks, scheduler wall = "
-            << format_double(total.wall_s * 1e3, 3) << " ms, stage coverage = "
-            << format_double(coverage * 100.0, 1) << "%\n";
+            << format_double(wall_s * 1e3, 3) << " ms, stage coverage = "
+            << format_double(stage_coverage(prof) * 100.0, 1) << "%\n";
 }
 
-/// `--profile` JSON rider: labeled stage times, one object per task.
-std::string profile_json(
-    const std::vector<usne::congest::PhaseProfileEntry>& prof) {
+/// `--profile` JSON rider: labeled stage times, one object per task, and
+/// for a CONGEST build the stage coverage.
+std::string profile_json(const usne::BuildOutput& built) {
+  const std::vector<usne::congest::PhaseProfileEntry>& prof = built.profile;
   std::ostringstream out;
+  if (built.distributed) {
+    out << ", \"stage_coverage\": " << stage_coverage(prof);
+  }
   out << ", \"profile\": [";
   for (std::size_t i = 0; i < prof.size(); ++i) {
     const usne::congest::StageTimes& t = prof[i].times;
@@ -174,7 +185,7 @@ std::string profile_json(
         << ", \"drain_s\": " << t.drain_s
         << ", \"end_round_s\": " << t.end_round_s
         << ", \"init_s\": " << t.init_s << ", \"messages\": " << t.messages
-        << ", \"rounds\": " << t.rounds
+        << ", \"replay_s\": " << t.replay_s << ", \"rounds\": " << t.rounds
         << ", \"task\": \"" << prof[i].label
         << "\", \"wall_s\": " << t.wall_s << "}";
   }
@@ -219,7 +230,7 @@ int run_query(const usne::Cli& cli, const usne::Graph& g,
   options.cache_shards = static_cast<int>(cli.get_int("cache-shards", 0));
   options.slow_query_us = cli.get_int("slow-query-us", 0);
   // Per-query service-latency percentiles ride along in the query record
-  // (the same serve::LatencyHistogram the daemon's STATS endpoint merges).
+  // (the same obs::LatencyHistogram the daemon's STATS endpoint merges).
   options.record_latency = true;
   const int qps_threads = static_cast<int>(cli.get_int("qps-threads", 1));
   // The stretch gate only applies where a stretch claim exists: randomized
@@ -500,7 +511,7 @@ int run(int argc, char** argv) {
            << ", \"build\": " << out.stats_json()
            << ", \"h_digest\": \"" << h_digest(out.h()) << '"'
            << ", \"build_info\": " << util::build_info_json()
-           << (spec.exec.profile ? profile_json(out.profile) : std::string())
+           << (spec.exec.profile ? profile_json(out) : std::string())
            << invariants_field() << "}\n";
     const std::string path = cli.get("json", "-");
     if (path == "-") {

@@ -143,7 +143,7 @@ struct BuildOutput {
 
   /// One-line JSON record of this build:
   /// {"algo": ..., "alpha": ..., "beta": ..., "stats": {...}} with stats
-  /// keys in sorted order — the uniform format consumed by scripts/check.sh.
+  /// keys in sorted order — the uniform format scripts/pins.json reads.
   std::string stats_json() const;
 };
 

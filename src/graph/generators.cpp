@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "graph/stream_gen.hpp"
@@ -295,8 +296,11 @@ Graph gen_family(const std::string& family, Vertex n, std::uint64_t seed) {
                        seed);
   }
   if (family == "complete") return gen_complete(std::min<Vertex>(n, 64));
-  assert(false && "unknown graph family");
-  return Graph();
+  std::string accepted;
+  for (const std::string& name : all_families()) accepted += name + ", ";
+  throw std::invalid_argument("unknown graph family '" + family +
+                              "' (accepted: " + accepted +
+                              "er_sparse, complete)");
 }
 
 const std::vector<std::string>& all_families() {

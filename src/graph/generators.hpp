@@ -69,12 +69,13 @@ Graph gen_caveman(Vertex cliques, Vertex clique_size);
 Graph gen_dumbbell(Vertex clique_size, Vertex bridge);
 
 /// Named-family dispatcher used by parameterized tests and benches.
-/// Families: er, ba, grid, torus, hypercube, path, cycle, star, tree,
-/// ws, caveman, dumbbell, regular, complete.
+/// Families: all_families(), plus er_sparse and complete.
 /// `n` is a target size; the generator may round (e.g. grids use sqrt).
+/// Throws std::invalid_argument naming an unknown family and the accepted
+/// names.
 Graph gen_family(const std::string& family, Vertex n, std::uint64_t seed);
 
-/// All family names gen_family accepts.
+/// The family names gen_family accepts, except er_sparse and complete.
 const std::vector<std::string>& all_families();
 
 }  // namespace usne

@@ -29,7 +29,6 @@
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/latency_histogram.hpp"
 #include "util/build_info.hpp"
 #include "util/invariant.hpp"
 #include "util/timer.hpp"
@@ -135,7 +134,7 @@ class Server::Impl {
     // answers.
     hist_.reserve(static_cast<std::size_t>(opt_.workers) + 1);
     for (int w = 0; w <= opt_.workers; ++w) {
-      hist_.push_back(std::make_unique<serve::LatencyHistogram>());
+      hist_.push_back(std::make_unique<obs::LatencyHistogram>());
     }
   }
 
@@ -318,7 +317,7 @@ class Server::Impl {
 
   std::string stats_json() const {
     const ServerStats s = stats();
-    serve::LatencyHistogram merged;
+    obs::LatencyHistogram merged;
     for (const auto& h : hist_) merged.merge_from(*h);
     const std::shared_ptr<serve::QueryEngine> eng = engine();
     const serve::CacheStats cumulative = eng->cache_stats();
@@ -401,7 +400,7 @@ class Server::Impl {
     // bounds), counted here like Conn::in_flight so no worker races it.
     int admitted = 0;
     const auto io_slot = static_cast<std::size_t>(opt_.workers);
-    serve::LatencyHistogram& reply_wait_us =
+    obs::LatencyHistogram& reply_wait_us =
         obs::histogram("usne_net_reply_wait_us");
 
     poller.add(listen_fd_, kListenKey, true, false);
@@ -739,11 +738,11 @@ class Server::Impl {
   Response answer(const serve::QueryEngine& eng, const Work& wk,
                   std::size_t slot) {
     USNE_TRACE_SPAN("net.engine");
-    static serve::LatencyHistogram& queue_wait_us =
+    static obs::LatencyHistogram& queue_wait_us =
         obs::histogram("usne_net_queue_wait_us");
-    static serve::LatencyHistogram& engine_us =
+    static obs::LatencyHistogram& engine_us =
         obs::histogram("usne_net_engine_us");
-    static serve::LatencyHistogram& request_latency_us =
+    static obs::LatencyHistogram& request_latency_us =
         obs::histogram("usne_net_request_latency_us");
     const Clock::time_point popped = Clock::now();
     const Vertex n = eng.emulator().num_vertices();
@@ -866,7 +865,7 @@ class Server::Impl {
   std::atomic<std::int64_t> queue_depth_{0};
   std::atomic<std::int64_t> in_flight_{0};
 
-  std::vector<std::unique_ptr<serve::LatencyHistogram>> hist_;
+  std::vector<std::unique_ptr<obs::LatencyHistogram>> hist_;
 };
 
 Server::Server(std::shared_ptr<serve::QueryEngine> engine,

@@ -33,7 +33,7 @@
 // up the new one — zero dropped requests, no socket churn. Engines with a different
 // vertex count are rejected (queued queries must stay answerable).
 //
-// Observability: per-thread lock-free serve::LatencyHistograms (one per
+// Observability: per-thread lock-free obs::LatencyHistograms (one per
 // worker plus the I/O thread's, merged on demand), cumulative counters,
 // the engine's kernel report, and QueryEngine::cache_stats_delta for
 // per-interval serving rates — all surfaced by the STATS request and

@@ -1,4 +1,4 @@
-#include "serve/latency_histogram.hpp"
+#include "obs/latency_histogram.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -7,7 +7,7 @@
 
 #include "util/table.hpp"
 
-namespace usne::serve {
+namespace usne::obs {
 
 namespace {
 /// Values below this are bucketed exactly (index == value).
@@ -120,4 +120,4 @@ std::string LatencyHistogram::stats_json() const {
   return out.str();
 }
 
-}  // namespace usne::serve
+}  // namespace usne::obs

@@ -2,14 +2,13 @@
 
 // Lock-free fixed log-bucket latency histogram.
 //
-// The serving layer needs percentiles, not means: a daemon answering
-// millions of queries is judged by its p99/p999 tail, and a tail cannot be
+// Serving needs percentiles, not means: a daemon answering millions of
+// queries is judged by its p99/p999 tail, and a tail cannot be
 // reconstructed from an aggregate qps number. This histogram is the one
-// latency primitive shared by the whole serving stack — QueryEngine::serve
-// records per-query service times into it (ServeOptions::record_latency),
-// net::Server gives each worker thread its own instance and merges them on
-// a STATS request, and usne_loadgen measures client-observed wire latency
-// with it.
+// latency primitive of the repository — the metrics registry's histogram
+// series (obs/metrics.hpp), QueryEngine::serve's per-query service times
+// (ServeOptions::record_latency), net::Server's per-thread instances merged
+// on a STATS request, and usne_loadgen's client-observed wire latency.
 //
 // Design: HdrHistogram-lite. Values (microseconds by convention, but the
 // buckets are unit-agnostic) land in log-spaced buckets with kSubBits
@@ -30,7 +29,7 @@
 #include <cstdint>
 #include <string>
 
-namespace usne::serve {
+namespace usne::obs {
 
 class LatencyHistogram {
  public:
@@ -92,4 +91,4 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
-}  // namespace usne::serve
+}  // namespace usne::obs

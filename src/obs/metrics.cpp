@@ -59,7 +59,7 @@ Gauge& Registry::gauge(const std::string& name) {
   return *slot;
 }
 
-serve::LatencyHistogram& Registry::histogram(const std::string& name) {
+LatencyHistogram& Registry::histogram(const std::string& name) {
   check_name(name);
   std::lock_guard<std::mutex> lock(mu_);
   if (counters_.count(name) != 0 || gauges_.count(name) != 0) {
@@ -67,7 +67,7 @@ serve::LatencyHistogram& Registry::histogram(const std::string& name) {
                                 "' already registered as a different type");
   }
   auto& slot = hists_[name];
-  if (!slot) slot = std::make_unique<serve::LatencyHistogram>();
+  if (!slot) slot = std::make_unique<LatencyHistogram>();
   return *slot;
 }
 
@@ -89,7 +89,7 @@ void Registry::remove_collector(std::size_t id) {
 // histogram pointers stay valid because series are never erased.
 struct Registry::Scrape {
   std::map<std::string, std::pair<std::int64_t, bool>> scalars;  // -> (v, ctr)
-  std::map<std::string, const serve::LatencyHistogram*> hists;
+  std::map<std::string, const LatencyHistogram*> hists;
 };
 
 Registry::Scrape Registry::collect() const {
@@ -136,15 +136,15 @@ std::string Registry::prometheus_text() const {
       ++it_s;
     } else {
       const std::string& name = it_h->first;
-      const serve::LatencyHistogram& h = *it_h->second;
+      const LatencyHistogram& h = *it_h->second;
       out << "# TYPE " << name << " histogram\n";
       std::int64_t cumulative = 0;
-      for (int b = 0; b < serve::LatencyHistogram::kBucketCount; ++b) {
+      for (int b = 0; b < LatencyHistogram::kBucketCount; ++b) {
         const std::int64_t n = h.bucket_count(b);
         if (n == 0) continue;
         cumulative += n;
         out << name << "_bucket{le=\""
-            << serve::LatencyHistogram::bucket_upper_bound(b) << "\"} "
+            << LatencyHistogram::bucket_upper_bound(b) << "\"} "
             << cumulative << '\n';
       }
       out << name << "_bucket{le=\"+Inf\"} " << h.count() << '\n';

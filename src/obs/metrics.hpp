@@ -8,7 +8,7 @@
 //
 //   1. Hot paths touch pre-resolved handles, never the registry. A
 //      subsystem resolves `obs::Counter&` / `obs::Gauge&` /
-//      `serve::LatencyHistogram&` once at setup (registry lookup under a
+//      `obs::LatencyHistogram&` once at setup (registry lookup under a
 //      mutex) and then increments a relaxed atomic — the same cost as the
 //      hand-rolled counters the daemon already had. Handles stay valid for
 //      the life of the process (the registry never erases a series).
@@ -17,8 +17,9 @@
 //      existing atomics; they register a *collector* — a callback run at
 //      scrape time that snapshots those atomics into named samples. The
 //      metrics page is therefore exactly as consistent as the underlying
-//      ledger it mirrors (check.sh reconciles the daemon page against the
-//      `daemon` invariant ledger at quiescence).
+//      ledger it mirrors (scripts/pins.json reconciles the daemon page at
+//      quiescence with the same conservation law the `daemon` invariant
+//      audits).
 //   3. Deterministic output: series are emitted in sorted name order, so
 //      two scrapes of the same state are byte-identical.
 //
@@ -28,10 +29,10 @@
 // microseconds and end in `_us`. Names must match
 // [a-zA-Z_][a-zA-Z0-9_]* (the Prometheus charset, no labels).
 //
-// Histograms reuse serve::LatencyHistogram — the serving stack's lock-free
-// HdrHistogram-lite — and are exported as genuine Prometheus histograms:
-// cumulative `_bucket{le="..."}` series (non-empty buckets only, plus
-// +Inf), `_sum` and `_count`.
+// Histograms are obs::LatencyHistogram (obs/latency_histogram.hpp), the
+// lock-free HdrHistogram-lite the serving stack also records into, exported
+// as genuine Prometheus histograms: cumulative `_bucket{le="..."}` series
+// (non-empty buckets only, plus +Inf), `_sum` and `_count`.
 
 #include <atomic>
 #include <cstdint>
@@ -42,7 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/latency_histogram.hpp"
+#include "obs/latency_histogram.hpp"
 
 namespace usne::obs {
 
@@ -104,7 +105,7 @@ class Registry {
   /// registered as a different series type.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  serve::LatencyHistogram& histogram(const std::string& name);
+  LatencyHistogram& histogram(const std::string& name);
 
   /// A collector snapshots externally-owned state into samples at scrape
   /// time. Returns an id for remove_collector (needed by owners whose
@@ -134,7 +135,7 @@ class Registry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<serve::LatencyHistogram>> hists_;
+  std::map<std::string, std::unique_ptr<LatencyHistogram>> hists_;
   std::map<std::size_t, Collector> collectors_;
   std::size_t next_collector_id_ = 0;
 };
@@ -146,7 +147,7 @@ inline Counter& counter(const std::string& name) {
 inline Gauge& gauge(const std::string& name) {
   return Registry::global().gauge(name);
 }
-inline serve::LatencyHistogram& histogram(const std::string& name) {
+inline LatencyHistogram& histogram(const std::string& name) {
   return Registry::global().histogram(name);
 }
 

@@ -88,6 +88,45 @@ void add_counters(CacheStats& into, const CacheStats& d,
   into.evictions += sign * d.evictions;
 }
 
+/// The usne_serve_* series of the global metrics page, resolved once.
+/// Each entry point counts its queries on `queries` itself and mirrors the
+/// hits, misses and structural answers from their own tallies, so the
+/// page's ledger (hits + misses + structural == queries) checks something.
+struct ServePage {
+  obs::Counter& queries = obs::counter("usne_serve_queries_total");
+  obs::Counter& hits = obs::counter("usne_serve_cache_hits_total");
+  obs::Counter& misses = obs::counter("usne_serve_cache_misses_total");
+  obs::Counter& structural =
+      obs::counter("usne_serve_structural_queries_total");
+  obs::Counter& sssp_runs = obs::counter("usne_serve_sssp_runs_total");
+  obs::Counter& batches = obs::counter("usne_serve_batches_total");
+
+  void mirror(const CacheStats& d) noexcept {
+    hits.add(d.hits);
+    misses.add(d.misses);
+    structural.add(d.structural);
+    sssp_runs.add(d.sssp_runs);
+  }
+};
+
+ServePage& page() {
+  static ServePage handles;
+  return handles;
+}
+
+/// Runs a cache-path lookup and mirrors what this thread's tally counted
+/// meanwhile onto the page (query() and query_all(); serve() mirrors once
+/// per batch).
+template <typename Lookup>
+auto mirrored(Lookup&& lookup) {
+  CacheStats delta;
+  add_counters(delta, t_tally, -1);
+  auto answer = lookup();
+  add_counters(delta, t_tally);
+  page().mirror(delta);
+  return answer;
+}
+
 /// Audit-only: the structural kernel against Dial over all of H, from three
 /// sources to every target.
 bool agrees_with_dial(const ForestCore& structure,
@@ -319,7 +358,8 @@ std::vector<Dist> QueryEngine::compute_sssp(Vertex source) const {
 
 SsspResult QueryEngine::query_all(Vertex s) const {
   check_vertex(h_.num_vertices(), s, "QueryEngine::query_all");
-  return cached_sssp(s);
+  page().queries.add(1);
+  return mirrored([&] { return cached_sssp(s); });
 }
 
 SsspResult QueryEngine::cached_sssp(Vertex source) const {
@@ -340,11 +380,13 @@ SsspResult QueryEngine::cached_sssp(Vertex source) const {
 Dist QueryEngine::query(Vertex u, Vertex v) const {
   check_vertex(h_.num_vertices(), u, "QueryEngine::query");
   check_vertex(h_.num_vertices(), v, "QueryEngine::query");
+  page().queries.add(1);
   if (structure_) {
     structural_.fetch_add(1, std::memory_order_relaxed);
+    page().structural.add(1);
     return structure_->distance(u, v);
   }
-  return cached_point(u, v);
+  return mirrored([&] { return cached_point(u, v); });
 }
 
 Dist QueryEngine::cached_point(Vertex u, Vertex v) const {
@@ -418,8 +460,9 @@ BatchResult QueryEngine::serve(std::span<const Query> queries,
 
   // Latency recording is opt-in: the histogram is thread-safe (relaxed
   // atomics), so every serving lane records into the one instance.
-  std::shared_ptr<LatencyHistogram> latency =
-      options_.record_latency ? std::make_shared<LatencyHistogram>() : nullptr;
+  std::shared_ptr<obs::LatencyHistogram> latency =
+      options_.record_latency ? std::make_shared<obs::LatencyHistogram>()
+                              : nullptr;
 
   const auto answer_one = [&](std::size_t i) {
     USNE_TRACE_SPAN("serve.query");
@@ -569,24 +612,11 @@ BatchResult QueryEngine::serve(std::span<const Query> queries,
   result.checksum = hash;
   result.latency = std::move(latency);
 
-  // Mirror the batch deltas onto the global metrics page. Once per batch
-  // (cold path), pre-resolved handles — the per-query path stays untouched,
-  // and the page totals reconcile with the cache ledger by construction.
-  static obs::Counter& queries_total = obs::counter("usne_serve_queries_total");
-  static obs::Counter& hits_total = obs::counter("usne_serve_cache_hits_total");
-  static obs::Counter& misses_total =
-      obs::counter("usne_serve_cache_misses_total");
-  static obs::Counter& structural_total =
-      obs::counter("usne_serve_structural_queries_total");
-  static obs::Counter& sssp_total = obs::counter("usne_serve_sssp_runs_total");
-  static obs::Counter& batches_total =
-      obs::counter("usne_serve_batches_total");
-  queries_total.add(static_cast<std::int64_t>(queries.size()));
-  hits_total.add(result.cache.hits);
-  misses_total.add(result.cache.misses);
-  structural_total.add(result.cache.structural);
-  sssp_total.add(result.cache.sssp_runs);
-  batches_total.add(1);
+  // Mirror the batch onto the global metrics page once per batch (cold
+  // path): the per-query path stays untouched.
+  page().queries.add(static_cast<std::int64_t>(queries.size()));
+  page().mirror(result.cache);
+  page().batches.add(1);
   return result;
 }
 

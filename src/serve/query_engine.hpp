@@ -40,8 +40,8 @@
 
 #include "graph/graph.hpp"
 #include "graph/weighted_graph.hpp"
+#include "obs/latency_histogram.hpp"
 #include "serve/forest_core.hpp"
-#include "serve/latency_histogram.hpp"
 #include "serve/workload.hpp"
 #include "util/thread_pool.hpp"
 
@@ -74,7 +74,7 @@ struct ServeOptions {
   std::int64_t cache_entries_per_shard = -1;
 
   /// Record per-query service latency into BatchResult::latency during
-  /// serve() (a LatencyHistogram; two steady_clock reads per query). Off
+  /// serve() (an obs::LatencyHistogram; two steady_clock reads per query). Off
   /// by default so throughput benches measure serving, not timing.
   bool record_latency = false;
 
@@ -119,7 +119,7 @@ struct BatchResult {
 
   /// Per-query service-latency histogram (microseconds), populated only
   /// when ServeOptions::record_latency was set; nullptr otherwise.
-  std::shared_ptr<const LatencyHistogram> latency;
+  std::shared_ptr<const obs::LatencyHistogram> latency;
 
   /// One-line JSON of the batch counters (sorted keys), the record
   /// usne_run query and bench_query_throughput embed.

@@ -52,6 +52,7 @@
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "obs/latency_histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "path/apsp.hpp"
@@ -59,7 +60,6 @@
 #include "path/dijkstra.hpp"
 #include "path/source_detection.hpp"
 #include "path/sssp_kernel.hpp"
-#include "serve/latency_histogram.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/stats.hpp"
 #include "serve/workload.hpp"

@@ -43,7 +43,7 @@
 // evaluation increments `checked` — the counters are the proof that an
 // audit category is actually exercised, surfaced by counters_json() (the
 // stats hook usne_run embeds in its JSON records when audits are on, and
-// scripts/check.sh asserts against).
+// scripts/pins.json asserts against).
 
 #include <cstdint>
 #include <functional>

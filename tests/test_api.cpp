@@ -1,7 +1,7 @@
 // Unified construction API (api/build.hpp): registry enumeration, metadata,
 // the guarantee each deterministic name reports, and the ExecOptions/ParamSet
 // switches every registered name must honour. That each name reaches the
-// right builder is pinned by the h_digest pins of scripts/check.sh.
+// right builder is pinned by the h_digest pins of scripts/pins.json.
 
 #include "api/build.hpp"
 

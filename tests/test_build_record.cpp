@@ -98,7 +98,8 @@ struct RecordPin {
 constexpr ParamSet kSmoke{.kappa = 4, .eps = 0.4, .rho = 0.49};
 constexpr ParamSet kCaveman{.kappa = 8, .eps = 0.25, .rho = 0.3};
 
-// Graphs are gen_family(family, n, 2024), as in check.sh's h_digest pins.
+// Graphs are gen_family(family, n, 2024), as in scripts/pins.json's h_digest
+// pins.
 // At the smoke settings spanner = spanner_em19; on caveman n = 4096 the two
 // degree sequences part. On caveman n = 256, emulator_congest's Task 3
 // splits hubs at hub threshold factor 1 (and none at the paper's 2).

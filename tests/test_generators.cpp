@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/stream_gen.hpp"
@@ -130,6 +133,21 @@ TEST(Generators, FamilyDispatcherCoversAll) {
     const Graph g = gen_family(family, 64, 5);
     EXPECT_GT(g.num_vertices(), 0) << family;
     EXPECT_GT(g.num_edges(), 0) << family;
+  }
+}
+
+// A typo used to fall through to an empty graph in release builds.
+TEST(Generators, UnknownFamilyThrows) {
+  EXPECT_THROW(gen_family("erx", 128, 1), std::invalid_argument);
+  std::string what;
+  try {
+    gen_family("erx", 128, 1);
+  } catch (const std::invalid_argument& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("'erx'"), std::string::npos) << what;
+  for (const std::string& family : all_families()) {
+    EXPECT_NE(what.find(family), std::string::npos) << family;
   }
 }
 

@@ -25,6 +25,7 @@
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "obs/metrics.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/workload.hpp"
 #include "util/invariant.hpp"
@@ -399,6 +400,46 @@ TEST(NetServer, StructuralFramesAreAnsweredInlineAndSkipAdmission) {
   EXPECT_EQ(s.answered_requests, 10);
   EXPECT_EQ(s.rejected_busy, 1);
   EXPECT_EQ(engine->cache_stats().structural, 8 + 2 + 1);
+}
+
+// PAIR and SINGLE_SOURCE frames reach the engine through query() and
+// query_all(), not serve(): the metrics page must count them, and its
+// serving ledger must balance over them.
+TEST(NetServer, PairAndSingleSourceFramesReachTheMetricsPage) {
+  auto engine = make_engine(128);
+  ASSERT_TRUE(engine->kernel().structural);
+  Server server(engine, ServerOptions{});
+  server.start();
+  const obs::Counter& queries = obs::counter("usne_serve_queries_total");
+  const obs::Counter& hits = obs::counter("usne_serve_cache_hits_total");
+  const obs::Counter& misses = obs::counter("usne_serve_cache_misses_total");
+  const obs::Counter& structural =
+      obs::counter("usne_serve_structural_queries_total");
+  const auto ledger = [&] {
+    return hits.value() + misses.value() + structural.value();
+  };
+  const std::int64_t queries0 = queries.value();
+  const std::int64_t ledger0 = ledger();
+  const std::int64_t structural0 = structural.value();
+
+  std::vector<std::uint8_t> wire = pair_frames(8);
+  for (std::uint64_t id = 9; id <= 11; ++id) {
+    const auto source = static_cast<Vertex>(id);
+    net::append_frame(wire, MsgType::kSingleSource, id,
+                      net::encode_single_source_request(source));
+  }
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  client.send_raw(wire);
+  for (int i = 0; i < 11; ++i) {
+    Frame f;
+    ASSERT_TRUE(client.recv_frame(f));
+    EXPECT_NE(f.type, MsgType::kBusy);
+  }
+  server.stop();
+  EXPECT_EQ(queries.value() - queries0, 8 + 3);
+  EXPECT_EQ(structural.value() - structural0, 8);
+  EXPECT_EQ(ledger() - ledger0, queries.value() - queries0);
 }
 
 TEST(NetServer, DialEnginePairFramesQueue) {

@@ -22,9 +22,9 @@
 #include <thread>
 #include <vector>
 
+#include "obs/latency_histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/latency_histogram.hpp"
 #include "test_helpers.hpp"
 
 namespace usne {
@@ -32,10 +32,10 @@ namespace {
 
 using obs::Counter;
 using obs::Gauge;
+using obs::LatencyHistogram;
 using obs::Registry;
 using obs::Sample;
 using obs::TraceSpan;
-using serve::LatencyHistogram;
 
 // --- metrics: handles -------------------------------------------------------
 

@@ -24,6 +24,7 @@
 
 #include "api/build.hpp"
 #include "graph/generators.hpp"
+#include "obs/latency_histogram.hpp"
 #include "path/dijkstra.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/stats.hpp"
@@ -496,14 +497,14 @@ TEST(BatchResult, StatsJsonCarriesChecksumAndCounters) {
   EXPECT_NE(json.find("\"sssp_runs\": "), std::string::npos);
 }
 
-// --- latency histogram ------------------------------------------------------
+// --- latency histogram (obs/, what serve() records into) ---------------------
 
 TEST(LatencyHistogram, SmallValuesAreExact) {
-  serve::LatencyHistogram h;
+  obs::LatencyHistogram h;
   for (std::uint64_t v = 0; v < 16; ++v) {
-    EXPECT_EQ(serve::LatencyHistogram::bucket_index(v), static_cast<int>(v));
-    EXPECT_EQ(serve::LatencyHistogram::bucket_upper_bound(
-                  serve::LatencyHistogram::bucket_index(v)),
+    EXPECT_EQ(obs::LatencyHistogram::bucket_index(v), static_cast<int>(v));
+    EXPECT_EQ(obs::LatencyHistogram::bucket_upper_bound(
+                  obs::LatencyHistogram::bucket_index(v)),
               v);
   }
   h.record(7);
@@ -520,11 +521,11 @@ TEST(LatencyHistogram, BucketMappingIsMonotoneAndSelfConsistent) {
         std::uint64_t{16}, std::uint64_t{17}, std::uint64_t{100},
         std::uint64_t{1000}, std::uint64_t{12345}, std::uint64_t{1} << 31,
         std::uint64_t{1} << 62}) {
-    const int b = serve::LatencyHistogram::bucket_index(v);
+    const int b = obs::LatencyHistogram::bucket_index(v);
     EXPECT_GE(b, prev);
-    EXPECT_LT(b, serve::LatencyHistogram::kBucketCount);
+    EXPECT_LT(b, obs::LatencyHistogram::kBucketCount);
     // The bucket's upper bound is >= v and within 12.5% of it.
-    const std::uint64_t ub = serve::LatencyHistogram::bucket_upper_bound(b);
+    const std::uint64_t ub = obs::LatencyHistogram::bucket_upper_bound(b);
     EXPECT_GE(ub, v);
     EXPECT_LE(ub - v, v / 8 + 1);
     prev = b;
@@ -532,7 +533,7 @@ TEST(LatencyHistogram, BucketMappingIsMonotoneAndSelfConsistent) {
 }
 
 TEST(LatencyHistogram, PercentilesBoundedByResolution) {
-  serve::LatencyHistogram h;
+  obs::LatencyHistogram h;
   for (std::uint64_t v = 1; v <= 1000; ++v) h.record(v);
   EXPECT_EQ(h.count(), 1000);
   // p50 of 1..1000 is 500; log-bucket resolution is 12.5%.
@@ -547,8 +548,8 @@ TEST(LatencyHistogram, PercentilesBoundedByResolution) {
 }
 
 TEST(LatencyHistogram, MergeAddsCountsAndKeepsMax) {
-  serve::LatencyHistogram a;
-  serve::LatencyHistogram b;
+  obs::LatencyHistogram a;
+  obs::LatencyHistogram b;
   a.record(10);
   a.record(100);
   b.record(5000);
@@ -562,7 +563,7 @@ TEST(LatencyHistogram, MergeAddsCountsAndKeepsMax) {
 }
 
 TEST(LatencyHistogram, ConcurrentRecordsAllLand) {
-  serve::LatencyHistogram h;
+  obs::LatencyHistogram h;
   const int threads = 8;
   const int per_thread = 5000;
   std::vector<std::thread> pool;
