@@ -6,6 +6,7 @@
 //   ./congest_demo [--n 256] [--family torus] [--kappa 4] [--rho 0.45]
 //                  [--threads 1]
 
+#include <exception>
 #include <iostream>
 
 #include "api/build.hpp"
@@ -16,7 +17,9 @@
 #include "util/math.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace usne;
   Cli cli(argc, argv,
           {{"n", "number of vertices (default 256)"},
@@ -83,4 +86,19 @@ int main(int argc, char** argv) {
             << "would have aborted the run), and the construction is fully "
             << "deterministic.\n";
   return (endpoints && stretch.ok()) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // gen_family rejects an unknown --family, and the registry a parameter
+  // it cannot build with, via std::invalid_argument naming what it
+  // accepts; surface that (or any other failure) as a CLI error, not a
+  // terminate().
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 }

@@ -100,17 +100,19 @@ std::string h_digest(const usne::WeightedGraph& h) {
 
 /// `--profile` for a centralized build (emulator_fast, spanner,
 /// spanner_em19): wall time per (phase, task), the share of the build each
-/// takes, and how much of the build the tasks cover.
+/// takes, the peak RSS when it ended, and how much of the build the tasks
+/// cover.
 void print_wall_profile(const std::vector<usne::congest::PhaseProfileEntry>& prof,
                         double build_s) {
   using usne::format_double;
-  usne::Table table({"task", "wall_ms", "share_pct"});
+  usne::Table table({"task", "wall_ms", "share_pct", "peak_rss_mb"});
   double total_s = 0;
   for (const usne::congest::PhaseProfileEntry& e : prof) {
     table.row()
         .add(e.label)
         .add(e.times.wall_s * 1e3, 3)
-        .add(build_s > 0 ? e.times.wall_s / build_s * 100.0 : 0.0, 1);
+        .add(build_s > 0 ? e.times.wall_s / build_s * 100.0 : 0.0, 1)
+        .add(e.peak_rss_mb, 1);
     total_s += e.times.wall_s;
   }
   table.print(std::cout, "construction profile");
@@ -129,10 +131,10 @@ double stage_coverage(
   return total.wall_s > 0 ? total.stage_sum_s() / total.wall_s : 1.0;
 }
 
-/// `--profile`: per-(phase, task) scheduler stage breakdown and simulator
-/// throughput (messages per second of scheduler wall) plus the stage
-/// coverage. Centralized builds have no scheduler stages and print their
-/// wall-time profile instead.
+/// `--profile`: per-(phase, task) scheduler stage breakdown, simulator
+/// throughput (messages per second of scheduler wall) and peak RSS when
+/// the task ended, plus the stage coverage. Centralized builds have no
+/// scheduler stages and print their wall-time profile instead.
 void print_profile(const usne::BuildOutput& out, double build_s) {
   using usne::format_double;
   const std::vector<usne::congest::PhaseProfileEntry>& prof = out.profile;
@@ -146,7 +148,7 @@ void print_profile(const usne::BuildOutput& out, double build_s) {
   }
   usne::Table table({"task", "rounds", "deliver_ms", "compute_ms",
                      "replay_ms", "end_round_ms", "other_ms", "wall_ms",
-                     "msgs_per_s"});
+                     "msgs_per_s", "peak_rss_mb"});
   double wall_s = 0;
   for (const usne::congest::PhaseProfileEntry& e : prof) {
     const usne::congest::StageTimes& t = e.times;
@@ -159,7 +161,8 @@ void print_profile(const usne::BuildOutput& out, double build_s) {
         .add(t.end_round_s * 1e3, 3)
         .add((t.init_s + t.drain_s) * 1e3, 3)
         .add(t.wall_s * 1e3, 3)
-        .add(t.msgs_per_s(), 0);
+        .add(t.msgs_per_s(), 0)
+        .add(e.peak_rss_mb, 1);
     wall_s += t.wall_s;
   }
   table.print(std::cout, "construction profile");
@@ -168,9 +171,10 @@ void print_profile(const usne::BuildOutput& out, double build_s) {
             << format_double(stage_coverage(prof) * 100.0, 1) << "%\n";
 }
 
-/// `--profile` JSON rider: labeled stage times, one object per task, and
-/// for a CONGEST build the stage coverage.
+/// `--profile` JSON rider: labeled stage times and peak RSS, one object
+/// per task, and for a CONGEST build the stage coverage.
 std::string profile_json(const usne::BuildOutput& built) {
+  using usne::format_double;
   const std::vector<usne::congest::PhaseProfileEntry>& prof = built.profile;
   std::ostringstream out;
   if (built.distributed) {
@@ -185,6 +189,7 @@ std::string profile_json(const usne::BuildOutput& built) {
         << ", \"drain_s\": " << t.drain_s
         << ", \"end_round_s\": " << t.end_round_s
         << ", \"init_s\": " << t.init_s << ", \"messages\": " << t.messages
+        << ", \"peak_rss_mb\": " << format_double(prof[i].peak_rss_mb, 1)
         << ", \"replay_s\": " << t.replay_s << ", \"rounds\": " << t.rounds
         << ", \"task\": \"" << prof[i].label
         << "\", \"wall_s\": " << t.wall_s << "}";
@@ -510,6 +515,7 @@ int run(int argc, char** argv) {
            << ", \"latency_max\": " << spec.exec.transport.latency_max
            << ", \"build\": " << out.stats_json()
            << ", \"h_digest\": \"" << h_digest(out.h()) << '"'
+           << ", \"peak_rss_mb\": " << format_double(util::peak_rss_mb(), 1)
            << ", \"build_info\": " << util::build_info_json()
            << (spec.exec.profile ? profile_json(out) : std::string())
            << invariants_field() << "}\n";

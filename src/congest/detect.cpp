@@ -18,47 +18,64 @@ constexpr Word kExplore = 4;  // <kExplore, source, dist>
 /// and each round a sender broadcasts its next entry and drops out once
 /// its list is spent.
 ///
-/// Duplicate test. A vertex scans its hit list while the list is smaller
-/// than a bitset over the run's sources (dense rank); once the list takes
-/// as many bytes as that bitset, the vertex switches to the bitset and
-/// tests each arrival in O(1). The bitsets therefore never outweigh the
-/// lists they index. No n x |sources| matrix is ever allocated: phase 0
-/// runs with every vertex a source.
+/// Kept and unkept vertices. A kept vertex records every hit, and what it
+/// learnt during the stride just completed is the suffix of its hit list
+/// appended since the previous boundary. That suffix is still filtered by
+/// distance: under async delivery a message sent in an earlier stride can
+/// land in this one, and it keeps the distance its message carried. Any
+/// other vertex records no hit: it keeps only the ids it heard (for the
+/// duplicate test) and, as they arrive, the cap smallest ids heard at the
+/// stride's own distance, in a bounded max-heap: exactly what the boundary
+/// would have taken from the suffix.
 ///
-/// Stride boundary. What a vertex learnt during the stride just completed
-/// is the suffix of its hit list appended since the previous boundary, so
-/// a boundary visits only the vertices that learnt something (collected
-/// per shard, then sorted ascending: senders keep the order a full scan
-/// would give). The suffix is still filtered by distance: under async
-/// delivery a message sent in an earlier stride can land in this one, and
-/// it keeps the distance its message carried.
+/// Duplicate test. A vertex scans its list (hits, or heard ids) while the
+/// list is smaller than a bitset over the run's sources (dense rank); once
+/// the list takes as many bytes as that bitset, the vertex switches to the
+/// bitset and tests each arrival in O(1), and an unkept vertex drops its
+/// id list. The bitsets therefore never outweigh the lists they index. No
+/// n x |sources| matrix is ever allocated: phase 0 runs with every vertex
+/// a source.
+///
+/// Stride boundary. A boundary visits only the vertices that learnt
+/// something (collected per shard, then sorted ascending: senders keep the
+/// order a full scan would give).
 ///
 /// Parallel audit: on_round mutates only per-vertex state (hits_[v],
-/// seen_[v]) and pushes v into its own shard's learners_ buffer; it reads
-/// learnt_from_[v], which only the boundary writes. pending_, senders_,
-/// learnt_from_ and the drained learners are rewritten exclusively at
-/// stride boundaries inside end_round (serial).
+/// heard_[v], seen_[v], fresh_[v]) and pushes v into its own shard's
+/// learners_ buffer; it reads learnt_from_[v], which only the boundary
+/// writes. pending_, senders_, learnt_from_, fresh_ and the drained
+/// learners are rewritten exclusively at stride boundaries inside
+/// end_round (serial).
 class DetectProgram final : public NodeProgram {
  public:
-  DetectProgram(Vertex n, const std::vector<Vertex>& sources, Dist delta,
-                std::int64_t cap)
-      : cap_(cap), total_rounds_(delta * cap) {
+  DetectProgram(Vertex n, const std::vector<Vertex>& sources, const KeepSet& keep,
+                Dist delta, std::int64_t cap)
+      : keep_(keep), cap_(cap), total_rounds_(delta * cap) {
     const auto un = static_cast<std::size_t>(n);
     hits_.assign(un, {});
     seen_.assign(un, {});
-    rank_.assign(un, -1);
     learnt_from_.assign(un, 0);
+    if (!keep_.full()) {
+      heard_.assign(un, {});
+      fresh_.assign(un, {});
+    }
+    rank_.assign(un, -1);
     std::vector<Vertex> sorted = sources;
     std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
     bitset_words_ = (sorted.size() + 63) / 64;
     for (std::size_t i = 0; i < sorted.size(); ++i) {
-      const auto s = static_cast<std::size_t>(sorted[i]);
-      rank_[s] = static_cast<std::int32_t>(i);
-      hits_[s].push_back({sorted[i], 0, -1});
-      learnt_from_[s] = 1;
-      pending_.push_back({sorted[i], 0, -1});
-      senders_.push_back({sorted[i], i, i + 1});
+      const Vertex s = sorted[i];
+      const auto si = static_cast<std::size_t>(s);
+      rank_[si] = static_cast<std::int32_t>(i);
+      if (keep_.contains(s)) {
+        hits_[si].push_back({s, 0, -1});
+        learnt_from_[si] = 1;
+      } else {
+        heard_[si].push_back(s);
+      }
+      pending_.push_back(s);
+      senders_.push_back({s, i, i + 1});
     }
   }
 
@@ -68,21 +85,35 @@ class DetectProgram final : public NodeProgram {
     if (total_rounds_ > 0) send_entries(out);
   }
 
-  void on_round(std::int64_t, Vertex v, std::span<const Received> inbox,
+  void on_round(std::int64_t round, Vertex v, std::span<const Received> inbox,
                 Outbox& out) override {
     const auto sv = static_cast<std::size_t>(v);
-    auto& known = hits_[sv];
-    const std::size_t before = known.size();
-    for (const Received& r : inbox) {
-      if (r.msg.words[0] != kExplore) continue;
-      const Vertex src = static_cast<Vertex>(r.msg.words[1]);
-      if (first_hearing(sv, src)) {
-        known.push_back({src, r.msg.words[2] + 1, r.from});
+    bool first_learnt = false;  // v's first entry this stride
+    if (keep_.contains(v)) {
+      auto& known = hits_[sv];
+      const std::size_t before = known.size();
+      for (const Received& r : inbox) {
+        if (r.msg.words[0] != kExplore) continue;
+        const Vertex src = static_cast<Vertex>(r.msg.words[1]);
+        if (first_hearing(sv, src)) {
+          known.push_back({src, r.msg.words[2] + 1, r.from});
+        }
       }
+      first_learnt = before == learnt_from_[sv] && known.size() > before;
+    } else {
+      const Dist stride = round / cap_ + 1;
+      std::vector<Vertex>& fresh = fresh_[sv];
+      const bool learnt = !fresh.empty();
+      for (const Received& r : inbox) {
+        if (r.msg.words[0] != kExplore) continue;
+        const Vertex src = static_cast<Vertex>(r.msg.words[1]);
+        if (hear_unkept(sv, src) && r.msg.words[2] + 1 == stride) {
+          offer(fresh, src);
+        }
+      }
+      first_learnt = !learnt && !fresh.empty();
     }
-    if (before == learnt_from_[sv] && known.size() > before) {
-      learners_.push(out.shard(), v);  // first entry this stride
-    }
+    if (first_learnt) learners_.push(out.shard(), v);
   }
 
   void end_round(std::int64_t round, Outbox& out) override {
@@ -107,7 +138,8 @@ class DetectProgram final : public NodeProgram {
   }
 
  private:
-  /// True the first time v hears `src` (which is then marked heard).
+  /// True the first time the kept vertex v hears `src`; the caller then
+  /// appends its hit, which marks it heard.
   bool first_hearing(std::size_t v, Vertex src) {
     std::vector<std::uint64_t>& seen = seen_[v];
     if (seen.empty()) {
@@ -123,6 +155,24 @@ class DetectProgram final : public NodeProgram {
     return !test_and_set(seen, src);
   }
 
+  /// True the first time the unkept vertex v hears `src`, which is then
+  /// marked heard.
+  bool hear_unkept(std::size_t v, Vertex src) {
+    std::vector<std::uint64_t>& seen = seen_[v];
+    if (seen.empty()) {
+      std::vector<Vertex>& heard = heard_[v];
+      if (heard.size() * sizeof(Vertex) < bitset_words_ * sizeof(std::uint64_t)) {
+        if (std::find(heard.begin(), heard.end(), src) != heard.end()) return false;
+        heard.push_back(src);
+        return true;
+      }
+      seen.assign(bitset_words_, 0);
+      for (const Vertex s : heard) test_and_set(seen, s);
+      std::vector<Vertex>().swap(heard);
+    }
+    return !test_and_set(seen, src);
+  }
+
   /// Sets `src`'s bit; returns whether it was already set.
   bool test_and_set(std::vector<std::uint64_t>& seen, Vertex src) const {
     const auto rank =
@@ -134,76 +184,104 @@ class DetectProgram final : public NodeProgram {
     return was_set;
   }
 
+  /// Keeps `src` in the max-heap `fresh` iff it is among the cap smallest
+  /// ids offered this stride (each id is offered once: the duplicate test
+  /// runs first).
+  void offer(std::vector<Vertex>& fresh, Vertex src) const {
+    if (static_cast<std::int64_t>(fresh.size()) < cap_) {
+      fresh.push_back(src);
+      std::push_heap(fresh.begin(), fresh.end());
+    } else if (src < fresh.front()) {
+      std::pop_heap(fresh.begin(), fresh.end());
+      fresh.back() = src;
+      std::push_heap(fresh.begin(), fresh.end());
+    }
+  }
+
   /// One round of the stride: every sender broadcasts its next pending
   /// entry (in round t, the t-th of its list).
   void send_entries(Outbox& out) {
     std::size_t kept = 0;
     for (Sender s : senders_) {
-      const SourceHit& h = pending_[s.next++];
-      out.broadcast(s.v, Message::of(kExplore, h.source, h.dist));
+      const Vertex src = pending_[s.next++];
+      out.broadcast(s.v, Message::of(kExplore, src, pending_dist_));
       if (s.next < s.end) senders_[kept++] = s;
     }
     senders_.resize(kept);
   }
 
-  /// Pending lists for the next stride = sources learnt during the stride
-  /// just completed, truncated to the cap (smallest (dist, id) first —
-  /// deterministic specialization of the paper's arbitrary choice).
+  /// Pending lists for the next stride = sources learnt at distance
+  /// `completed_stride` during the stride just completed, truncated to the
+  /// cap (smallest id first — deterministic specialization of the paper's
+  /// arbitrary choice).
   void stride_boundary(Dist completed_stride) {
     pending_.clear();
     senders_.clear();  // already spent: no list is longer than the stride
+    pending_dist_ = completed_stride;
     std::vector<Vertex> learnt;
     learners_.drain_into(learnt);
     std::sort(learnt.begin(), learnt.end());
     for (const Vertex v : learnt) {
       const auto sv = static_cast<std::size_t>(v);
-      const auto& known = hits_[sv];
       const std::size_t begin = pending_.size();
-      for (std::size_t i = learnt_from_[sv]; i < known.size(); ++i) {
-        if (known[i].dist == completed_stride) pending_.push_back(known[i]);
+      if (keep_.contains(v)) {
+        const auto& known = hits_[sv];
+        for (std::size_t i = learnt_from_[sv]; i < known.size(); ++i) {
+          if (known[i].dist == completed_stride) pending_.push_back(known[i].source);
+        }
+        learnt_from_[sv] = known.size();
+        std::sort(pending_.begin() + static_cast<std::ptrdiff_t>(begin),
+                  pending_.end());
+        if (static_cast<std::int64_t>(pending_.size() - begin) > cap_) {
+          pending_.resize(begin + static_cast<std::size_t>(cap_));
+        }
+      } else {
+        std::vector<Vertex>& fresh = fresh_[sv];
+        std::sort_heap(fresh.begin(), fresh.end());
+        pending_.insert(pending_.end(), fresh.begin(), fresh.end());
+        fresh.clear();
       }
-      learnt_from_[sv] = known.size();
       if (pending_.size() == begin) continue;
-      const auto fresh = pending_.begin() + static_cast<std::ptrdiff_t>(begin);
-      std::sort(fresh, pending_.end(),
-                [](const SourceHit& a, const SourceHit& b) {
-                  return a.source < b.source;  // equal dist within a stride
-                });
-      if (static_cast<std::int64_t>(pending_.size() - begin) > cap_) {
-        pending_.resize(begin + static_cast<std::size_t>(cap_));
-      }
       senders_.push_back({v, begin, pending_.size()});
     }
   }
 
+  const KeepSet& keep_;
   std::int64_t cap_;
   std::int64_t total_rounds_;
-  std::vector<std::vector<SourceHit>> hits_;
-  // The stride's forwarding schedule: sender v broadcasts
-  // pending_[next, end), one entry per round; senders_ is ascending in v.
+  std::vector<std::vector<SourceHit>> hits_;  // per kept vertex
+  // The stride's forwarding schedule: sender v broadcasts the source ids
+  // pending_[next, end), all at distance pending_dist_, one per round;
+  // senders_ is ascending in v.
   struct Sender {
     Vertex v;
     std::size_t next;
     std::size_t end;
   };
-  std::vector<SourceHit> pending_;
+  std::vector<Vertex> pending_;
+  Dist pending_dist_ = 0;
   std::vector<Sender> senders_;
   // Duplicate test: each source's dense rank (-1 for non-sources, which
-  // never circulate), the bitset length in words, and per-vertex bitsets
-  // (empty until the vertex's hit list outweighs one).
+  // never circulate), the bitset length in words, per-vertex bitsets
+  // (empty until the vertex's list outweighs one) and, per unkept vertex,
+  // the ids it heard until then.
   std::vector<std::int32_t> rank_;
   std::size_t bitset_words_ = 0;
   std::vector<std::vector<std::uint64_t>> seen_;
-  // Stride bookkeeping: hits_[v][learnt_from_[v]..] is what v learnt since
-  // the last boundary; learners_ collects each such v once per stride.
+  std::vector<std::vector<Vertex>> heard_;
+  // Stride bookkeeping: hits_[v][learnt_from_[v]..] is what a kept v
+  // learnt since the last boundary, fresh_[v] the heap of what an unkept
+  // v forwards next stride; learners_ collects each such v once per
+  // stride. heard_ and fresh_ stay empty when every vertex is kept.
   std::vector<std::size_t> learnt_from_;
+  std::vector<std::vector<Vertex>> fresh_;
   Sharded<Vertex> learners_;
 };
 
 }  // namespace
 
 Dist DetectResult::distance_to(Vertex v, Vertex source) const {
-  for (const SourceHit& h : hits[static_cast<std::size_t>(v)]) {
+  for (const SourceHit& h : at(v)) {
     if (h.source == source) return h.dist;
   }
   return kInfDist;
@@ -211,36 +289,21 @@ Dist DetectResult::distance_to(Vertex v, Vertex source) const {
 
 std::size_t DetectResult::heard_others(Vertex v) const {
   std::size_t count = 0;
-  for (const SourceHit& h : hits[static_cast<std::size_t>(v)]) {
+  for (const SourceHit& h : at(v)) {
     if (h.source != v) ++count;
   }
   return count;
 }
 
-std::vector<Vertex> DetectResult::path_to(Vertex v, Vertex source) const {
-  std::vector<Vertex> path;
-  Vertex cur = v;
-  while (cur != -1) {
-    path.push_back(cur);
-    if (cur == source) return path;
-    const auto& list = hits[static_cast<std::size_t>(cur)];
-    const auto it = std::find_if(list.begin(), list.end(), [&](const SourceHit& h) {
-      return h.source == source;
-    });
-    if (it == list.end()) return {};
-    cur = it->pred;
-  }
-  return {};
-}
-
 DetectResult detect_congest(Network& net, const std::vector<Vertex>& sources,
-                            Dist delta, std::int64_t cap) {
-  DetectProgram program(net.num_vertices(), sources, delta, cap);
+                            Dist delta, std::int64_t cap, KeepSet keep) {
+  const Vertex n = net.num_vertices();
+  for (const Vertex s : sources) check_vertex(n, s, "detect_congest");
+  check_keep_set(keep, n, "detect_congest");
+  DetectProgram program(n, sources, keep, delta, cap);
   const ScheduleReport report = Scheduler(net).run(program);
-  DetectResult result;
-  result.hits = program.take_hits();
-  result.rounds_used = report.rounds;
-  return result;
+  std::vector<std::vector<SourceHit>> hits = program.take_hits();
+  return DetectResult(std::move(hits), std::move(keep), report.rounds);
 }
 
 }  // namespace usne::congest

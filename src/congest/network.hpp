@@ -185,10 +185,13 @@ struct StageTimes {
 
 /// One labeled slice of a construction profile ("p0.detect", "p1.forest",
 /// ...): the stage times accrued while that task's scheduler runs drove
-/// the network. Builders emit one entry per (phase, task).
+/// the network, and the process's peak RSS when the task ended. Builders
+/// emit one entry per (phase, task); an entry whose peak_rss_mb exceeds
+/// the one before it names a task that raised the high-water mark.
 struct PhaseProfileEntry {
   std::string label;
   StageTimes times;
+  double peak_rss_mb = 0;
 };
 
 /// The simulator. One instance per algorithm execution; primitives send

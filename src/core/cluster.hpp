@@ -56,9 +56,10 @@ struct ExecOptions {
   /// CONGEST builders report scheduler stage times — deliver/compute/
   /// replay/end_round — per (phase, task); emulator_fast and the
   /// centralized spanner report wall time per (phase, task) and open a
-  /// trace span per task; the other centralized builders ignore it.
-  /// Measurement only: counts, H and every checksum are bit-identical with
-  /// profiling on or off, and the default (off) reads no clocks in the
+  /// trace span per task; both record the peak RSS at the end of each
+  /// task; the other centralized builders ignore it. Measurement only:
+  /// counts, H and every checksum are bit-identical with profiling on or
+  /// off, and the default (off) reads no clocks and no RSS in the
   /// scheduler or the builder.
   bool profile = false;
 };

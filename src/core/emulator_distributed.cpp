@@ -390,7 +390,7 @@ void backtrack_superclusters(CongestBuild& b, const RulingSet&,
 void interconnect(CongestBuild& b, const DetectResult& det1,
                   const std::vector<Vertex>& u_centers) {
   for (const Vertex c : u_centers) {
-    for (const SourceHit& h : det1.hits[static_cast<std::size_t>(c)]) {
+    for (const SourceHit& h : det1.at(c)) {
       if (h.source == c) continue;
       b.log_edge(c, h.source, h.dist, EdgeKind::kInterconnect, c);
       ++b.stats.interconnect_edges;
@@ -398,9 +398,10 @@ void interconnect(CongestBuild& b, const DetectResult& det1,
     }
   }
   if (b.last) return;
-  const DetectResult det2 = congest::detect_congest(b.net, u_centers, b.delta, b.cap);
+  const DetectResult det2 = congest::detect_congest(
+      b.net, u_centers, b.delta, b.cap, KeepSet(b.g.num_vertices(), b.centers));
   for (const Vertex c : b.centers) {
-    for (const SourceHit& h : det2.hits[static_cast<std::size_t>(c)]) {
+    for (const SourceHit& h : det2.at(c)) {
       if (h.source == c) continue;
       learn_local(b.out, c, h.source, h.dist);
     }
@@ -416,8 +417,14 @@ DistributedBuildResult build_emulator_distributed(
     throw std::invalid_argument("hub_threshold_factor must be >= 1");
   }
   b.out.local.assign(static_cast<std::size_t>(g.num_vertices()), {});
-  return run_congest_phases(b, params, "backtrack", backtrack_superclusters,
-                            interconnect);
+  // Task 1's lists are read at P_i's centers only: the popularity test and
+  // U_i's interconnection.
+  return run_congest_phases(
+      b, params,
+      [](const SaiBuild& build) {
+        return KeepSet(build.g.num_vertices(), build.centers);
+      },
+      "backtrack", backtrack_superclusters, interconnect);
 }
 
 }  // namespace usne

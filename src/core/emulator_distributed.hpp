@@ -39,7 +39,8 @@ namespace usne {
 /// (outputs and counts are bit-identical for any value), transport the
 /// delivery model, hub_threshold_factor the Task 3 hub threshold (throws
 /// std::invalid_argument below 1), and profile collects one entry of
-/// scheduler stage times per (phase, task) into base.profile.
+/// scheduler stage times and peak RSS per (phase, task) into base.profile.
+/// Both detections store the lists of P_i's centers only.
 DistributedBuildResult build_emulator_distributed(
     const Graph& g, const DistributedParams& params, const ExecOptions& exec = {});
 

@@ -8,6 +8,8 @@ BuildResult build_emulator_fast(const Graph& g, const DistributedParams& params,
                                 const ExecOptions& exec) {
   return run_central_phases(
       g, params, exec,
+      // Only P_i's centers' lists are read.
+      [](const SaiBuild& b) { return KeepSet(b.g.num_vertices(), b.centers); },
       [](SaiBuild& b, Vertex root, Vertex c, const MultiSourceBfsResult& forest) {
         b.log_edge(root, c, forest.dist[static_cast<std::size_t>(c)],
                    EdgeKind::kSupercluster, c);

@@ -22,8 +22,9 @@
 
 namespace usne {
 
-/// Runs the §3.3 construction. Reads exec.keep_audit_data and
-/// exec.profile: the profile gets one wall-time entry per (phase, task) —
+/// Runs the §3.3 construction; Task 1 stores the detection lists of P_i's
+/// centers only. Reads exec.keep_audit_data and exec.profile: the profile
+/// gets one entry of wall time and peak RSS per (phase, task) —
 /// "p<i>.detect", "p<i>.ruling", "p<i>.forest", "p<i>.interconnect" (ruling
 /// and forest only in phases that run them) — and each task opens a trace
 /// span (core.detect, core.ruling, core.forest, core.interconnect).

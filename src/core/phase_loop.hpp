@@ -17,9 +17,10 @@
 // a u-v path of G of length <= d (§4). Each loop below owns everything
 // else: the schedule, the tasks, PhaseStats, U_i membership, the partition
 // snapshots and the construction profile. A construction passes in only
-// its own steps, as callables: centrally, how a join and a hit enter H; in
-// CONGEST, where inserting an edge takes messages, the rest of Task 3 after
-// the forest and the interconnection.
+// its own steps, as callables: Task 1's keep set, the vertices whose
+// detection lists are read; centrally, how a join and a hit enter H; in
+// CONGEST, where inserting an edge takes messages, the rest of Task 3
+// after the forest and the interconnection.
 //
 //   run_central_phases  (§3.3)  build_emulator_fast, build_spanner
 //   run_congest_phases  (§3.1)  build_emulator_distributed,
@@ -43,6 +44,7 @@
 #include "obs/trace.hpp"
 #include "path/bfs.hpp"
 #include "path/source_detection.hpp"
+#include "util/mem.hpp"
 #include "util/timer.hpp"
 
 namespace usne {
@@ -59,7 +61,7 @@ inline std::string profile_label(int phase, const char* task) {
 /// Wall time per (phase, task) for the centralized loop, which has no
 /// scheduler to split it: each cut() closes the task that ran since the
 /// previous cut into one PhaseProfileEntry with only StageTimes::wall_s
-/// filled in. Without a sink it reads no clock.
+/// and the peak RSS filled in. Without a sink it reads neither.
 class TaskClock {
  public:
   explicit TaskClock(std::vector<congest::PhaseProfileEntry>* sink) : sink_(sink) {
@@ -72,6 +74,7 @@ class TaskClock {
     congest::PhaseProfileEntry entry;
     entry.label = profile_label(phase, task);
     entry.times.wall_s = elapsed_s(mark_, now);
+    entry.peak_rss_mb = util::peak_rss_mb();
     sink_->push_back(std::move(entry));
     mark_ = now;
   }
@@ -151,16 +154,19 @@ struct CongestBuild : SaiBuild {
   congest::Network net;
 };
 
-/// The §3.3 loop: every task runs centrally on g. `join(b, root, c, forest)`
-/// inserts the superclustering of a center c != root into the tree rooted
-/// at `root` (a MultiSourceBfsResult); `hit(b, c, hit, detect)` inserts the
-/// interconnection of the U_i center c with hit.source (a SourceHit of the
-/// SourceDetection `detect`). Each counts what it adds in b.stats. With
-/// exec.profile, records wall time per (phase, task) and opens the core.*
-/// trace span of each task.
-template <typename Params, typename Join, typename Hit>
+/// The §3.3 loop: every task runs centrally on g. `keep(b)` returns Task
+/// 1's KeepSet: the vertices whose detection lists are stored, P_i's
+/// centers (whose lists the loop reads) among them. `join(b, root, c,
+/// forest)` inserts the superclustering of a center c != root into the
+/// tree rooted at `root` (a MultiSourceBfsResult); `hit(b, c, hit, detect)`
+/// inserts the interconnection of the U_i center c with hit.source (a
+/// SourceHit of the SourceDetection `detect`). Each counts what it adds in
+/// b.stats. With exec.profile, records wall time and peak RSS per (phase,
+/// task) and opens the core.* trace span of each task.
+template <typename Params, typename Keep, typename Join, typename Hit>
 BuildResult run_central_phases(const Graph& g, const Params& params,
-                               const ExecOptions& exec, Join join, Hit hit) {
+                               const ExecOptions& exec, Keep keep, Join join,
+                               Hit hit) {
   SaiBuild b(g, params.n, exec);
   TaskClock clock(exec.profile ? &b.out.base.profile : nullptr);
   for (int i = 0; i <= params.schedule.ell(); ++i) {
@@ -171,7 +177,7 @@ BuildResult run_central_phases(const Graph& g, const Params& params,
     {
       USNE_TRACE_SPAN("core.detect");
       detect = detect_sources(g, b.centers, b.delta,
-                              static_cast<std::size_t>(b.cap));
+                              static_cast<std::size_t>(b.cap), keep(b));
       for (const Vertex c : b.centers) {
         std::size_t others = 0;
         for (const SourceHit& h : detect.at(c)) {
@@ -223,17 +229,19 @@ BuildResult run_central_phases(const Graph& g, const Params& params,
 }
 
 /// The CONGEST loop: every task runs on b.net, metered per task in the
-/// phase's rounds_* stats. `task3(b, ruling, forest)` runs Task 3 after the
-/// forest (a congest::BfsForest rooted at the congest::RulingSet's members):
-/// it forms b.next, marks b.superclustered and inserts the superclustering
-/// edges. Its rounds count as rounds_backtrack and its profile label is
-/// `task3_label`. `interconnect(b, detect, u_centers)` interconnects U_i
-/// from Task 1's congest::DetectResult. With exec.profile, records the
-/// scheduler stage times per (phase, task).
-template <typename Params, typename Task3, typename Interconnect>
+/// phase's rounds_* stats. `keep(b)` returns Task 1's KeepSet, as in
+/// run_central_phases. `task3(b, ruling, forest)` runs Task 3 after the
+/// forest (a congest::BfsForest rooted at the congest::RulingSet's
+/// members): it forms b.next, marks b.superclustered and inserts the
+/// superclustering edges. Its rounds count as rounds_backtrack and its
+/// profile label is `task3_label`. `interconnect(b, detect, u_centers)`
+/// interconnects U_i from Task 1's congest::DetectResult. With
+/// exec.profile, records the scheduler stage times and the peak RSS per
+/// (phase, task).
+template <typename Params, typename Keep, typename Task3, typename Interconnect>
 DistributedBuildResult run_congest_phases(CongestBuild& b, const Params& params,
-                                          const char* task3_label, Task3 task3,
-                                          Interconnect interconnect) {
+                                          Keep keep, const char* task3_label,
+                                          Task3 task3, Interconnect interconnect) {
   // Every scheduler run accumulates its stage times into one sink on the
   // network; cut() closes a task: it returns the task's rounds and, when
   // profiling, records its stage-time delta.
@@ -245,8 +253,8 @@ DistributedBuildResult run_congest_phases(CongestBuild& b, const Params& params,
     const std::int64_t rounds = b.net.stats().rounds - round_mark;
     round_mark += rounds;
     if (b.exec.profile) {
-      b.out.base.profile.push_back(
-          {profile_label(b.phase, task), prof_acc - prof_mark});
+      b.out.base.profile.push_back({profile_label(b.phase, task),
+                                    prof_acc - prof_mark, util::peak_rss_mb()});
       prof_mark = prof_acc;
     }
     return rounds;
@@ -256,7 +264,7 @@ DistributedBuildResult run_congest_phases(CongestBuild& b, const Params& params,
     b.begin_phase(i, params.schedule, params.rul);
 
     const congest::DetectResult detect =
-        congest::detect_congest(b.net, b.centers, b.delta, b.cap);
+        congest::detect_congest(b.net, b.centers, b.delta, b.cap, keep(b));
     b.stats.rounds_detect = cut("detect");
     std::vector<Vertex> popular;
     for (const Vertex c : b.centers) {

@@ -27,6 +27,8 @@ BuildResult build_spanner(const Graph& g, const Params& params,
                           const ExecOptions& exec) {
   return run_central_phases(
       g, params, exec,
+      // path_to walks pred chains through arbitrary vertices.
+      [](const SaiBuild& b) { return KeepSet::all(b.g.num_vertices()); },
       // Superclustering: the forest root-path of c.
       [](SaiBuild& b, [[maybe_unused]] Vertex root, Vertex c,
          const MultiSourceBfsResult& forest) {

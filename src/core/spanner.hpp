@@ -29,8 +29,10 @@ namespace usne {
 /// SpannerParams, the paper's [EN17a] sequence, or DistributedParams, the
 /// §3 sequence of the [EM19] baseline, whose edge count is Theta(beta)
 /// times larger at equal kappa. All edges have weight 1 and exist in G.
-/// Reads exec.keep_audit_data and exec.profile (one wall-time entry per
-/// (phase, task) and one trace span per task, as in build_emulator_fast).
+/// Task 1 stores every vertex's list: path_to walks through any vertex.
+/// Reads exec.keep_audit_data and exec.profile (one entry of wall time and
+/// peak RSS per (phase, task) and one trace span per task, as in
+/// build_emulator_fast).
 template <typename Params>
 BuildResult build_spanner(const Graph& g, const Params& params,
                           const ExecOptions& exec = {});

@@ -146,7 +146,7 @@ class PathMarksProgram final : public NodeProgram {
                       static_cast<std::int64_t>(n) + 1024),
         queue_(n) {
     for (const Vertex c : u_centers) {
-      for (const SourceHit& hit : det.hits[static_cast<std::size_t>(c)]) {
+      for (const SourceHit& hit : det.at(c)) {
         if (hit.source == c) continue;
         enqueue(c, hit.source, c);
       }
@@ -195,7 +195,7 @@ class PathMarksProgram final : public NodeProgram {
     // downstream chain is already marked).
     if (!forwarded_.insert(key(at, source)).second) return;
     // The hop toward `source` is this vertex's recorded predecessor.
-    const auto& hits = det_.hits[static_cast<std::size_t>(at)];
+    const auto hits = det_.at(at);
     const auto it =
         std::find_if(hits.begin(), hits.end(),
                      [&](const SourceHit& s) { return s.source == source; });
@@ -247,7 +247,10 @@ DistributedBuildResult build_spanner_congest(const Graph& g, const Params& param
                                              const ExecOptions& exec) {
   CongestBuild b(g, params.n, exec);
   return run_congest_phases(
-      b, params, "upcast",
+      b, params,
+      // The path marks walk pred chains through arbitrary vertices.
+      [](const SaiBuild& build) { return KeepSet::all(build.g.num_vertices()); },
+      "upcast",
       // Task 3: the join-mark up-cast adds the forest paths; membership is
       // one supercluster per tree.
       [](CongestBuild& build, const RulingSet& ruling, const BfsForest& forest) {

@@ -33,8 +33,9 @@ namespace usne {
 /// degree sequence as in build_spanner: SpannerParams (Corollary 4.4) or
 /// DistributedParams (the [EM19] baseline). Reads exec.keep_audit_data,
 /// num_threads (outputs and counts are bit-identical for any value),
-/// transport and profile (scheduler stage times per (phase, task) into
-/// base.profile). `local` stays empty.
+/// transport and profile (scheduler stage times and peak RSS per (phase,
+/// task) into base.profile). `local` stays empty. Task 1 stores every
+/// vertex's list: the path marks walk through any vertex.
 template <typename Params>
 DistributedBuildResult build_spanner_congest(const Graph& g, const Params& params,
                                              const ExecOptions& exec = {});

@@ -179,6 +179,7 @@ TEST(BuildRecord, PinnedDigests) {
         std::vector<std::string> labels;
         for (const congest::PhaseProfileEntry& e : out.profile) {
           labels.push_back(e.label);
+          EXPECT_GT(e.peak_rss_mb, 0.0) << e.label;
         }
         EXPECT_EQ(labels, test::profile_labels(out.result.phases,
                                                task3_label(p.algorithm)));

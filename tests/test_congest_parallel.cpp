@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "api/build.hpp"
@@ -24,6 +26,7 @@
 #include "congest/network.hpp"
 #include "congest/ruling_set.hpp"
 #include "graph/generators.hpp"
+#include "test_helpers.hpp"
 
 namespace usne {
 namespace {
@@ -92,29 +95,23 @@ TEST(ParallelDeterminism, Detect) {
   const Graph g = gen_gnm(300, 1200, 3);
   std::vector<Vertex> sources;
   for (Vertex v = 0; v < 300; v += 7) sources.push_back(v);
-  std::vector<std::vector<SourceHit>> expected_hits;
-  std::int64_t expected_rounds = 0;
+  congest::DetectResult expected;
   NetworkStats expected_stats;
   for (const int threads : kThreadCounts) {
     Network net(g);
     net.set_execution_threads(threads);
-    const congest::DetectResult r = congest::detect_congest(net, sources, 4, 6);
+    congest::DetectResult r =
+        congest::detect_congest(net, sources, 4, 6, test::keep_all(g));
     if (threads == 1) {
-      expected_hits = r.hits;
-      expected_rounds = r.rounds_used;
+      expected = std::move(r);
       expected_stats = net.stats();
       continue;
     }
-    EXPECT_EQ(expected_rounds, r.rounds_used) << "threads=" << threads;
-    ASSERT_EQ(expected_hits.size(), r.hits.size());
-    for (std::size_t v = 0; v < expected_hits.size(); ++v) {
-      ASSERT_EQ(expected_hits[v].size(), r.hits[v].size())
+    EXPECT_EQ(expected.rounds_used, r.rounds_used) << "threads=" << threads;
+    ASSERT_EQ(expected.num_vertices(), r.num_vertices());
+    for (Vertex v = 0; v < expected.num_vertices(); ++v) {
+      EXPECT_TRUE(std::ranges::equal(expected.at(v), r.at(v)))
           << "threads=" << threads << " v=" << v;
-      for (std::size_t i = 0; i < expected_hits[v].size(); ++i) {
-        EXPECT_EQ(expected_hits[v][i].source, r.hits[v][i].source);
-        EXPECT_EQ(expected_hits[v][i].dist, r.hits[v][i].dist);
-        EXPECT_EQ(expected_hits[v][i].pred, r.hits[v][i].pred);
-      }
     }
     expect_same_stats(expected_stats, net.stats(), threads);
   }

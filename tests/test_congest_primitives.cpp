@@ -13,9 +13,12 @@
 #include "graph/generators.hpp"
 #include "path/bfs.hpp"
 #include "path/source_detection.hpp"
+#include "test_helpers.hpp"
 
 namespace usne::congest {
 namespace {
+
+using test::keep_all;
 
 TEST(BfsForestCongest, DistancesMatchCentralized) {
   const Graph g = gen_connected_gnm(200, 600, 21);
@@ -109,12 +112,13 @@ TEST(DetectCongest, MatchesCentralizedWhenUncapped) {
   const std::int64_t cap = 64;  // > |sources|
 
   Network net(g);
-  const DetectResult dist_result = detect_congest(net, sources, delta, cap);
-  const SourceDetection ref =
-      detect_sources(g, sources, delta, static_cast<std::size_t>(cap));
+  const DetectResult dist_result =
+      detect_congest(net, sources, delta, cap, keep_all(g));
+  const SourceDetection ref = detect_sources(
+      g, sources, delta, static_cast<std::size_t>(cap), keep_all(g));
 
   for (Vertex v = 0; v < 150; ++v) {
-    const auto got = dist_result.hits[static_cast<std::size_t>(v)];
+    const auto got = dist_result.at(v);
     const auto expected = ref.at(v);
     ASSERT_EQ(got.size(), expected.size()) << "vertex " << v;
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -127,7 +131,7 @@ TEST(DetectCongest, MatchesCentralizedWhenUncapped) {
 TEST(DetectCongest, RoundCostIsDeltaTimesCap) {
   const Graph g = gen_cycle(20);
   Network net(g);
-  detect_congest(net, {0, 10}, 4, 3);
+  detect_congest(net, {0, 10}, 4, 3, keep_all(g));
   EXPECT_EQ(net.stats().rounds, 12);
 }
 
@@ -142,7 +146,7 @@ TEST(DetectCongest, PopularityClassificationExact) {
   const std::int64_t cap = 5;  // deg + 1
 
   Network net(g);
-  const DetectResult det = detect_congest(net, sources, delta, cap);
+  const DetectResult det = detect_congest(net, sources, delta, cap, keep_all(g));
 
   for (const Vertex c : sources) {
     // Ground truth: number of other sources within delta.
@@ -168,10 +172,9 @@ TEST(DetectCongest, UnpopularCentersKnowExactDistances) {
   const std::int64_t cap = 4;
 
   Network net(g);
-  const DetectResult det = detect_congest(net, sources, delta, cap);
+  const DetectResult det = detect_congest(net, sources, delta, cap, keep_all(g));
   for (const Vertex c : sources) {
-    if (static_cast<std::int64_t>(det.hits[static_cast<std::size_t>(c)].size()) >=
-        cap) {
+    if (static_cast<std::int64_t>(det.at(c).size()) >= cap) {
       continue;  // capped; no exactness promised
     }
     const auto dist = bfs_distances(g, c);
@@ -187,7 +190,7 @@ TEST(DetectCongest, PathTracing) {
   const Graph g = gen_grid(6, 6);
   Network net(g);
   const std::vector<Vertex> sources = {0, 35};
-  const DetectResult det = detect_congest(net, sources, 12, 8);
+  const DetectResult det = detect_congest(net, sources, 12, 8, keep_all(g));
   const auto path = det.path_to(35, 0);
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(path.front(), 35);

@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/build.hpp"
@@ -24,6 +28,7 @@
 #include "congest/transport.hpp"
 #include "graph/generators.hpp"
 #include "serve/query_engine.hpp"
+#include "test_helpers.hpp"
 
 namespace usne {
 namespace {
@@ -260,17 +265,13 @@ TEST(IdealParity, PrimitivesMatchLegacyPathExactly) {
   EXPECT_EQ(b1.depth, b2.depth);
   EXPECT_EQ(b1.parent, b2.parent);
 
-  const auto d1 = congest::detect_congest(legacy, sources, 4, 6);
-  const auto d2 = congest::detect_congest(explicit_ideal, sources, 4, 6);
+  const auto d1 = congest::detect_congest(legacy, sources, 4, 6, test::keep_all(g));
+  const auto d2 =
+      congest::detect_congest(explicit_ideal, sources, 4, 6, test::keep_all(g));
   EXPECT_EQ(d1.rounds_used, d2.rounds_used);
-  ASSERT_EQ(d1.hits.size(), d2.hits.size());
-  for (std::size_t v = 0; v < d1.hits.size(); ++v) {
-    ASSERT_EQ(d1.hits[v].size(), d2.hits[v].size());
-    for (std::size_t i = 0; i < d1.hits[v].size(); ++i) {
-      EXPECT_EQ(d1.hits[v][i].source, d2.hits[v][i].source);
-      EXPECT_EQ(d1.hits[v][i].dist, d2.hits[v][i].dist);
-      EXPECT_EQ(d1.hits[v][i].pred, d2.hits[v][i].pred);
-    }
+  ASSERT_EQ(d1.num_vertices(), d2.num_vertices());
+  for (Vertex v = 0; v < d1.num_vertices(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(d1.at(v), d2.at(v))) << "vertex " << v;
   }
 
   const auto r1 = congest::compute_ruling_set(legacy, sources, 2, 4);
@@ -465,7 +466,8 @@ TEST(ParallelScatter, LargeBatchCountingSortMatchesSerial) {
 std::uint64_t detect_digest(const congest::DetectResult& r,
                             const NetworkStats& stats) {
   std::uint64_t h = serve::kChecksumSeed;
-  for (const std::vector<SourceHit>& list : r.hits) {
+  for (Vertex v = 0; v < r.num_vertices(); ++v) {
+    const std::span<const SourceHit> list = r.at(v);
     h = serve::checksum_accumulate(h, static_cast<std::int64_t>(list.size()));
     for (const SourceHit& hit : list) {
       h = serve::checksum_accumulate(h, hit.source);
@@ -504,12 +506,12 @@ void expect_detect_pinned(const Graph& g, const std::vector<Vertex>& sources,
       net.set_execution_threads(threads);
       net.configure_transport(transports[t]);
       const congest::DetectResult r =
-          congest::detect_congest(net, sources, delta, cap);
+          congest::detect_congest(net, sources, delta, cap, test::keep_all(g));
       EXPECT_EQ(want[t], detect_digest(r, net.stats()))
           << congest::transport_model_name(transports[t].model)
           << " threads=" << threads;
-      for (const std::vector<SourceHit>& list : r.hits) {
-        const std::size_t bytes = list.size() * sizeof(SourceHit);
+      for (Vertex v = 0; v < r.num_vertices(); ++v) {
+        const std::size_t bytes = r.at(v).size() * sizeof(SourceHit);
         if (size == ListSize::kBelowBitset) {
           ASSERT_LT(bytes, bitset_bytes);
         } else if (size == ListSize::kAtLeastBitset) {
@@ -550,6 +552,104 @@ TEST(DetectPinned, FewSourcesEveryListReachesBitset) {
                        {15233793483097671644ULL, 13893697612505049777ULL,
                         2450894433883091340ULL},
                        ListSize::kAtLeastBitset);
+}
+
+// --- keep sets: kept lists equal the keep-all run's --------------------------
+
+/// Under ideal, faulty and async delivery at 1, 2 and 4 lanes, a run that
+/// keeps the sources, every 7th vertex or no vertex stores exactly the
+/// keep-all run's list at each kept vertex, refuses a read anywhere else,
+/// and drives the same rounds, messages and words.
+void expect_kept_lists_equal_keep_all(const Graph& g,
+                                      const std::vector<Vertex>& sources,
+                                      Dist delta, std::int64_t cap) {
+  const Vertex n = g.num_vertices();
+  std::vector<Vertex> every7;
+  for (Vertex v = 0; v < n; v += 7) every7.push_back(v);
+  const TransportSpec transports[3] = {TransportSpec{},
+                                       faulty_spec(0.05, 0.02), async_spec(4)};
+  for (const TransportSpec& transport : transports) {
+    for (const int threads : {1, 2, 4}) {
+      const auto run = [&](KeepSet keep, NetworkStats& stats) {
+        Network net(g);
+        net.set_execution_threads(threads);
+        net.configure_transport(transport);
+        congest::DetectResult r =
+            congest::detect_congest(net, sources, delta, cap, std::move(keep));
+        stats = net.stats();
+        return r;
+      };
+      const std::string where =
+          std::string(congest::transport_model_name(transport.model)) +
+          " threads=" + std::to_string(threads);
+      NetworkStats all_stats;
+      const congest::DetectResult all = run(test::keep_all(g), all_stats);
+      for (const std::vector<Vertex>& keep :
+           {sources, every7, std::vector<Vertex>{}}) {
+        NetworkStats stats;
+        const KeepSet kept_set(n, keep);
+        const congest::DetectResult part = run(kept_set, stats);
+        EXPECT_EQ(part.rounds_used, all.rounds_used) << where;
+        EXPECT_EQ(stats.rounds, all_stats.rounds) << where;
+        EXPECT_EQ(stats.messages, all_stats.messages) << where;
+        EXPECT_EQ(stats.words, all_stats.words) << where;
+        for (Vertex v = 0; v < n; ++v) {
+          if (!kept_set.contains(v)) {
+            EXPECT_THROW(part.at(v), std::logic_error) << where << " v=" << v;
+            continue;
+          }
+          EXPECT_TRUE(std::ranges::equal(part.at(v), all.at(v)))
+              << where << " |keep|=" << keep.size() << " v=" << v;
+        }
+      }
+    }
+  }
+}
+
+// Unkept vertices switch from a heard-id list to the bitset at a
+// different length than kept ones do; both sides of the switch occur here.
+TEST(DetectKeepSet, KeptListsEqualKeepAllMixedListSizes) {
+  const Graph g = gen_gnm(2000, 8000, 41);
+  std::vector<Vertex> sources;
+  for (Vertex v = 0; v < g.num_vertices(); v += 2) sources.push_back(v);
+  expect_kept_lists_equal_keep_all(g, sources, 3, 4);
+}
+
+TEST(DetectKeepSet, KeptListsEqualKeepAllFewSourcesDeep) {
+  const Graph g = gen_connected_gnm(300, 1200, 5);
+  std::vector<Vertex> sources;
+  for (Vertex v = 0; v < g.num_vertices(); v += 5) sources.push_back(v);
+  expect_kept_lists_equal_keep_all(g, sources, 6, 3);
+}
+
+TEST(DetectKeepSet, ReadOutsideKeepSetThrows) {
+  const Graph g = gen_path(8);
+  Network net(g);
+  const std::vector<Vertex> sources = {0, 7};
+  const congest::DetectResult det =
+      congest::detect_congest(net, sources, 10, 2, KeepSet(8, sources));
+  EXPECT_EQ(det.heard_others(0), 1u);
+  // Vertex 3 heard both sources, but its list was not stored: reading it
+  // as empty would call it unpopular.
+  EXPECT_THROW(det.at(3), std::logic_error);
+  EXPECT_THROW(det.heard_others(3), std::logic_error);
+  EXPECT_THROW(det.distance_to(3, 0), std::logic_error);
+  EXPECT_THROW(det.path_to(7, 0), std::logic_error);  // 6 is on the chain
+  EXPECT_THROW(det.at(-1), std::logic_error);
+}
+
+TEST(DetectKeepSet, BadSourceOrKeepSetThrows) {
+  const Graph g = gen_path(8);
+  Network net(g);
+  try {
+    congest::detect_congest(net, {1, 12}, 3, 2, test::keep_all(g));
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("12"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(congest::detect_congest(net, {0}, 3, 2, KeepSet::all(9)),
+               std::invalid_argument);
+  EXPECT_EQ(net.stats().rounds, 0);  // rejected before any round ran
 }
 
 // --- build API surface -------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "path/bfs.hpp"
+#include "path/source_detection.hpp"
 
 namespace usne::test {
 
@@ -34,6 +35,9 @@ inline Graph two_triangles_bridge() {
   b.add_edge(2, 3);
   return b.build();
 }
+
+/// The keep set of a detection whose every list the test reads.
+inline KeepSet keep_all(const Graph& g) { return KeepSet::all(g.num_vertices()); }
 
 /// Exact distance via BFS (reference).
 inline Dist exact_dist(const Graph& g, Vertex u, Vertex v) {

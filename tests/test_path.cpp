@@ -21,6 +21,8 @@
 namespace usne {
 namespace {
 
+using test::keep_all;
+
 TEST(Bfs, PathDistances) {
   const Graph g = gen_path(6);
   const auto dist = bfs_distances(g, 0);
@@ -175,7 +177,7 @@ TEST(SourceDetection, MatchesBruteForce) {
   for (Vertex v = 0; v < 120; v += 7) sources.push_back(v);
   const Dist depth = 4;
   const std::size_t k = 3;
-  const SourceDetection det = detect_sources(g, sources, depth, k);
+  const SourceDetection det = detect_sources(g, sources, depth, k, keep_all(g));
   for (Vertex v = 0; v < 120; ++v) {
     const auto expected = brute_k_nearest(g, sources, v, depth, k);
     const auto got = det.at(v);
@@ -190,7 +192,7 @@ TEST(SourceDetection, MatchesBruteForce) {
 TEST(SourceDetection, PathReconstruction) {
   const Graph g = gen_connected_gnm(100, 300, 13);
   std::vector<Vertex> sources = {5, 50, 95};
-  const SourceDetection det = detect_sources(g, sources, 10, 3);
+  const SourceDetection det = detect_sources(g, sources, 10, 3, keep_all(g));
   for (Vertex v = 0; v < 100; v += 9) {
     for (const SourceHit& h : det.at(v)) {
       const auto path = det.path_to(v, h.source);
@@ -209,7 +211,7 @@ TEST(SourceDetection, PathReconstruction) {
 TEST(SourceDetection, SelfIsFirstHit) {
   const Graph g = gen_cycle(12);
   std::vector<Vertex> sources = {0, 6};
-  const SourceDetection det = detect_sources(g, sources, 12, 2);
+  const SourceDetection det = detect_sources(g, sources, 12, 2, keep_all(g));
   ASSERT_FALSE(det.at(0).empty());
   EXPECT_EQ(det.at(0)[0].source, 0);
   EXPECT_EQ(det.at(0)[0].dist, 0);
@@ -217,7 +219,8 @@ TEST(SourceDetection, SelfIsFirstHit) {
 
 TEST(SourceDetection, DistanceToHelper) {
   const Graph g = gen_path(8);
-  const SourceDetection det = detect_sources(g, std::vector<Vertex>{0}, 10, 2);
+  const SourceDetection det =
+      detect_sources(g, std::vector<Vertex>{0}, 10, 2, keep_all(g));
   EXPECT_EQ(det.distance_to(5, 0), 5);
   EXPECT_EQ(det.distance_to(5, 3), kInfDist);  // 3 is not a source
 }
@@ -226,7 +229,7 @@ TEST(SourceDetection, CapRespected) {
   const Graph g = gen_star(20);
   std::vector<Vertex> sources;
   for (Vertex v = 1; v < 20; ++v) sources.push_back(v);
-  const SourceDetection det = detect_sources(g, sources, 4, 5);
+  const SourceDetection det = detect_sources(g, sources, 4, 5, keep_all(g));
   // The center is within distance 1 of 19 sources; list is capped at 5.
   EXPECT_EQ(det.at(0).size(), 5u);
   // The 5 kept are the (dist, id)-smallest: sources 1..5 at distance 1.
@@ -238,14 +241,16 @@ TEST(SourceDetection, CapRespected) {
 
 TEST(SourceDetection, OutOfRangeSourceThrows) {
   const Graph g = gen_path(8);
-  EXPECT_THROW(detect_sources(g, std::vector<Vertex>{8}, 3, 2), std::out_of_range);
-  EXPECT_THROW(detect_sources(g, std::vector<Vertex>{0, -1}, 3, 2),
+  EXPECT_THROW(detect_sources(g, std::vector<Vertex>{8}, 3, 2, keep_all(g)),
+               std::out_of_range);
+  EXPECT_THROW(detect_sources(g, std::vector<Vertex>{0, -1}, 3, 2, keep_all(g)),
                std::out_of_range);
   // Checked before the cap is looked at: k = 0 records nothing, but a bad
   // source is still an error.
-  EXPECT_THROW(detect_sources(g, std::vector<Vertex>{9}, 3, 0), std::out_of_range);
+  EXPECT_THROW(detect_sources(g, std::vector<Vertex>{9}, 3, 0, keep_all(g)),
+               std::out_of_range);
   try {
-    detect_sources(g, std::vector<Vertex>{1, 12}, 3, 2);
+    detect_sources(g, std::vector<Vertex>{1, 12}, 3, 2, keep_all(g));
     FAIL() << "expected std::out_of_range";
   } catch (const std::out_of_range& e) {
     EXPECT_NE(std::string(e.what()).find("12"), std::string::npos) << e.what();
@@ -282,47 +287,125 @@ struct DetectPin {
   Dist depth;
   std::size_t cap;  // k
   std::uint64_t digest;
+
+  std::string name() const {
+    return std::string(family) + " every=" + std::to_string(every) +
+           " depth=" + std::to_string(depth) + " cap=" + std::to_string(cap);
+  }
 };
 
 // Digests of the full output on n = 2048 graphs (seed 7), recorded with
 // the per-vertex-list implementation that the flat source-major one
 // replaced. Every hit of every vertex enters the digest, so a changed
 // source, distance, predecessor or list order anywhere moves it.
+constexpr std::size_t kNoCap = static_cast<std::size_t>(-1);
+constexpr DetectPin kDetectPins[] = {
+    {"er", 7, 4, 3, 0x544c2d2565f23f9bULL},
+    {"er", 1, 2, 5, 0x5d5e2648460b5d1aULL},  // every vertex a source (phase 0)
+    {"er", 13, 6, 1, 0x94810bf72de68fadULL},
+    {"er", 7, 4, 0, 0x9c1bda7f8c872325ULL},  // k = 0: nothing recorded
+    {"er", 0, 4, 3, 0x9c1bda7f8c872325ULL},  // no sources
+    {"caveman", 5, 5, 4, 0x75b3014eca67bdefULL},
+    {"caveman", 31, 12, 9, 0xaa02415b6d144538ULL},
+    {"caveman", 200, 40, 64, 0x60a9c8bb96618922ULL},  // cap above |S| = 11
+    {"caveman", 97, 30, kNoCap, 0xa2de249fea328e5bULL},
+    {"grid", 17, 8, 3, 0x0ece81364029c14bULL},
+    {"grid", 3, 3, 2, 0x657cef318bb52ed5ULL},
+    {"grid", 1, 0, 4, 0x9577f1642e97a550ULL},  // depth 0: sources only
+    {"rmat", 9, 3, 6, 0x1e0eef53154f107dULL},
+    {"rmat", 1, 4, 2, 0xf0c65c1292ac7b0cULL},
+    {"rmat", 64, 5, 40, 0xb3a83f46769a6974ULL},  // cap above |S| = 32
+};
+
 TEST(SourceDetection, PinnedDigests) {
-  constexpr std::size_t kNoCap = static_cast<std::size_t>(-1);
-  const DetectPin pins[] = {
-      {"er", 7, 4, 3, 0x544c2d2565f23f9bULL},
-      {"er", 1, 2, 5, 0x5d5e2648460b5d1aULL},  // every vertex a source (phase 0)
-      {"er", 13, 6, 1, 0x94810bf72de68fadULL},
-      {"er", 7, 4, 0, 0x9c1bda7f8c872325ULL},  // k = 0: nothing recorded
-      {"er", 0, 4, 3, 0x9c1bda7f8c872325ULL},  // no sources
-      {"caveman", 5, 5, 4, 0x75b3014eca67bdefULL},
-      {"caveman", 31, 12, 9, 0xaa02415b6d144538ULL},
-      {"caveman", 200, 40, 64, 0x60a9c8bb96618922ULL},  // cap above |S| = 11
-      {"caveman", 97, 30, kNoCap, 0xa2de249fea328e5bULL},
-      {"grid", 17, 8, 3, 0x0ece81364029c14bULL},
-      {"grid", 3, 3, 2, 0x657cef318bb52ed5ULL},
-      {"grid", 1, 0, 4, 0x9577f1642e97a550ULL},  // depth 0: sources only
-      {"rmat", 9, 3, 6, 0x1e0eef53154f107dULL},
-      {"rmat", 1, 4, 2, 0xf0c65c1292ac7b0cULL},
-      {"rmat", 64, 5, 40, 0xb3a83f46769a6974ULL},  // cap above |S| = 32
-  };
-  for (const DetectPin& p : pins) {
+  for (const DetectPin& p : kDetectPins) {
     const Graph g = gen_family(p.family, 2048, 7);
     const std::vector<Vertex> sources = every_nth(g.num_vertices(), p.every);
-    const std::string name = std::string(p.family) + " every=" +
-                             std::to_string(p.every) + " depth=" +
-                             std::to_string(p.depth) + " cap=" +
-                             std::to_string(p.cap);
-    const std::uint64_t got =
-        detection_digest(detect_sources(g, sources, p.depth, p.cap));
-    EXPECT_EQ(got, p.digest) << name << ": got 0x" << std::hex << got;
+    const std::uint64_t got = detection_digest(
+        detect_sources(g, sources, p.depth, p.cap, keep_all(g)));
+    EXPECT_EQ(got, p.digest) << p.name() << ": got 0x" << std::hex << got;
     // Duplicated, unsorted sources are the same request.
     std::vector<Vertex> noisy(sources.rbegin(), sources.rend());
     noisy.insert(noisy.end(), sources.begin(), sources.end());
-    EXPECT_EQ(detection_digest(detect_sources(g, noisy, p.depth, p.cap)), got)
-        << name << " with duplicate sources";
+    EXPECT_EQ(detection_digest(
+                  detect_sources(g, noisy, p.depth, p.cap, keep_all(g))),
+              got)
+        << p.name() << " with duplicate sources";
   }
+}
+
+// A keep set stores exactly the keep-all run's list at each kept vertex
+// and refuses a read anywhere else: the sources, every 7th vertex and no
+// vertex, on each pin's graph.
+TEST(SourceDetection, KeptListsEqualKeepAll) {
+  for (const DetectPin& p : kDetectPins) {
+    const Graph g = gen_family(p.family, 2048, 7);
+    const Vertex n = g.num_vertices();
+    const std::vector<Vertex> sources = every_nth(n, p.every);
+    const SourceDetection all =
+        detect_sources(g, sources, p.depth, p.cap, keep_all(g));
+    std::vector<Vertex> every7;
+    for (Vertex v = 0; v < n; v += 7) every7.push_back(v);
+    for (const std::vector<Vertex>& keep :
+         {sources, every7, std::vector<Vertex>{}}) {
+      const KeepSet kept_set(n, keep);
+      const SourceDetection part =
+          detect_sources(g, sources, p.depth, p.cap, kept_set);
+      std::int64_t kept = 0;
+      for (Vertex v = 0; v < n; ++v) {
+        if (!kept_set.contains(v)) {
+          EXPECT_THROW(part.at(v), std::logic_error) << p.name() << " v=" << v;
+          continue;
+        }
+        ++kept;
+        EXPECT_TRUE(std::ranges::equal(part.at(v), all.at(v)))
+            << p.name() << " |keep|=" << keep.size() << " v=" << v;
+      }
+      EXPECT_EQ(kept, static_cast<std::int64_t>(keep.size())) << p.name();
+    }
+  }
+}
+
+TEST(SourceDetection, ReadOutsideKeepSetThrows) {
+  const Graph g = gen_path(8);
+  const std::vector<Vertex> sources = {0, 7};
+  const SourceDetection det = detect_sources(g, sources, 10, 2, KeepSet(8, sources));
+  EXPECT_EQ(det.distance_to(7, 0), 7);
+  // Vertex 3 heard both sources, but its list was not stored: reading it
+  // as empty would call it unpopular.
+  EXPECT_THROW(det.at(3), std::logic_error);
+  EXPECT_THROW(det.distance_to(3, 0), std::logic_error);
+  EXPECT_THROW(det.path_to(7, 0), std::logic_error);  // 6 is on the chain
+  EXPECT_THROW(det.at(8), std::logic_error);
+  try {
+    det.at(3);
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("vertex 3"), std::string::npos) << e.what();
+  }
+}
+
+TEST(SourceDetection, BadKeepSetThrows) {
+  const Graph g = gen_path(8);
+  EXPECT_THROW(KeepSet(8, std::vector<Vertex>{8}), std::out_of_range);
+  EXPECT_THROW(KeepSet(8, std::vector<Vertex>{0, -1}), std::out_of_range);
+  try {
+    KeepSet(8, std::vector<Vertex>{2, 12});
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("12"), std::string::npos) << e.what();
+  }
+  // A keep set over another vertex count is a caller error.
+  EXPECT_THROW(detect_sources(g, std::vector<Vertex>{0}, 3, 2, KeepSet::all(7)),
+               std::invalid_argument);
+  // Duplicates are one vertex; all() holds exactly [0, n).
+  EXPECT_FALSE(KeepSet(8, std::vector<Vertex>{3, 3}).full());
+  EXPECT_TRUE(KeepSet(8, std::vector<Vertex>{0, 1, 2, 3, 4, 5, 6, 7, 7}).full());
+  const KeepSet all = KeepSet::all(70);
+  EXPECT_TRUE(all.full());
+  EXPECT_TRUE(all.contains(69));
+  EXPECT_FALSE(all.contains(70));
+  EXPECT_FALSE(all.contains(-1));
 }
 
 // The predecessor rule the centralized spanner's path_to depends on: a hit
@@ -332,7 +415,7 @@ TEST(SourceDetection, PredIsSmallestNeighbourOneCloser) {
   for (const char* family : {"er", "caveman", "grid", "rmat"}) {
     const Graph g = gen_family(family, 1024, 3);
     const SourceDetection det =
-        detect_sources(g, every_nth(g.num_vertices(), 5), 6, 4);
+        detect_sources(g, every_nth(g.num_vertices(), 5), 6, 4, keep_all(g));
     std::int64_t checked = 0;
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       for (const SourceHit& h : det.at(v)) {

@@ -142,8 +142,8 @@ TEST(Spanner, Em19AlsoValid) {
 TEST(Spanner, ProfileAndSpansPerTaskWithHUnchanged) {
   // The centralized phase loop under all three of its constructions, each
   // superclustering in several phases (caveman at kappa 8), traced and
-  // profiled: one wall-time entry and one trace span per (phase, task), and
-  // H and the stats bit-identical to the plain run.
+  // profiled: one wall-time entry, peak-RSS reading and trace span per
+  // (phase, task), and H and the stats bit-identical to the plain run.
   const Graph g = gen_family("caveman", 4096, 2024);
   for (const char* algorithm : {"emulator_fast", "spanner", "spanner_em19"}) {
     SCOPED_TRACE(algorithm);
@@ -169,6 +169,7 @@ TEST(Spanner, ProfileAndSpansPerTaskWithHUnchanged) {
       EXPECT_GE(e.times.wall_s, 0.0) << e.label;
       EXPECT_EQ(e.times.stage_sum_s(), 0.0) << e.label;
       EXPECT_EQ(e.times.rounds, 0) << e.label;
+      EXPECT_GT(e.peak_rss_mb, 0.0) << e.label;
     }
     const std::vector<PhaseStats>& phases = profiled.result.phases;
     EXPECT_EQ(labels, test::profile_labels(phases));
