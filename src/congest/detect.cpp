@@ -12,21 +12,21 @@ constexpr Word kExplore = 4;  // <kExplore, source, dist>
 
 /// Algorithm 2 as a NodeProgram. The schedule is delta strides of `cap`
 /// rounds; in round t of a stride every active vertex broadcasts the t-th
-/// source it learnt during the previous stride. Stride boundaries recompute
-/// the pending lists (smallest (dist, id) first, truncated to cap). The
-/// lists sit back to back in one flat array, senders in ascending order,
-/// and each round a sender broadcasts its next entry and drops out once
-/// its list is spent.
+/// source it learnt during the previous stride. The lists sit back to back
+/// in one flat array, senders in ascending order, and each round a sender
+/// broadcasts its next entry and drops out once its list is spent.
 ///
-/// Kept and unkept vertices. A kept vertex records every hit, and what it
-/// learnt during the stride just completed is the suffix of its hit list
-/// appended since the previous boundary. That suffix is still filtered by
-/// distance: under async delivery a message sent in an earlier stride can
-/// land in this one, and it keeps the distance its message carried. Any
-/// other vertex records no hit: it keeps only the ids it heard (for the
-/// duplicate test) and, as they arrive, the cap smallest ids heard at the
-/// stride's own distance, in a bounded max-heap: exactly what the boundary
-/// would have taken from the suffix.
+/// Forwarding lists. As arrivals come in, each vertex keeps the cap
+/// smallest ids it hears for the first time at the stride's own distance
+/// (a plain list until it holds cap ids, a max-heap after); at the stride
+/// boundary they become its next list, smallest id first. The distance is
+/// the one the message carried: under async delivery a message sent in an
+/// earlier stride can land in this one, and it is heard but not forwarded.
+/// The last stride forwards nothing, so it keeps no ids.
+///
+/// Kept and unkept vertices. A kept vertex also records every hit
+/// (source, dist, pred). Any other vertex records no hit: it keeps only
+/// the ids it heard, for the duplicate test.
 ///
 /// Duplicate test. A vertex scans its list (hits, or heard ids) while the
 /// list is smaller than a bitset over the run's sources (dense rank); once
@@ -36,15 +36,14 @@ constexpr Word kExplore = 4;  // <kExplore, source, dist>
 /// n x |sources| matrix is ever allocated: phase 0 runs with every vertex
 /// a source.
 ///
-/// Stride boundary. A boundary visits only the vertices that learnt
-/// something (collected per shard, then sorted ascending: senders keep the
-/// order a full scan would give).
+/// Stride boundary. A boundary visits only the vertices that kept an id
+/// (collected per shard, then sorted ascending: senders keep the order a
+/// full scan would give).
 ///
 /// Parallel audit: on_round mutates only per-vertex state (hits_[v],
 /// heard_[v], seen_[v], fresh_[v]) and pushes v into its own shard's
-/// learners_ buffer; it reads learnt_from_[v], which only the boundary
-/// writes. pending_, senders_, learnt_from_, fresh_ and the drained
-/// learners are rewritten exclusively at stride boundaries inside
+/// learners_ buffer. pending_, senders_ and the drained learners are
+/// rewritten, and fresh_ emptied, exclusively at stride boundaries inside
 /// end_round (serial).
 class DetectProgram final : public NodeProgram {
  public:
@@ -54,11 +53,8 @@ class DetectProgram final : public NodeProgram {
     const auto un = static_cast<std::size_t>(n);
     hits_.assign(un, {});
     seen_.assign(un, {});
-    learnt_from_.assign(un, 0);
-    if (!keep_.full()) {
-      heard_.assign(un, {});
-      fresh_.assign(un, {});
-    }
+    if (!keep_.full()) heard_.assign(un, {});
+    fresh_.assign(un, {});
     rank_.assign(un, -1);
     std::vector<Vertex> sorted = sources;
     std::sort(sorted.begin(), sorted.end());
@@ -70,7 +66,6 @@ class DetectProgram final : public NodeProgram {
       rank_[si] = static_cast<std::int32_t>(i);
       if (keep_.contains(s)) {
         hits_[si].push_back({s, 0, -1});
-        learnt_from_[si] = 1;
       } else {
         heard_[si].push_back(s);
       }
@@ -88,32 +83,20 @@ class DetectProgram final : public NodeProgram {
   void on_round(std::int64_t round, Vertex v, std::span<const Received> inbox,
                 Outbox& out) override {
     const auto sv = static_cast<std::size_t>(v);
-    bool first_learnt = false;  // v's first entry this stride
-    if (keep_.contains(v)) {
-      auto& known = hits_[sv];
-      const std::size_t before = known.size();
-      for (const Received& r : inbox) {
-        if (r.msg.words[0] != kExplore) continue;
-        const Vertex src = static_cast<Vertex>(r.msg.words[1]);
-        if (first_hearing(sv, src)) {
-          known.push_back({src, r.msg.words[2] + 1, r.from});
-        }
-      }
-      first_learnt = before == learnt_from_[sv] && known.size() > before;
-    } else {
-      const Dist stride = round / cap_ + 1;
-      std::vector<Vertex>& fresh = fresh_[sv];
-      const bool learnt = !fresh.empty();
-      for (const Received& r : inbox) {
-        if (r.msg.words[0] != kExplore) continue;
-        const Vertex src = static_cast<Vertex>(r.msg.words[1]);
-        if (hear_unkept(sv, src) && r.msg.words[2] + 1 == stride) {
-          offer(fresh, src);
-        }
-      }
-      first_learnt = !learnt && !fresh.empty();
+    const bool kept = keep_.contains(v);
+    // The stride's own distance; none in the last stride.
+    const Dist forward_dist = round + cap_ < total_rounds_ ? round / cap_ + 1 : -1;
+    std::vector<Vertex>& fresh = fresh_[sv];
+    const bool learnt = !fresh.empty();
+    for (const Received& r : inbox) {
+      if (r.msg.words[0] != kExplore) continue;
+      const Vertex src = static_cast<Vertex>(r.msg.words[1]);
+      const Dist dist = r.msg.words[2] + 1;
+      const bool first = kept ? hear_kept(sv, {src, dist, r.from})
+                              : hear_unkept(sv, src);
+      if (first && dist == forward_dist) offer(fresh, src);
     }
-    if (first_learnt) learners_.push(out.shard(), v);
+    if (!learnt && !fresh.empty()) learners_.push(out.shard(), v);
   }
 
   void end_round(std::int64_t round, Outbox& out) override {
@@ -138,21 +121,28 @@ class DetectProgram final : public NodeProgram {
   }
 
  private:
-  /// True the first time the kept vertex v hears `src`; the caller then
-  /// appends its hit, which marks it heard.
-  bool first_hearing(std::size_t v, Vertex src) {
+  /// True the first time the kept vertex v hears `hit.source`; the hit is
+  /// then recorded, which marks it heard.
+  bool hear_kept(std::size_t v, const SourceHit& hit) {
     std::vector<std::uint64_t>& seen = seen_[v];
+    auto& known = hits_[v];
     if (seen.empty()) {
-      const auto& known = hits_[v];
       if (known.size() * sizeof(SourceHit) <
           bitset_words_ * sizeof(std::uint64_t)) {
-        return std::none_of(known.begin(), known.end(),
-                            [&](const SourceHit& h) { return h.source == src; });
+        if (std::any_of(known.begin(), known.end(), [&](const SourceHit& h) {
+              return h.source == hit.source;
+            })) {
+          return false;
+        }
+        known.push_back(hit);
+        return true;
       }
       seen.assign(bitset_words_, 0);
       for (const SourceHit& h : known) test_and_set(seen, h.source);
     }
-    return !test_and_set(seen, src);
+    if (test_and_set(seen, hit.source)) return false;
+    known.push_back(hit);
+    return true;
   }
 
   /// True the first time the unkept vertex v hears `src`, which is then
@@ -184,13 +174,15 @@ class DetectProgram final : public NodeProgram {
     return was_set;
   }
 
-  /// Keeps `src` in the max-heap `fresh` iff it is among the cap smallest
-  /// ids offered this stride (each id is offered once: the duplicate test
-  /// runs first).
+  /// Keeps `src` in `fresh` iff it is among the cap smallest ids offered
+  /// this stride (each id is offered once: the duplicate test runs first).
+  /// `fresh` is a plain list until it holds cap ids, a max-heap after.
   void offer(std::vector<Vertex>& fresh, Vertex src) const {
     if (static_cast<std::int64_t>(fresh.size()) < cap_) {
       fresh.push_back(src);
-      std::push_heap(fresh.begin(), fresh.end());
+      if (static_cast<std::int64_t>(fresh.size()) == cap_) {
+        std::make_heap(fresh.begin(), fresh.end());
+      }
     } else if (src < fresh.front()) {
       std::pop_heap(fresh.begin(), fresh.end());
       fresh.back() = src;
@@ -210,10 +202,10 @@ class DetectProgram final : public NodeProgram {
     senders_.resize(kept);
   }
 
-  /// Pending lists for the next stride = sources learnt at distance
-  /// `completed_stride` during the stride just completed, truncated to the
-  /// cap (smallest id first — deterministic specialization of the paper's
-  /// arbitrary choice).
+  /// Pending lists for the next stride = each learner's fresh ids: the
+  /// cap smallest sources first heard at distance `completed_stride`
+  /// during the stride just completed (smallest id first — deterministic
+  /// specialization of the paper's arbitrary choice).
   void stride_boundary(Dist completed_stride) {
     pending_.clear();
     senders_.clear();  // already spent: no list is longer than the stride
@@ -222,26 +214,11 @@ class DetectProgram final : public NodeProgram {
     learners_.drain_into(learnt);
     std::sort(learnt.begin(), learnt.end());
     for (const Vertex v : learnt) {
-      const auto sv = static_cast<std::size_t>(v);
+      std::vector<Vertex>& fresh = fresh_[static_cast<std::size_t>(v)];
+      std::sort(fresh.begin(), fresh.end());
       const std::size_t begin = pending_.size();
-      if (keep_.contains(v)) {
-        const auto& known = hits_[sv];
-        for (std::size_t i = learnt_from_[sv]; i < known.size(); ++i) {
-          if (known[i].dist == completed_stride) pending_.push_back(known[i].source);
-        }
-        learnt_from_[sv] = known.size();
-        std::sort(pending_.begin() + static_cast<std::ptrdiff_t>(begin),
-                  pending_.end());
-        if (static_cast<std::int64_t>(pending_.size() - begin) > cap_) {
-          pending_.resize(begin + static_cast<std::size_t>(cap_));
-        }
-      } else {
-        std::vector<Vertex>& fresh = fresh_[sv];
-        std::sort_heap(fresh.begin(), fresh.end());
-        pending_.insert(pending_.end(), fresh.begin(), fresh.end());
-        fresh.clear();
-      }
-      if (pending_.size() == begin) continue;
+      pending_.insert(pending_.end(), fresh.begin(), fresh.end());
+      fresh.clear();
       senders_.push_back({v, begin, pending_.size()});
     }
   }
@@ -264,16 +241,14 @@ class DetectProgram final : public NodeProgram {
   // Duplicate test: each source's dense rank (-1 for non-sources, which
   // never circulate), the bitset length in words, per-vertex bitsets
   // (empty until the vertex's list outweighs one) and, per unkept vertex,
-  // the ids it heard until then.
+  // the ids it heard until then (heard_ stays empty when every vertex is
+  // kept).
   std::vector<std::int32_t> rank_;
   std::size_t bitset_words_ = 0;
   std::vector<std::vector<std::uint64_t>> seen_;
   std::vector<std::vector<Vertex>> heard_;
-  // Stride bookkeeping: hits_[v][learnt_from_[v]..] is what a kept v
-  // learnt since the last boundary, fresh_[v] the heap of what an unkept
-  // v forwards next stride; learners_ collects each such v once per
-  // stride. heard_ and fresh_ stay empty when every vertex is kept.
-  std::vector<std::size_t> learnt_from_;
+  // Stride bookkeeping: fresh_[v] holds the ids v forwards next stride;
+  // learners_ collects each v that kept one, once per stride.
   std::vector<std::vector<Vertex>> fresh_;
   Sharded<Vertex> learners_;
 };

@@ -559,11 +559,17 @@ TEST(DetectPinned, FewSourcesEveryListReachesBitset) {
 /// Under ideal, faulty and async delivery at 1, 2 and 4 lanes, a run that
 /// keeps the sources, every 7th vertex or no vertex stores exactly the
 /// keep-all run's list at each kept vertex, refuses a read anywhere else,
-/// and drives the same rounds, messages and words.
+/// and drives the same rounds, messages and words. With
+/// `unkept_switch_both_sides`, it also checks that in the keep-none run
+/// some vertex's heard-id list switches to the bitset and some never does.
 void expect_kept_lists_equal_keep_all(const Graph& g,
                                       const std::vector<Vertex>& sources,
-                                      Dist delta, std::int64_t cap) {
+                                      Dist delta, std::int64_t cap,
+                                      bool unkept_switch_both_sides) {
   const Vertex n = g.num_vertices();
+  // An unkept vertex's 4-byte ids switch to the bitset once they take as
+  // many bytes as it.
+  const std::size_t switch_ids = (sources.size() + 63) / 64 * 8 / sizeof(Vertex);
   std::vector<Vertex> every7;
   for (Vertex v = 0; v < n; v += 7) every7.push_back(v);
   const TransportSpec transports[3] = {TransportSpec{},
@@ -584,6 +590,21 @@ void expect_kept_lists_equal_keep_all(const Graph& g,
           " threads=" + std::to_string(threads);
       NetworkStats all_stats;
       const congest::DetectResult all = run(test::keep_all(g), all_stats);
+      if (unkept_switch_both_sides) {
+        // Every vertex hears the same sources whatever is kept, so the
+        // keep-all lists give the keep-none run's heard sets. A vertex that
+        // heard more than switch_ids ids switched; one that heard fewer
+        // never did.
+        std::size_t switched = 0;
+        std::size_t listed = 0;
+        for (Vertex v = 0; v < n; ++v) {
+          const std::size_t ids = all.at(v).size();
+          if (ids > switch_ids) ++switched;
+          if (ids < switch_ids) ++listed;
+        }
+        EXPECT_GT(switched, 0u) << where;
+        EXPECT_GT(listed, 0u) << where;
+      }
       for (const std::vector<Vertex>& keep :
            {sources, every7, std::vector<Vertex>{}}) {
         NetworkStats stats;
@@ -607,19 +628,19 @@ void expect_kept_lists_equal_keep_all(const Graph& g,
 }
 
 // Unkept vertices switch from a heard-id list to the bitset at a
-// different length than kept ones do; both sides of the switch occur here.
+// different length than kept ones do; both sides of that switch occur here.
 TEST(DetectKeepSet, KeptListsEqualKeepAllMixedListSizes) {
   const Graph g = gen_gnm(2000, 8000, 41);
   std::vector<Vertex> sources;
   for (Vertex v = 0; v < g.num_vertices(); v += 2) sources.push_back(v);
-  expect_kept_lists_equal_keep_all(g, sources, 3, 4);
+  expect_kept_lists_equal_keep_all(g, sources, 3, 4, true);
 }
 
 TEST(DetectKeepSet, KeptListsEqualKeepAllFewSourcesDeep) {
   const Graph g = gen_connected_gnm(300, 1200, 5);
   std::vector<Vertex> sources;
   for (Vertex v = 0; v < g.num_vertices(); v += 5) sources.push_back(v);
-  expect_kept_lists_equal_keep_all(g, sources, 6, 3);
+  expect_kept_lists_equal_keep_all(g, sources, 6, 3, false);
 }
 
 TEST(DetectKeepSet, ReadOutsideKeepSetThrows) {
