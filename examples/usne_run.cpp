@@ -131,10 +131,11 @@ double stage_coverage(
   return total.wall_s > 0 ? total.stage_sum_s() / total.wall_s : 1.0;
 }
 
-/// `--profile`: per-(phase, task) scheduler stage breakdown, simulator
-/// throughput (messages per second of scheduler wall) and peak RSS when
-/// the task ended, plus the stage coverage. Centralized builds have no
-/// scheduler stages and print their wall-time profile instead.
+/// `--profile`: per-(phase, task) rounds (and how many were delivered by
+/// pull), scheduler stage breakdown, simulator throughput (messages per
+/// second of scheduler wall) and peak RSS when the task ended, plus the
+/// stage coverage. Centralized builds have no scheduler stages and print
+/// their wall-time profile instead.
 void print_profile(const usne::BuildOutput& out, double build_s) {
   using usne::format_double;
   const std::vector<usne::congest::PhaseProfileEntry>& prof = out.profile;
@@ -146,15 +147,16 @@ void print_profile(const usne::BuildOutput& out, double build_s) {
     print_wall_profile(prof, build_s);
     return;
   }
-  usne::Table table({"task", "rounds", "deliver_ms", "compute_ms",
-                     "replay_ms", "end_round_ms", "other_ms", "wall_ms",
-                     "msgs_per_s", "peak_rss_mb"});
+  usne::Table table({"task", "rounds", "pull_rounds", "deliver_ms",
+                     "compute_ms", "replay_ms", "end_round_ms", "other_ms",
+                     "wall_ms", "msgs_per_s", "peak_rss_mb"});
   double wall_s = 0;
   for (const usne::congest::PhaseProfileEntry& e : prof) {
     const usne::congest::StageTimes& t = e.times;
     table.row()
         .add(e.label)
         .add(t.rounds)
+        .add(t.pull_rounds)
         .add(t.deliver_s * 1e3, 3)
         .add(t.compute_s * 1e3, 3)
         .add(t.replay_s * 1e3, 3)
@@ -171,8 +173,9 @@ void print_profile(const usne::BuildOutput& out, double build_s) {
             << format_double(stage_coverage(prof) * 100.0, 1) << "%\n";
 }
 
-/// `--profile` JSON rider: labeled stage times and peak RSS, one object
-/// per task, and for a CONGEST build the stage coverage.
+/// `--profile` JSON rider: labeled stage times, rounds (pull rounds among
+/// them) and peak RSS, one object per task, and for a CONGEST build the
+/// stage coverage.
 std::string profile_json(const usne::BuildOutput& built) {
   using usne::format_double;
   const std::vector<usne::congest::PhaseProfileEntry>& prof = built.profile;
@@ -190,6 +193,7 @@ std::string profile_json(const usne::BuildOutput& built) {
         << ", \"end_round_s\": " << t.end_round_s
         << ", \"init_s\": " << t.init_s << ", \"messages\": " << t.messages
         << ", \"peak_rss_mb\": " << format_double(prof[i].peak_rss_mb, 1)
+        << ", \"pull_rounds\": " << t.pull_rounds
         << ", \"replay_s\": " << t.replay_s << ", \"rounds\": " << t.rounds
         << ", \"task\": \"" << prof[i].label
         << "\", \"wall_s\": " << t.wall_s << "}";

@@ -18,18 +18,31 @@
 #                                 what scripts/check.sh embeds so tier-1
 #                                 stays fast)
 #
+#   scripts/analyze.sh --help     prints this text; any other argument
+#                                 prints it to stderr and exits 2
+#
 # Build trees: build-asan/ and build-tsan/ (gitignored), kept apart from
 # the primary build/ so the sanitizer configs never pollute release
 # artifacts. Exits non-zero on any finding, report, or test failure.
 
 set -euo pipefail
+
+usage() {
+  # The header comment above, without its "# " prefixes.
+  awk 'NR == 1 { next } /^#/ { sub(/^# ?/, ""); print; next } { exit }' "$0"
+}
+
+FAST=0
+case "$#:${1:-}" in
+  0:) ;;
+  1:--fast) FAST=1 ;;
+  1:--help) usage; exit 0 ;;
+  *) echo "analyze.sh: unknown arguments: $*" >&2; usage >&2; exit 2 ;;
+esac
+
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
-FAST=0
-if [ "${1:-}" = "--fast" ]; then
-  FAST=1
-fi
 
 echo "== determinism lint (src/) =="
 python3 scripts/determinism_lint.py

@@ -43,6 +43,7 @@ ScheduleReport Scheduler::run(NodeProgram& program) {
   USNE_TRACE_SPAN("congest.scheduler_run");
   ScheduleReport report;
   const NetworkStats before = net_->stats();
+  const std::int64_t pull_rounds_before = net_->pull_rounds();
 
   // Stage profiling (StageTimes in network.hpp): pay-for-use — with no
   // sink installed not a single clock is read. Attribution is
@@ -141,8 +142,7 @@ ScheduleReport Scheduler::run(NodeProgram& program) {
       if (inv::audits_enabled()) {
         expected_pending = net_->pending_messages();
         for (const Outbox& worker_out : stage) {
-          expected_pending +=
-              static_cast<std::int64_t>(worker_out.staged_.size());
+          expected_pending += worker_out.staged_messages();
         }
       }
       for (Outbox& worker_out : stage) worker_out.replay_into(*net_);
@@ -189,6 +189,7 @@ ScheduleReport Scheduler::run(NodeProgram& program) {
   if (prof != nullptr) {
     prof->wall_s += elapsed_s(run_start, MonoClock::now());
     prof->rounds += report.rounds;
+    prof->pull_rounds += net_->pull_rounds() - pull_rounds_before;
     prof->messages += after.messages - before.messages;
   }
   // Layer-level traffic totals on the global metrics page; two relaxed

@@ -74,8 +74,11 @@ namespace usne::congest {
 ///
 /// Two modes: direct (serial execution and the init/end_round hooks —
 /// sends go straight to the network) and staging (the parallel on_round
-/// fan-out — each worker buffers sends locally and the Scheduler replays
-/// them into the network in ascending shard order).
+/// fan-out — each worker buffers its sends locally as Outgoing records,
+/// one per send and one per broadcast, and the Scheduler replays them into
+/// the network in ascending shard order: a send through Network::send, a
+/// broadcast through Network::broadcast, so the replay stages the same
+/// records a serial run would).
 class Outbox {
  public:
   /// Direct mode.
@@ -104,32 +107,40 @@ class Outbox {
       return;
     }
     check_sender(*graph_, from, "broadcast");
-    for (const Vertex to : graph_->neighbors(from)) {
-      staged_.push_back({from, to, msg});
-    }
+    staged_.push_back({from, kAllNeighbours, msg});
   }
 
  private:
   friend class Scheduler;
 
-  struct Staged {
-    Vertex from;
-    Vertex to;
-    Message msg;
-  };
+  /// Messages the staged records stand for (a broadcast counts deg(from)):
+  /// the Scheduler's staged-send conservation audit.
+  std::int64_t staged_messages() const {
+    std::int64_t messages = 0;
+    for (const Outgoing& s : staged_) {
+      messages += s.to == kAllNeighbours ? graph_->degree(s.from) : 1;
+    }
+    return messages;
+  }
 
-  /// Replays staged sends into `net` in staging order (Scheduler only).
-  /// Runs the same per-send cap checks a direct send would, in the same
-  /// order the serial engine would have run them.
+  /// Replays the staged records into `net` in staging order (Scheduler
+  /// only). Runs the same cap checks a direct send or broadcast would, in
+  /// the same order the serial engine would have run them.
   void replay_into(Network& net) {
-    for (const Staged& s : staged_) net.send(s.from, s.to, s.msg);
+    for (const Outgoing& s : staged_) {
+      if (s.to == kAllNeighbours) {
+        net.broadcast(s.from, s.msg);
+      } else {
+        net.send(s.from, s.to, s.msg);
+      }
+    }
     staged_.clear();
   }
 
   Network* net_ = nullptr;
   const Graph* graph_ = nullptr;
   std::size_t shard_ = 0;
-  std::vector<Staged> staged_;
+  std::vector<Outgoing> staged_;
 };
 
 /// A node-local synchronous protocol. See the file comment for the hook

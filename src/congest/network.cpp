@@ -17,6 +17,13 @@ namespace {
 /// wall-clock knob — delivery order is bit-identical either way.
 constexpr std::size_t kMinParallelScatter = 4096;
 
+/// A round goes by pull when its broadcasts cover at least 1/kPullDensity
+/// of the 2|E| directed edges (and the other conditions in network.hpp
+/// hold). The pull fill reads the stamp of every directed edge's sender,
+/// whether or not it broadcast, so a sparse round is left to the push
+/// path. Wall-clock only: both paths deliver the same inboxes.
+constexpr std::int64_t kPullDensity = 4;
+
 /// A round's receivers are put in ascending order by one scan over all n
 /// vertices instead of a sort once at least n / kDenseReceivers of them
 /// receive: the O(n) scan then beats the O(r log r) sort. Wall-clock only;
@@ -45,10 +52,19 @@ void check_word_cap(const Message& msg) {
   }
 }
 
+[[noreturn]] void throw_second_message(Vertex from, Vertex to,
+                                       std::int64_t round) {
+  throw CongestViolation("second message on edge (" + std::to_string(from) +
+                         "," + std::to_string(to) + ") in round " +
+                         std::to_string(round));
+}
+
 }  // namespace
 
 Network::Network(const Graph& g)
     : graph_(&g),
+      broadcast_(static_cast<std::size_t>(g.num_vertices())),
+      send_round_(static_cast<std::size_t>(g.num_vertices()), -1),
       inbox_begin_(static_cast<std::size_t>(g.num_vertices()), 0),
       inbox_count_(static_cast<std::size_t>(g.num_vertices()), 0),
       recv_count_(static_cast<std::size_t>(g.num_vertices()), 0),
@@ -85,6 +101,7 @@ util::ThreadPool* Network::thread_pool() {
 
 void Network::configure_transport(const TransportSpec& spec) {
   configure_transport(make_delivery_model(spec));
+  builtin_ideal_ = spec.model == TransportModel::kIdeal;
 }
 
 void Network::configure_transport(std::unique_ptr<DeliveryModel> model) {
@@ -101,6 +118,7 @@ void Network::configure_transport(std::unique_ptr<DeliveryModel> model) {
   retired_dropped_ += model_->counters().dropped;
   retired_duplicated_ += model_->counters().duplicated;
   model_ = std::move(model);
+  builtin_ideal_ = false;
 }
 
 std::int64_t Network::in_flight() const noexcept {
@@ -115,17 +133,15 @@ std::int64_t Network::directed_edge_id(Vertex from, Vertex to) const {
   return graph_->csr_offset(from) + (it - nbrs.begin());
 }
 
-void Network::stage(std::int64_t eid, Vertex from, Vertex to,
-                    const Message& msg) {
+void Network::stage_send(std::int64_t eid, Vertex from, Vertex to,
+                         const Message& msg) {
   auto& stamp = edge_round_stamp_[static_cast<std::size_t>(eid)];
-  if (stamp == stats_.rounds) {
-    throw CongestViolation("second message on edge (" + std::to_string(from) +
-                           "," + std::to_string(to) + ") in round " +
-                           std::to_string(stats_.rounds));
-  }
+  if (stamp == stats_.rounds) throw_second_message(from, to, stats_.rounds);
   stamp = stats_.rounds;
+  send_round_[static_cast<std::size_t>(from)] = stats_.rounds;
 
-  pending_.push_back({to, {from, msg}});
+  outgoing_.push_back({from, to, msg});
+  ++pending_sends_;
   ++stats_.messages;
   stats_.words += msg.size;
 }
@@ -138,7 +154,11 @@ void Network::send(Vertex from, Vertex to, const Message& msg) {
     throw CongestViolation("send along non-edge (" + std::to_string(from) +
                            "," + std::to_string(to) + ")");
   }
-  stage(eid, from, to, msg);
+  // A broadcast from `from` this round already holds every edge of its row.
+  if (broadcast_[static_cast<std::size_t>(from)].round == stats_.rounds) {
+    throw_second_message(from, to, stats_.rounds);
+  }
+  stage_send(eid, from, to, msg);
 }
 
 void Network::broadcast(Vertex from, const Message& msg) {
@@ -146,10 +166,29 @@ void Network::broadcast(Vertex from, const Message& msg) {
   const auto nbrs = graph_->neighbors(from);
   if (nbrs.empty()) return;
   check_word_cap(msg);
-  const std::int64_t first = graph_->csr_offset(from);
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    stage(first + static_cast<std::int64_t>(i), from, nbrs[i], msg);
+  const auto sf = static_cast<std::size_t>(from);
+  Broadcast& b = broadcast_[sf];
+  // A second broadcast collides on the row's first edge.
+  if (b.round == stats_.rounds) {
+    throw_second_message(from, nbrs[0], stats_.rounds);
   }
+  if (send_round_[sf] == stats_.rounds) {
+    // `from` already sent on some edge of its row this round: stage one send
+    // per slot up to that edge, which throws there, exactly as one send per
+    // neighbour would.
+    const std::int64_t first = graph_->csr_offset(from);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      stage_send(first + static_cast<std::int64_t>(i), from, nbrs[i], msg);
+    }
+    return;
+  }
+  b.round = stats_.rounds;
+  b.msg = msg;
+  outgoing_.push_back({from, kAllNeighbours, msg});
+  const auto deg = static_cast<std::int64_t>(nbrs.size());
+  pending_broadcast_messages_ += deg;
+  stats_.messages += deg;
+  stats_.words += deg * msg.size;
 }
 
 void Network::sort_inbox_run(Vertex v) {
@@ -171,27 +210,91 @@ void Network::sort_inbox_run(Vertex v) {
   }
 }
 
+bool Network::pull_round() const noexcept {
+  return builtin_ideal_ && pending_sends_ == 0 &&
+         pending_broadcast_messages_ > 0 &&
+         pending_broadcast_messages_ * kPullDensity >=
+             graph_->csr_offset(graph_->num_vertices());
+}
+
+std::int64_t Network::pull_fill() {
+  // Under Ideal a broadcast reaches every neighbour next round, so v's inbox
+  // is (w, msg_w) for every neighbour w that broadcast, in row order, which
+  // is ascending sender order.
+  const std::int64_t round = stats_.rounds;
+  const auto total = static_cast<std::size_t>(pending_broadcast_messages_);
+  if (arena_.size() < total) arena_.resize(total);
+  Received* const arena = arena_.data();
+  std::int64_t filled = 0;
+  const Vertex n = graph_->num_vertices();
+  for (Vertex v = 0; v < n; ++v) {
+    const std::int64_t begin = filled;
+    for (const Vertex w : graph_->neighbors(v)) {
+      const Broadcast& b = broadcast_[static_cast<std::size_t>(w)];
+      if (b.round == round) arena[filled++] = {w, b.msg};
+    }
+    if (filled != begin) {
+      inbox_begin_[static_cast<std::size_t>(v)] = begin;
+      inbox_count_[static_cast<std::size_t>(v)] = filled - begin;
+      receivers_.push_back(v);
+    }
+  }
+  // Swap like the push path, so both vectors keep taking turns and reach
+  // their high-water marks whichever path a round takes.
+  delivered_.swap(receivers_);
+  receivers_.clear();
+  return filled;
+}
+
+void Network::expand_records() {
+  staged_.clear();
+  for (const Outgoing& o : outgoing_) {
+    if (o.to != kAllNeighbours) {
+      staged_.push_back({o.to, {o.from, o.msg}});
+      continue;
+    }
+    for (const Vertex to : graph_->neighbors(o.from)) {
+      staged_.push_back({to, {o.from, o.msg}});
+    }
+  }
+}
+
 void Network::advance_round() {
   // Retire the previous round's delivery state (only delivered vertices have
   // non-zero counts, so the reset touches exactly the prior traffic).
   for (const Vertex v : delivered_) inbox_count_[static_cast<std::size_t>(v)] = 0;
   delivered_.clear();
 
-  // Transport policy: the model turns this round's staged sends into the
-  // batch delivered next round (Ideal passes everything through; Faulty
-  // drops/duplicates; Async files by drawn latency and surfaces the
-  // messages that are due).
-  deliver_.clear();
-  model_->collect(stats_.rounds, pending_, deliver_);
-  pending_.clear();
-  delivered_messages_ = static_cast<std::int64_t>(deliver_.size());
+  if (pull_round()) {
+    delivered_messages_ = pull_fill();
+    ++pull_rounds_;
+  } else {
+    // Transport policy: the model turns this round's staged sends into the
+    // batch delivered next round (Ideal passes everything through; Faulty
+    // drops/duplicates; Async files by drawn latency and surfaces the
+    // messages that are due).
+    expand_records();
+    deliver_.clear();
+    model_->collect(stats_.rounds, staged_, deliver_);
+    delivered_messages_ = static_cast<std::int64_t>(deliver_.size());
+    util::ThreadPool* const pool =
+        deliver_.size() >= kMinParallelScatter ? thread_pool() : nullptr;
+    if (pool != nullptr) {
+      scatter_parallel(*pool);
+    } else {
+      scatter_serial();
+    }
+  }
+  outgoing_.clear();
+  pending_sends_ = 0;
+  pending_broadcast_messages_ = 0;
   delivered_total_ += delivered_messages_;
 
   // Message conservation across the Network / DeliveryModel handoff: every
   // send is eventually delivered, dropped, or still riding the transport,
-  // and every extra delivery is an accounted duplicate. A model that loses
-  // or invents messages without counting them breaks this ledger here, in
-  // the round it happens.
+  // and every extra delivery is an accounted duplicate. A model, or a pull
+  // fill, that loses or invents messages without counting them breaks this
+  // ledger here, in the round it happens.
   USNE_AUDIT(inv::Category::kTransport,
              stats_.messages + retired_duplicated_ +
                      model_->counters().duplicated ==
@@ -207,16 +310,8 @@ void Network::advance_round() {
                                 model_->counters().duplicated) +
                  ", in flight " + std::to_string(model_->in_flight()) + ")");
 
-  util::ThreadPool* const pool =
-      deliver_.size() >= kMinParallelScatter ? thread_pool() : nullptr;
-  if (pool != nullptr) {
-    scatter_parallel(*pool);
-  } else {
-    scatter_serial();
-  }
-
   // Scatter conservation: the arena's per-receiver runs must account for
-  // exactly the batch the transport produced.
+  // exactly the batch delivered.
   USNE_AUDIT(inv::Category::kTransport,
              [&] {
                std::int64_t in_runs = 0;

@@ -14,19 +14,40 @@
 // bound. Rounds with no traffic still count (algorithms in this repository
 // run on fixed, parameter-determined schedules exactly like the paper's).
 //
-// Send path: every send checks the word cap and the sender, then stamps
-// the directed edge's slot with the round number (the per-edge cap).
-// Directed edge slots are the CSR adjacency itself, so a broadcast walks
-// its sender's row and never searches for a slot.
+// Send path: a send checks the word cap and the sender, finds its directed
+// edge slot by binary search in the sender's sorted CSR row (the slots are
+// the CSR adjacency itself) and stamps the slot with the round number: the
+// per-edge cap. A broadcast stages one record, not one per neighbour, and
+// stamps its sender instead. Per-vertex round stamps keep the cap exact: a
+// broadcast conflicts with an earlier broadcast or send from its vertex in
+// the same round, and a send with an earlier broadcast from its sender.
+// Only a vertex that already sent point-to-point this round walks its row
+// slot by slot, like one send per neighbour, so it throws at the same edge
+// and leaves the same messages staged. Counts stay per message: a
+// broadcast adds deg(from) messages and deg(from) x size words.
 //
-// Storage is a pair of double-buffered flat arenas rather than per-vertex
-// queues: sends append to a contiguous staging buffer, and advance_round()
-// counting-sorts the round's delivery batch into a CSR-shaped arena (one
-// contiguous Received run per receiving vertex). All buffers are reused
-// across rounds, so round advancement performs no heap allocation once the
-// per-round traffic high-water mark has been reached. Sufficiently large
-// batches are counting-sorted in parallel on the execution thread pool,
-// with delivery order bit-identical to the serial pass.
+// Storage: the round's records append to a flat staging buffer, and
+// advance_round() turns them into a CSR-shaped arena of inboxes, one
+// contiguous Received run per receiving vertex, each run sorted by sender.
+// All buffers are reused across rounds, so round advancement performs no
+// heap allocation once the per-round traffic high-water mark has been
+// reached. A round is delivered one of two ways:
+//
+//   pull  when the built-in Ideal model is installed, the round staged no
+//         point-to-point send, and its broadcasts cover at least
+//         1/kPullDensity of the 2|E| directed edges (a rule on the round's
+//         own traffic). Each receiver walks its sorted CSR row and appends
+//         (w, msg_w) for every neighbour w that broadcast: runs come out in
+//         sender order with no sort, and every arena write is sequential
+//         (the bottom-up step of direction-optimizing BFS).
+//   push  every other round. The records expand, in staging order, into
+//         one Staged message per edge; the delivery model turns those into
+//         the batch, which is counting-sorted into the arena (in parallel
+//         on the execution pool for large batches, bit-identical to the
+//         serial pass) and sorted by sender within each run. Faulty, Async
+//         and custom models therefore see exactly the per-edge batch.
+//
+// Both paths build the same inboxes and run the same conservation audits.
 //
 // What happens to a staged message *between* the send and the next round's
 // inbox is delegated to a pluggable DeliveryModel (congest/transport.hpp):
@@ -93,6 +114,19 @@ struct Staged {
   Received rcv;
 };
 
+/// `Outgoing::to` of a broadcast.
+inline constexpr Vertex kAllNeighbours = -1;
+
+/// A send as a program issued it: one point-to-point message, or a
+/// broadcast (to == kAllNeighbours) standing for one message on every edge
+/// of from's row. The Network stages these and a staging Outbox buffers
+/// them.
+struct Outgoing {
+  Vertex from = -1;
+  Vertex to = kAllNeighbours;
+  Message msg;
+};
+
 /// Thrown when an algorithm violates the CONGEST constraints.
 class CongestViolation : public std::logic_error {
  public:
@@ -119,14 +153,16 @@ struct NetworkStats {
 /// Wall-clock decomposition of Scheduler::run — where a CONGEST program's
 /// time actually goes, stage by stage:
 ///   init       program.init (seeding round 0)
-///   deliver    Network::advance_round (transport + counting-sort scatter)
+///   deliver    Network::advance_round (pull fill, or transport +
+///              counting-sort scatter)
 ///   compute    the on_round fan-out, incl. parallel chunk planning
 ///   replay     ascending-order replay of staged parallel sends
 ///   end_round  the central end_round hook
 ///   drain      end-of-program quiescence (non-ideal transports)
 /// Accumulated by the Scheduler into the sink installed via
 /// Network::set_profile_sink (nullptr = profiling off, zero clock reads),
-/// together with the rounds and messages each run drove.
+/// together with the rounds and messages each run drove and how many of
+/// those rounds the Network delivered by pull (see the file comment).
 /// Several programs run back to back on one network accumulate into the
 /// same sink; callers snapshot per-program deltas via operator- exactly
 /// like they do with Network::stats().
@@ -142,7 +178,8 @@ struct StageTimes {
   double drain_s = 0;
   double wall_s = 0;  ///< total Scheduler::run wall time
   std::int64_t rounds = 0;
-  std::int64_t messages = 0;  ///< messages sent (NetworkStats delta)
+  std::int64_t pull_rounds = 0;  ///< rounds delivered by pull
+  std::int64_t messages = 0;     ///< messages sent (NetworkStats delta)
 
   /// Simulator throughput over the profiled runs (0 with no wall time).
   double msgs_per_s() const noexcept {
@@ -165,6 +202,7 @@ struct StageTimes {
     drain_s += o.drain_s;
     wall_s += o.wall_s;
     rounds += o.rounds;
+    pull_rounds += o.pull_rounds;
     messages += o.messages;
     return *this;
   }
@@ -178,6 +216,7 @@ struct StageTimes {
     a.drain_s -= b.drain_s;
     a.wall_s -= b.wall_s;
     a.rounds -= b.rounds;
+    a.pull_rounds -= b.pull_rounds;
     a.messages -= b.messages;
     return a;
   }
@@ -186,8 +225,9 @@ struct StageTimes {
 /// One labeled slice of a construction profile ("p0.detect", "p1.forest",
 /// ...): the stage times accrued while that task's scheduler runs drove
 /// the network, and the process's peak RSS when the task ended. Builders
-/// emit one entry per (phase, task); an entry whose peak_rss_mb exceeds
-/// the one before it names a task that raised the high-water mark.
+/// emit one entry per (phase, task); peak_rss_mb never falls from one
+/// entry to the next, and an entry whose peak_rss_mb exceeds the one
+/// before it names a task that raised the high-water mark.
 struct PhaseProfileEntry {
   std::string label;
   StageTimes times;
@@ -252,14 +292,15 @@ class Network {
   void send(Vertex from, Vertex to, const Message& msg);
 
   /// Sends `msg` from `from` to every neighbour (one message per edge),
-  /// with send's checks and exception texts. Walks from's CSR row, so the
-  /// i-th neighbour's edge slot is csr_offset(from) + i with no search. A
-  /// vertex with no neighbours sends nothing and throws nothing (an
-  /// out-of-range `from` still throws).
+  /// with send's checks and exception texts. Stages one record and stamps
+  /// `from`; only a vertex that already sent this round walks its row (see
+  /// the file comment). A vertex with no neighbours sends nothing and
+  /// throws nothing (an out-of-range `from` still throws).
   void broadcast(Vertex from, const Message& msg);
 
-  /// Ends the current round: hands the staged sends to the delivery model
-  /// and materializes the model's batch in the inboxes.
+  /// Ends the current round: delivers a dense broadcast-only round under
+  /// the built-in Ideal model by pull, and otherwise hands the staged sends
+  /// to the delivery model and materializes its batch in the inboxes.
   void advance_round();
 
   /// Advances `k` rounds (the first delivers pending messages; the rest are
@@ -292,8 +333,12 @@ class Network {
   /// messages (the Scheduler enforces / drains this): anything left here
   /// would silently leak into the next program run on the same network.
   std::int64_t pending_messages() const noexcept {
-    return static_cast<std::int64_t>(pending_.size());
+    return pending_sends_ + pending_broadcast_messages_;
   }
+
+  /// Rounds delivered by pull since construction (the Scheduler's
+  /// StageTimes::pull_rounds).
+  std::int64_t pull_rounds() const noexcept { return pull_rounds_; }
 
   const NetworkStats& stats() const noexcept { return stats_; }
 
@@ -315,8 +360,20 @@ class Network {
   std::int64_t directed_edge_id(Vertex from, Vertex to) const;
 
   /// Claims directed edge slot `eid` for this round (the one-message-per-
-  /// edge cap) and stages the message; the word cap is the caller's check.
-  void stage(std::int64_t eid, Vertex from, Vertex to, const Message& msg);
+  /// edge cap) and stages a point-to-point record. The word cap and a
+  /// broadcast from `from` this round are the caller's checks.
+  void stage_send(std::int64_t eid, Vertex from, Vertex to, const Message& msg);
+
+  /// Whether this round is delivered by pull (see the file comment).
+  bool pull_round() const noexcept;
+
+  /// Pull: fills the arena along every receiver's CSR row and fills
+  /// delivered_; returns the messages delivered.
+  std::int64_t pull_fill();
+
+  /// Push: expands the round's records into staged_, one Staged per edge,
+  /// in staging order.
+  void expand_records();
 
   /// Counting-sorts deliver_ into the arena (receivers ascending, one
   /// contiguous run each, runs sorted by sender) and fills delivered_.
@@ -324,13 +381,28 @@ class Network {
   void scatter_parallel(util::ThreadPool& pool);
   void sort_inbox_run(Vertex v);
 
+  /// A vertex's broadcast: the round it was staged in (stale in any other
+  /// round), read by the cap checks, and its message, read by the pull
+  /// fill.
+  struct Broadcast {
+    std::int64_t round = -1;
+    Message msg;
+  };
+
   const Graph* graph_ = nullptr;
-  // Double-buffered arenas: sends of the current round append to pending_
-  // (flat, send order); advance_round() hands pending_ to the delivery
-  // model, which fills deliver_ (this round's batch), and counting-sorts
-  // deliver_ into arena_ (flat, CSR by receiver, addressed by
-  // inbox_begin_/inbox_count_).
-  std::vector<Staged> pending_;
+  // Sends of the current round append to outgoing_ (flat, staging order,
+  // one record per broadcast). advance_round() either pulls the round into
+  // arena_ (flat, CSR by receiver, addressed by inbox_begin_/inbox_count_)
+  // or expands outgoing_ into staged_, hands that to the delivery model,
+  // which fills deliver_ (this round's batch), and counting-sorts deliver_
+  // into arena_.
+  std::vector<Outgoing> outgoing_;
+  std::int64_t pending_sends_ = 0;               // point-to-point records
+  std::int64_t pending_broadcast_messages_ = 0;  // sum of deg over broadcasts
+  std::vector<Broadcast> broadcast_;             // per vertex
+  // Per vertex: the last round it sent point-to-point.
+  std::vector<std::int64_t> send_round_;
+  std::vector<Staged> staged_;
   std::vector<Staged> deliver_;
   std::vector<Received> arena_;
   std::vector<std::int64_t> inbox_begin_;     // per-vertex offset into arena_
@@ -340,6 +412,7 @@ class Network {
   std::vector<Vertex> receivers_;             // scratch: batch receivers
   std::int64_t delivered_messages_ = 0;       // size of the current batch
   std::int64_t delivered_total_ = 0;          // cumulative batch messages
+  std::int64_t pull_rounds_ = 0;              // rounds delivered by pull
   // Injected-event counters folded in from transports retired by
   // configure_transport, so the conservation ledger survives model swaps.
   std::int64_t retired_dropped_ = 0;
@@ -350,8 +423,11 @@ class Network {
   NetworkStats stats_;
   // Stage-profile sink for the Scheduler (see set_profile_sink); not owned.
   StageTimes* profile_ = nullptr;
-  // The transport policy (never null; Ideal by default).
+  // The transport policy (never null; Ideal by default), and whether it is
+  // the built-in Ideal model, whose batch is the staged traffic itself (the
+  // pull rule's first condition).
   std::unique_ptr<DeliveryModel> model_;
+  bool builtin_ideal_ = true;
   // Execution policy for the Scheduler (see set_execution_threads).
   int exec_threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;

@@ -103,7 +103,9 @@ class DeliveryModel {
   /// staging order; left cleared) and appends the batch to be delivered at
   /// the start of round `round + 1` to `deliver` (empty on entry). A model
   /// may drop messages, append extra copies, or retain messages for a
-  /// later collect call. Called exactly once per round, serially.
+  /// later collect call. Called exactly once per round, serially, except
+  /// that the Network delivers a dense broadcast-only round itself, by
+  /// pull, when the built-in Ideal model is installed (network.hpp).
   virtual void collect(std::int64_t round, std::vector<Staged>& staged,
                        std::vector<Staged>& deliver) = 0;
 

@@ -58,6 +58,15 @@ inline std::string profile_label(int phase, const char* task) {
   return label;
 }
 
+/// The peak RSS to record at a profile cut: the process's VmHWM, but never
+/// below the previous entry's, since consecutive VmHWM reads have been seen
+/// to fall by a few KiB. The column is then the high-water mark it claims.
+inline double profile_peak_rss_mb(
+    const std::vector<congest::PhaseProfileEntry>& profile) {
+  const double now = util::peak_rss_mb();
+  return profile.empty() ? now : std::max(profile.back().peak_rss_mb, now);
+}
+
 /// Wall time per (phase, task) for the centralized loop, which has no
 /// scheduler to split it: each cut() closes the task that ran since the
 /// previous cut into one PhaseProfileEntry with only StageTimes::wall_s
@@ -74,7 +83,7 @@ class TaskClock {
     congest::PhaseProfileEntry entry;
     entry.label = profile_label(phase, task);
     entry.times.wall_s = elapsed_s(mark_, now);
-    entry.peak_rss_mb = util::peak_rss_mb();
+    entry.peak_rss_mb = profile_peak_rss_mb(*sink_);
     sink_->push_back(std::move(entry));
     mark_ = now;
   }
@@ -253,8 +262,9 @@ DistributedBuildResult run_congest_phases(CongestBuild& b, const Params& params,
     const std::int64_t rounds = b.net.stats().rounds - round_mark;
     round_mark += rounds;
     if (b.exec.profile) {
-      b.out.base.profile.push_back({profile_label(b.phase, task),
-                                    prof_acc - prof_mark, util::peak_rss_mb()});
+      std::vector<congest::PhaseProfileEntry>& profile = b.out.base.profile;
+      profile.push_back({profile_label(b.phase, task), prof_acc - prof_mark,
+                         profile_peak_rss_mb(profile)});
       prof_mark = prof_acc;
     }
     return rounds;

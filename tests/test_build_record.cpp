@@ -177,9 +177,12 @@ TEST(BuildRecord, PinnedDigests) {
       }
       if (spec.exec.profile) {
         std::vector<std::string> labels;
+        double high_water = 0;
         for (const congest::PhaseProfileEntry& e : out.profile) {
           labels.push_back(e.label);
           EXPECT_GT(e.peak_rss_mb, 0.0) << e.label;
+          EXPECT_GE(e.peak_rss_mb, high_water) << e.label;  // never falls
+          high_water = e.peak_rss_mb;
         }
         EXPECT_EQ(labels, test::profile_labels(out.result.phases,
                                                task3_label(p.algorithm)));

@@ -19,6 +19,7 @@
 #include "congest/engine.hpp"
 #include "congest/flood.hpp"
 #include "congest/network.hpp"
+#include "congest/transport.hpp"
 #include "graph/generators.hpp"
 
 // --- global allocation counter (this test binary only) ---------------------
@@ -47,8 +48,23 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
+// The nothrow forms too: std::stable_sort's temporary buffer (the
+// delivery arena sorts runs with it under Faulty and Async) allocates
+// through them and frees through the plain delete below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #if defined(__GNUC__) && !defined(__clang__)
@@ -61,26 +77,55 @@ namespace {
 // --- arena delivery vs. naive reference model ------------------------------
 
 TEST(NetworkArena, EquivalentToNaiveQueueModel) {
+  // Four traffic shapes in turn, so both delivery paths run: random sends,
+  // broadcasts from most vertices (pull), the same mixed with sends from
+  // the rest (push, though dense), and a few broadcasts (push, sparse).
   const Graph g = gen_gnm(60, 180, 7);
   Network net(g);
   std::mt19937 rng(42);
 
   NetworkStats expected;
+  std::int64_t dense_broadcast_rounds = 0;
   for (int round = 0; round < 60; ++round) {
-    // Random traffic: a subset of directed edges, one message each.
+    // The naive model: one queue per receiver, each message appended.
     std::map<Vertex, std::vector<Received>> reference;
-    std::set<std::pair<Vertex, Vertex>> sent;
-    for (int k = 0; k < 40; ++k) {
-      const Vertex u = static_cast<Vertex>(rng() % 60);
-      const auto nbrs = g.neighbors(u);
-      if (nbrs.empty()) continue;
-      const Vertex v = nbrs[rng() % nbrs.size()];
-      if (!sent.insert({u, v}).second) continue;  // respect the edge cap
-      const Message m = Message::of(static_cast<Word>(rng() % 1000), u);
-      net.send(u, v, m);
+    const auto post = [&](Vertex u, Vertex v, const Message& m) {
       reference[v].push_back({u, m});
       ++expected.messages;
-      expected.words += 2;
+      expected.words += m.size;
+    };
+    const int shape = round % 4;
+    if (shape == 0) {
+      // Random traffic: a subset of directed edges, one message each.
+      std::set<std::pair<Vertex, Vertex>> sent;
+      for (int k = 0; k < 40; ++k) {
+        const Vertex u = static_cast<Vertex>(rng() % 60);
+        const auto nbrs = g.neighbors(u);
+        if (nbrs.empty()) continue;
+        const Vertex v = nbrs[rng() % nbrs.size()];
+        if (!sent.insert({u, v}).second) continue;  // respect the edge cap
+        const Message m = Message::of(static_cast<Word>(rng() % 1000), u);
+        net.send(u, v, m);
+        post(u, v, m);
+      }
+    } else {
+      // Broadcasts from 5 in 6 vertices (dense) or 1 in 12 (sparse); in
+      // the mixed shape, each vertex that does not broadcast sends on its
+      // first edge.
+      const unsigned per_12 = shape == 3 ? 1 : 10;
+      for (Vertex u = 0; u < 60; ++u) {
+        const auto nbrs = g.neighbors(u);
+        const Message m =
+            Message::of(static_cast<Word>(rng() % 1000), u, round);
+        if (rng() % 12 < per_12) {
+          net.broadcast(u, m);
+          for (const Vertex v : nbrs) post(u, v, m);
+        } else if (shape == 2 && !nbrs.empty()) {
+          net.send(u, nbrs[0], m);
+          post(u, nbrs[0], m);
+        }
+      }
+      dense_broadcast_rounds += shape == 1;
     }
     net.advance_round();
     ++expected.rounds;
@@ -117,6 +162,48 @@ TEST(NetworkArena, EquivalentToNaiveQueueModel) {
     EXPECT_EQ(net.stats().messages, expected.messages);
     EXPECT_EQ(net.stats().words, expected.words);
   }
+  // Exactly the dense broadcast-only rounds went by pull.
+  EXPECT_EQ(net.pull_rounds(), dense_broadcast_rounds);
+}
+
+TEST(NetworkArena, PullMatchesFaultyPassThrough) {
+  // Faulty with drop 0 and dup 0 delivers every message once, through the
+  // model and the counting sort; the Ideal network pulls the same dense
+  // rounds. Every inbox must match, message for message.
+  const Graph g = gen_gnm(200, 1000, 3);
+  Network ideal(g);
+  Network faulty(g);
+  TransportSpec spec;
+  spec.model = TransportModel::kFaulty;
+  faulty.configure_transport(spec);
+  std::mt19937 rng(9);
+  for (int round = 0; round < 24; ++round) {
+    for (Vertex u = 0; u < g.num_vertices(); ++u) {
+      if (rng() % 8 == 0) continue;
+      const Message m = Message::of(static_cast<Word>(rng()), u, round);
+      ideal.broadcast(u, m);
+      faulty.broadcast(u, m);
+    }
+    ideal.advance_round();
+    faulty.advance_round();
+    ASSERT_EQ(ideal.delivered_to(), faulty.delivered_to());
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      const auto a = ideal.inbox(v);
+      const auto b = faulty.inbox(v);
+      ASSERT_EQ(a.size(), b.size()) << "vertex " << v;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].from, b[i].from);
+        EXPECT_EQ(a[i].msg.size, b[i].msg.size);
+        for (int w = 0; w < kMaxWords; ++w) {
+          EXPECT_EQ(a[i].msg.words[w], b[i].msg.words[w]);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(ideal.stats().messages, faulty.stats().messages);
+  EXPECT_EQ(ideal.stats().words, faulty.stats().words);
+  EXPECT_EQ(ideal.pull_rounds(), 24);
+  EXPECT_EQ(faulty.pull_rounds(), 0);
 }
 
 TEST(NetworkArena, ViolationsStillEnforced) {
@@ -135,6 +222,9 @@ TEST(NetworkArena, ViolationsStillEnforced) {
 TEST(NetworkArena, ZeroAllocationSteadyState) {
   const Graph g = gen_gnm(100, 300, 11);
   Network net(g);
+  Vertex u = 0;
+  while (g.neighbors(u).empty()) ++u;
+  const Vertex w = g.neighbors(u)[0];
 
   // Warm-up: drive the maximum traffic shape once so every internal buffer
   // reaches its high-water mark.
@@ -145,16 +235,23 @@ TEST(NetworkArena, ZeroAllocationSteadyState) {
       }
       net.advance_round();
     }
+    // A sparse round mixing a broadcast and a send: delivered by push, not
+    // by pull like the rounds above.
+    net.send(u, w, Message::of(1));
+    net.broadcast(w, Message::of(2));
+    net.advance_round();
     net.advance_rounds(5);  // idle rounds too
   };
   drive();
 
   // Steady state: the identical traffic shape must perform zero heap
   // allocations inside send/broadcast/advance_round.
+  const std::int64_t pulls = net.pull_rounds();
   const std::int64_t before = g_allocations.load();
   drive();
   const std::int64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0);
+  EXPECT_EQ(net.pull_rounds() - pulls, 10);
 }
 
 // --- Scheduler / NodeProgram -----------------------------------------------

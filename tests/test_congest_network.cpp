@@ -131,6 +131,39 @@ TEST(NetworkViolation, BroadcastKeepsSendChecks) {
   EXPECT_EQ(net.stats().messages, 2);
 }
 
+TEST(NetworkViolation, BroadcastHoldsEveryEdgeOfItsRow) {
+  // A broadcast is one staged record, yet it holds all of its sender's
+  // edges for the round: a later send or broadcast from that vertex throws
+  // at the edge a per-neighbour send would have, and stages nothing.
+  const Graph g = gen_star(4);  // center 0, leaves 1..3
+  Network net(g);
+  net.broadcast(0, Message::of(1));
+  EXPECT_EQ(net.pending_messages(), 3);
+  try {
+    net.send(0, 2, Message::of(2));
+    ADD_FAILURE() << "second message on (0,2) was accepted";
+  } catch (const CongestViolation& e) {
+    EXPECT_STREQ(e.what(), "second message on edge (0,2) in round 0");
+  }
+  try {
+    net.broadcast(0, Message::of(3));
+    ADD_FAILURE() << "second broadcast from 0 was accepted";
+  } catch (const CongestViolation& e) {
+    EXPECT_STREQ(e.what(), "second message on edge (0,1) in round 0");
+  }
+  // The reverse edges are the leaves' own.
+  EXPECT_NO_THROW(net.send(2, 0, Message::of(4)));
+  EXPECT_EQ(net.pending_messages(), 4);
+  EXPECT_EQ(net.stats().messages, 4);
+
+  // Next round every edge is free again.
+  net.advance_round();
+  EXPECT_EQ(net.inbox(0).size(), 1u);
+  EXPECT_EQ(net.inbox(2).size(), 1u);
+  EXPECT_NO_THROW(net.send(0, 2, Message::of(5)));
+  EXPECT_NO_THROW(net.broadcast(1, Message::of(6)));
+}
+
 TEST(NetworkViolation, OutOfRangeBroadcastFromParallelOnRound) {
   // Every vertex broadcasts in init, so round 0 fans on_round out across
   // the pool; one handler then broadcasts as vertex n. The staging outbox

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "api/build.hpp"
+#include "congest/transport.hpp"
 #include "core/audit.hpp"
 #include "core/params.hpp"
 #include "eval/stretch.hpp"
@@ -188,6 +189,50 @@ TEST(EmulatorDistributed, DeterministicIncludingRounds) {
   EXPECT_EQ(a.h().edges(), b.h().edges());
   EXPECT_EQ(a.net.rounds, b.net.rounds);
   EXPECT_EQ(a.net.messages, b.net.messages);
+}
+
+TEST(EmulatorDistributed, DenseDetectRoundsAreDeliveredByPull) {
+  // The congest_build configuration (er 2^14, kappa 4, rho 0.45, 2 lanes).
+  // p1.detect's capped Bellman-Ford only broadcasts, and its densest rounds
+  // cover most directed edges, so the Network pulls some of them.
+  const Graph g = gen_family("er", 16384, 2024);
+  BuildSpec spec = congest_spec(4, 0.45, 0.25);
+  spec.exec.num_threads = 2;
+  spec.exec.profile = true;
+  const BuildOutput out = build(g, spec);
+  bool found = false;
+  for (const congest::PhaseProfileEntry& e : out.profile) {
+    EXPECT_LE(e.times.pull_rounds, e.times.rounds) << e.label;
+    if (e.label != "p1.detect") continue;
+    found = true;
+    EXPECT_GT(e.times.pull_rounds, 0);
+    EXPECT_LT(e.times.pull_rounds, e.times.rounds);
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(EmulatorDistributed, FaultyAndAsyncBuildsNeverPull) {
+  // Only the built-in Ideal model's rounds may go by pull: under Faulty and
+  // Async every round goes through the model, so each sees its per-edge
+  // batch. The Ideal build of the same graph shows the traffic is dense
+  // enough to pull.
+  const Graph g = gen_family("er", 512, 2024);
+  const auto pull_rounds = [&](congest::TransportModel model) {
+    BuildSpec spec = congest_spec(4, 0.45, 0.25);
+    spec.exec.profile = true;
+    spec.exec.transport.model = model;
+    // Each model reads only its own knobs.
+    spec.exec.transport.drop_p = 0.05;
+    spec.exec.transport.latency_max = 3;
+    std::int64_t pulls = 0;
+    for (const congest::PhaseProfileEntry& e : build(g, spec).profile) {
+      pulls += e.times.pull_rounds;
+    }
+    return pulls;
+  };
+  EXPECT_GT(pull_rounds(congest::TransportModel::kIdeal), 0);
+  EXPECT_EQ(pull_rounds(congest::TransportModel::kFaulty), 0);
+  EXPECT_EQ(pull_rounds(congest::TransportModel::kAsync), 0);
 }
 
 }  // namespace

@@ -142,8 +142,8 @@ TEST(Spanner, Em19AlsoValid) {
 TEST(Spanner, ProfileAndSpansPerTaskWithHUnchanged) {
   // The centralized phase loop under all three of its constructions, each
   // superclustering in several phases (caveman at kappa 8), traced and
-  // profiled: one wall-time entry, peak-RSS reading and trace span per
-  // (phase, task), and H and the stats bit-identical to the plain run.
+  // profiled: one wall-time entry, peak-RSS high-water mark and trace span
+  // per (phase, task), and H and the stats bit-identical to the plain run.
   const Graph g = gen_family("caveman", 4096, 2024);
   for (const char* algorithm : {"emulator_fast", "spanner", "spanner_em19"}) {
     SCOPED_TRACE(algorithm);
@@ -164,12 +164,15 @@ TEST(Spanner, ProfileAndSpansPerTaskWithHUnchanged) {
     EXPECT_EQ(plain.stats, profiled.stats);
 
     std::vector<std::string> labels;
+    double high_water = 0;
     for (const congest::PhaseProfileEntry& e : profiled.profile) {
       labels.push_back(e.label);
       EXPECT_GE(e.times.wall_s, 0.0) << e.label;
       EXPECT_EQ(e.times.stage_sum_s(), 0.0) << e.label;
       EXPECT_EQ(e.times.rounds, 0) << e.label;
       EXPECT_GT(e.peak_rss_mb, 0.0) << e.label;
+      EXPECT_GE(e.peak_rss_mb, high_water) << e.label;  // never falls
+      high_water = e.peak_rss_mb;
     }
     const std::vector<PhaseStats>& phases = profiled.result.phases;
     EXPECT_EQ(labels, test::profile_labels(phases));
