@@ -5,7 +5,7 @@
 // the computed recurrence values (alpha_ell, beta_ell). We report the
 // *measured* worst multiplicative and additive errors next to the budget:
 // measured <= budget always, and typically far below (the bounds are
-// worst-case).
+// worst-case). Exits 1 if any E3 or E3b row has a violation or underrun.
 
 #include <iostream>
 
@@ -17,7 +17,8 @@
 namespace usne {
 namespace {
 
-void sweep_exact(const std::string& family, Vertex n, int kappa, double eps,
+/// Adds one exact-APSP row; false if it has a violation or underrun.
+bool sweep_exact(const std::string& family, Vertex n, int kappa, double eps,
                  Table& table) {
   const Graph g = gen_family(family, n, 77);
   const BuildOutput r = build(g, {.algorithm = "emulator_centralized",
@@ -36,6 +37,7 @@ void sweep_exact(const std::string& family, Vertex n, int kappa, double eps,
       .add(report.max_additive)
       .add(report.violations)
       .add(report.underruns);
+  return report.ok();
 }
 
 }  // namespace
@@ -50,20 +52,21 @@ int main() {
 
   Table table({"family", "n", "kappa", "eps", "alpha(budget)", "mult(max)",
                "beta(budget)", "add(max)", "violations", "underruns"});
+  bool ok = true;
   for (const char* family : {"er", "grid", "torus", "ba", "ws", "caveman"}) {
-    sweep_exact(family, 400, 4, 0.25, table);
+    ok = sweep_exact(family, 400, 4, 0.25, table) && ok;
   }
   for (const double eps : {0.1, 0.25, 0.5}) {
-    sweep_exact("er", 400, 4, eps, table);
+    ok = sweep_exact("er", 400, 4, eps, table) && ok;
   }
   for (const int kappa : {2, 8, 16}) {
-    sweep_exact("torus", 400, kappa, 0.25, table);
+    ok = sweep_exact("torus", 400, kappa, 0.25, table) && ok;
   }
   table.print(std::cout, "E3: measured stretch vs budget (exact APSP)");
 
   // Larger graphs with sampled evaluation.
   Table sampled({"family", "n", "kappa", "mult(max)", "add(max)",
-                 "beta(budget)", "violations"});
+                 "beta(budget)", "violations", "underruns"});
   for (const Vertex n : {2048, 4096}) {
     const Graph g = gen_family("er", n, 5);
     const BuildOutput r = build(g, {.algorithm = "emulator_centralized",
@@ -77,13 +80,17 @@ int main() {
         .add(report.max_mult, 3)
         .add(report.max_additive)
         .add(r.beta)
-        .add(report.violations);
+        .add(report.violations)
+        .add(report.underruns);
+    ok = report.ok() && ok;
   }
   sampled.print(std::cout, "E3b: sampled stretch on larger graphs");
 
   bench::note("Interpretation: zero violations/underruns everywhere "
               "reproduces the (1+eps, beta) guarantee; measured errors sit "
               "well below the worst-case budget, as expected.");
+  bench::note(ok ? "Claim check PASSED: no violation or underrun in any row."
+                 : "Claim check FAILED: a row has a violation or underrun.");
   std::cout << "\n[E3 done in " << format_double(total.seconds(), 1) << "s]\n";
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -9,6 +9,7 @@
 //   ./approx_shortest_paths [--n 16384] [--avg-deg 32] [--queries 25]
 
 #include <cmath>
+#include <exception>
 #include <iostream>
 
 #include "api/build.hpp"
@@ -20,7 +21,9 @@
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace usne;
   Cli cli(argc, argv,
           {{"n", "number of vertices (default 16384)"},
@@ -94,4 +97,15 @@ int main(int argc, char** argv) {
             << "  (guaranteed <= " << emulator.beta
             << " plus (alpha-1)*d_G)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 }

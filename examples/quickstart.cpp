@@ -7,6 +7,7 @@
 // ("emulator_centralized" in the registry), and prints the size and stretch
 // guarantees next to measured values.
 
+#include <exception>
 #include <iostream>
 
 #include "api/build.hpp"
@@ -16,7 +17,9 @@
 #include "util/cli.hpp"
 #include "util/math.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace usne;
   Cli cli(argc, argv,
           {{"n", "number of vertices (default 4096)"},
@@ -63,4 +66,15 @@ int main(int argc, char** argv) {
             << "violations: " << stretch.violations
             << "  underruns: " << stretch.underruns << "\n";
   return stretch.ok() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 }

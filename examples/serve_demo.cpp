@@ -12,6 +12,7 @@
 //   ./serve_demo [--n 4096] [--queries 50000] [--threads 0] [--cache-mb 32]
 
 #include <algorithm>
+#include <exception>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -25,7 +26,9 @@
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace usne;
   Cli cli(argc, argv,
           {{"n", "number of vertices (default 4096)"},
@@ -103,4 +106,15 @@ int main(int argc, char** argv) {
             << "  (guarantee: d <= " << format_double(engine.alpha(), 3)
             << " * d_G + " << engine.beta() << ")\n";
   return stretch.ok() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 }

@@ -9,6 +9,7 @@
 //
 //   ./spanner_pipeline [--n 4096] [--kappa 8] [--rho 0.4]
 
+#include <exception>
 #include <iostream>
 
 #include "api/build.hpp"
@@ -20,7 +21,9 @@
 #include "util/math.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace usne;
   Cli cli(argc, argv,
           {{"n", "number of vertices (default 4096)"},
@@ -69,4 +72,15 @@ int main(int argc, char** argv) {
             << "; the emulator is allowed weighted shortcuts and is the "
                "sparsest; the spanner stays inside G.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 }

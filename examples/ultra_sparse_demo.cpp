@@ -6,6 +6,7 @@
 //   ./ultra_sparse_demo [--n 32768] [--avg-deg 12] [--rho 0.3] [--seed 7]
 
 #include <cmath>
+#include <exception>
 #include <iostream>
 
 #include "api/build.hpp"
@@ -17,7 +18,9 @@
 #include "util/math.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace usne;
   Cli cli(argc, argv,
           {{"n", "number of vertices (default 32768)"},
@@ -77,4 +80,15 @@ int main(int argc, char** argv) {
   std::cout << "\nThe emulator preserves all pairwise distances up to "
             << "(1+eps, beta) using barely n edges — that is Corollary 2.15.\n";
   return stretch.ok() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 }

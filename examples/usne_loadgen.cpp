@@ -38,6 +38,8 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -96,7 +98,12 @@ int run(int argc, char** argv) {
   }
 
   const std::string host = cli.get("host", "127.0.0.1");
-  std::uint16_t port = static_cast<std::uint16_t>(cli.get_int("port", 0));
+  const std::int64_t port_flag = cli.get_int("port", 0);
+  if (port_flag < 0 || port_flag > 65535) {
+    throw std::invalid_argument("--port " + std::to_string(port_flag) +
+                                " is outside [0, 65535]");
+  }
+  std::uint16_t port = static_cast<std::uint16_t>(port_flag);
   if (cli.has("port-file")) {
     std::ifstream f(cli.get("port-file", ""));
     int p = 0;

@@ -48,6 +48,8 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "api/build.hpp"
@@ -129,7 +131,12 @@ int run(int argc, char** argv) {
 
   net::ServerOptions server_options;
   server_options.host = cli.get("host", "127.0.0.1");
-  server_options.port = static_cast<std::uint16_t>(cli.get_int("port", 0));
+  const std::int64_t port = cli.get_int("port", 0);
+  if (port < 0 || port > 65535) {
+    throw std::invalid_argument("--port " + std::to_string(port) +
+                                " is outside [0, 65535]");
+  }
+  server_options.port = static_cast<std::uint16_t>(port);
   server_options.workers = static_cast<int>(cli.get_int("workers", 2));
   server_options.max_queue = static_cast<int>(cli.get_int("max-queue", 1024));
   server_options.max_inflight_per_conn =

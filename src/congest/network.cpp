@@ -11,12 +11,6 @@
 namespace usne::congest {
 namespace {
 
-/// Delivery batches smaller than this are counting-sorted serially even
-/// under a parallel execution policy: the three fork/join handshakes of
-/// the sharded pass cost more than a small batch's scatter. Purely a
-/// wall-clock knob — delivery order is bit-identical either way.
-constexpr std::size_t kMinParallelScatter = 4096;
-
 /// A round goes by pull when its broadcasts cover at least 1/kPullDensity
 /// of the 2|E| directed edges (and the other conditions in network.hpp
 /// hold). The pull fill reads the stamp of every directed edge's sender,
@@ -29,21 +23,6 @@ constexpr std::int64_t kPullDensity = 4;
 /// receive: the O(n) scan then beats the O(r log r) sort. Wall-clock only;
 /// the order is the same either way.
 constexpr std::size_t kDenseReceivers = 32;
-
-/// Sorts `receivers` (distinct vertices of [0, n)) ascending; a dense set
-/// is rebuilt by scanning [0, n) with `is_receiver` instead.
-template <typename IsReceiver>
-void sort_receivers(std::vector<Vertex>& receivers, std::size_t n,
-                    IsReceiver is_receiver) {
-  if (receivers.size() * kDenseReceivers < n) {
-    std::sort(receivers.begin(), receivers.end());
-    return;
-  }
-  receivers.clear();
-  for (std::size_t v = 0; v < n; ++v) {
-    if (is_receiver(v)) receivers.push_back(static_cast<Vertex>(v));
-  }
-}
 
 void check_word_cap(const Message& msg) {
   if (msg.size < 1 || msg.size > kMaxWords) {
@@ -87,8 +66,6 @@ void Network::set_execution_threads(int threads) {
   threads = std::max(threads, 1);
   if (threads != exec_threads_) {
     pool_.reset();  // rebuilt lazily at the new width
-    shard_count_.clear();
-    shard_touched_.clear();
     exec_threads_ = threads;
   }
 }
@@ -191,25 +168,6 @@ void Network::broadcast(Vertex from, const Message& msg) {
   stats_.words += deg * msg.size;
 }
 
-void Network::sort_inbox_run(Vertex v) {
-  const auto sv = static_cast<std::size_t>(v);
-  Received* const first =
-      arena_.data() + static_cast<std::size_t>(inbox_begin_[sv]);
-  Received* const last = first + static_cast<std::size_t>(inbox_count_[sv]);
-  const auto by_sender = [](const Received& a, const Received& b) {
-    return a.from < b.from;
-  };
-  if (model_->unique_senders_per_round()) {
-    // Unique keys: plain (allocation-free) sort is already deterministic.
-    std::sort(first, last, by_sender);
-  } else {
-    // Duplicates / multi-round batches repeat senders: stability keeps the
-    // deterministic batch order (original before copy, earlier staging
-    // round first) within equal senders.
-    std::stable_sort(first, last, by_sender);
-  }
-}
-
 bool Network::pull_round() const noexcept {
   return builtin_ideal_ && pending_sends_ == 0 &&
          pending_broadcast_messages_ > 0 &&
@@ -277,13 +235,7 @@ void Network::advance_round() {
     deliver_.clear();
     model_->collect(stats_.rounds, staged_, deliver_);
     delivered_messages_ = static_cast<std::int64_t>(deliver_.size());
-    util::ThreadPool* const pool =
-        deliver_.size() >= kMinParallelScatter ? thread_pool() : nullptr;
-    if (pool != nullptr) {
-      scatter_parallel(*pool);
-    } else {
-      scatter_serial();
-    }
+    scatter_serial();
   }
   outgoing_.clear();
   pending_sends_ = 0;
@@ -333,8 +285,15 @@ void Network::scatter_serial() {
       receivers_.push_back(p.to);
     }
   }
-  sort_receivers(receivers_, recv_count_.size(),
-                 [&](std::size_t v) { return recv_count_[v] != 0; });
+  const std::size_t n = recv_count_.size();
+  if (receivers_.size() * kDenseReceivers < n) {
+    std::sort(receivers_.begin(), receivers_.end());
+  } else {
+    receivers_.clear();
+    for (std::size_t v = 0; v < n; ++v) {
+      if (recv_count_[v] != 0) receivers_.push_back(static_cast<Vertex>(v));
+    }
+  }
   std::int64_t offset = 0;
   for (const Vertex v : receivers_) {
     inbox_begin_[static_cast<std::size_t>(v)] = offset;
@@ -347,101 +306,25 @@ void Network::scatter_serial() {
         p.rcv;
   }
   // Deterministic processing order for receivers: sort each run by sender.
-  for (const Vertex v : receivers_) {
-    sort_inbox_run(v);
-    recv_count_[static_cast<std::size_t>(v)] = 0;
-  }
-  delivered_.swap(receivers_);
-  receivers_.clear();
-}
-
-void Network::scatter_parallel(util::ThreadPool& pool) {
-  // Sharded counting sort: shard s owns the contiguous batch chunk
-  // [m*s/S, m*(s+1)/S). Within a receiver's arena run, shard s's messages
-  // are written before shard s+1's, at each shard's precomputed cursor —
-  // so the run's content order equals the serial (batch) order exactly,
-  // and the per-run sender sort then matches the serial pass bit for bit.
-  const std::size_t shards = static_cast<std::size_t>(pool.parallelism());
-  const std::size_t m = deliver_.size();
-  const std::size_t n = static_cast<std::size_t>(graph_->num_vertices());
-  if (shard_count_.size() != shards) {
-    shard_count_.assign(shards, std::vector<std::int64_t>(n, 0));
-    shard_touched_.assign(shards, {});
-  }
-  if (receiver_stamp_.size() != n) receiver_stamp_.assign(n, -1);
-
-  // Pass 1 (parallel): per-shard destination counts.
-  pool.parallel_for(static_cast<int>(shards), [&](int s) {
-    const std::size_t su = static_cast<std::size_t>(s);
-    auto& count = shard_count_[su];
-    auto& touched = shard_touched_[su];
-    for (std::size_t i = m * su / shards; i < m * (su + 1) / shards; ++i) {
-      const auto to = static_cast<std::size_t>(deliver_[i].to);
-      if (count[to]++ == 0) touched.push_back(deliver_[i].to);
-    }
-  });
-
-  // Receivers: union of the touched lists, deduped by round stamp, then
-  // sorted ascending (the delivery contract).
-  for (const auto& touched : shard_touched_) {
-    for (const Vertex v : touched) {
-      if (receiver_stamp_[static_cast<std::size_t>(v)] != stats_.rounds) {
-        receiver_stamp_[static_cast<std::size_t>(v)] = stats_.rounds;
-        receivers_.push_back(v);
-      }
-    }
-  }
-  sort_receivers(receivers_, n, [&](std::size_t v) {
-    return receiver_stamp_[v] == stats_.rounds;
-  });
-
-  // Offsets: turn the per-shard counts into per-shard write cursors (an
-  // exclusive prefix sum across shards within each receiver's run).
-  std::int64_t offset = 0;
+  // Unique senders make a plain (allocation-free) sort deterministic.
+  // Duplicates and multi-round batches repeat senders: stability keeps the
+  // deterministic batch order (original before copy, earlier staging round
+  // first) within equal senders.
+  const bool unique_senders = model_->unique_senders_per_round();
+  const auto by_sender = [](const Received& a, const Received& b) {
+    return a.from < b.from;
+  };
   for (const Vertex v : receivers_) {
     const auto sv = static_cast<std::size_t>(v);
-    inbox_begin_[sv] = offset;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::int64_t c = shard_count_[s][sv];
-      if (c != 0) {  // untouched (shard, v) slots must stay zero for reuse
-        shard_count_[s][sv] = offset;
-        offset += c;
-      }
+    Received* const first = arena_.data() + inbox_begin_[sv];
+    Received* const last = first + inbox_count_[sv];
+    if (unique_senders) {
+      std::sort(first, last, by_sender);
+    } else {
+      std::stable_sort(first, last, by_sender);
     }
-    inbox_count_[sv] = offset - inbox_begin_[sv];
+    recv_count_[sv] = 0;
   }
-  if (arena_.size() < m) arena_.resize(m);
-
-  // Pass 2 (parallel): scatter at the cursors.
-  pool.parallel_for(static_cast<int>(shards), [&](int s) {
-    const std::size_t su = static_cast<std::size_t>(s);
-    auto& cursor = shard_count_[su];
-    for (std::size_t i = m * su / shards; i < m * (su + 1) / shards; ++i) {
-      arena_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(deliver_[i].to)]++)] =
-          deliver_[i].rcv;
-    }
-  });
-
-  // Pass 3 (parallel): per-run sender sorts, receivers partitioned across
-  // lanes; runs are independent, so order of execution is immaterial.
-  const std::size_t r = receivers_.size();
-  pool.parallel_for(static_cast<int>(shards), [&](int s) {
-    const std::size_t su = static_cast<std::size_t>(s);
-    for (std::size_t i = r * su / shards; i < r * (su + 1) / shards; ++i) {
-      sort_inbox_run(receivers_[i]);
-    }
-  });
-
-  // Reset the scratch counts (touched entries only).
-  pool.parallel_for(static_cast<int>(shards), [&](int s) {
-    const std::size_t su = static_cast<std::size_t>(s);
-    for (const Vertex v : shard_touched_[su]) {
-      shard_count_[su][static_cast<std::size_t>(v)] = 0;
-    }
-    shard_touched_[su].clear();
-  });
-
   delivered_.swap(receivers_);
   receivers_.clear();
 }

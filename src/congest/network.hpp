@@ -42,10 +42,9 @@
 //         (the bottom-up step of direction-optimizing BFS).
 //   push  every other round. The records expand, in staging order, into
 //         one Staged message per edge; the delivery model turns those into
-//         the batch, which is counting-sorted into the arena (in parallel
-//         on the execution pool for large batches, bit-identical to the
-//         serial pass) and sorted by sender within each run. Faulty, Async
-//         and custom models therefore see exactly the per-edge batch.
+//         the batch, which is counting-sorted into the arena and sorted by
+//         sender within each run. Faulty, Async and custom models therefore
+//         see exactly the per-edge batch.
 //
 // Both paths build the same inboxes and run the same conservation audits.
 //
@@ -378,8 +377,6 @@ class Network {
   /// Counting-sorts deliver_ into the arena (receivers ascending, one
   /// contiguous run each, runs sorted by sender) and fills delivered_.
   void scatter_serial();
-  void scatter_parallel(util::ThreadPool& pool);
-  void sort_inbox_run(Vertex v);
 
   /// A vertex's broadcast: the round it was staged in (stale in any other
   /// round), read by the cap checks, and its message, read by the pull
@@ -431,12 +428,6 @@ class Network {
   // Execution policy for the Scheduler (see set_execution_threads).
   int exec_threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;
-  // Parallel counting-sort scratch, lazily sized on the first large batch:
-  // per-shard destination counts (doubling as write cursors) and touched
-  // lists, plus a round-stamped receiver dedup.
-  std::vector<std::vector<std::int64_t>> shard_count_;
-  std::vector<std::vector<Vertex>> shard_touched_;
-  std::vector<std::int64_t> receiver_stamp_;
 };
 
 }  // namespace usne::congest

@@ -257,6 +257,10 @@ Graph gen_dumbbell(Vertex clique_size, Vertex bridge) {
 }
 
 Graph gen_family(const std::string& family, Vertex n, std::uint64_t seed) {
+  if (n < 0) {
+    throw std::invalid_argument("gen_family: n must be >= 0, got " +
+                                std::to_string(n));
+  }
   if (family == "er") return gen_connected_gnm(n, 4 * static_cast<std::int64_t>(n), seed);
   if (family == "er_sparse") return gen_gnm(n, 2 * static_cast<std::int64_t>(n), seed);
   if (family == "ba") return gen_barabasi_albert(n, 3, seed);

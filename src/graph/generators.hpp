@@ -71,8 +71,8 @@ Graph gen_dumbbell(Vertex clique_size, Vertex bridge);
 /// Named-family dispatcher used by parameterized tests and benches.
 /// Families: all_families(), plus er_sparse and complete.
 /// `n` is a target size; the generator may round (e.g. grids use sqrt).
-/// Throws std::invalid_argument naming an unknown family and the accepted
-/// names.
+/// Throws std::invalid_argument for n < 0, and for an unknown family,
+/// naming the accepted names.
 Graph gen_family(const std::string& family, Vertex n, std::uint64_t seed);
 
 /// The family names gen_family accepts, except er_sparse and complete.

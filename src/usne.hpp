@@ -48,7 +48,6 @@
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "graph/weighted_graph.hpp"
-#include "hopset/hopset.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"

@@ -1,9 +1,33 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
+#include <stdexcept>
+#include <system_error>
 
 namespace usne {
+namespace {
+
+/// Parses the whole of `value` as a T; throws std::invalid_argument naming
+/// flag `name` if any of it is not a number or the number is out of range.
+template <typename T>
+T parse_whole(const std::string& name, const std::string& value,
+              const char* kind) {
+  T out{};
+  const char* const last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, out);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("--" + name + " " + value +
+                                " is out of range");
+  }
+  if (ec != std::errc{} || end != last) {
+    throw std::invalid_argument("--" + name + " expects " + kind +
+                                ", got '" + value + "'");
+  }
+  return out;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, char** argv, std::map<std::string, std::string> spec,
          bool allow_positional, std::set<std::string> switches)
@@ -62,7 +86,9 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == values_.end()
+             ? fallback
+             : parse_whole<std::int64_t>(name, it->second, "an integer");
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
@@ -76,7 +102,8 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  return it == values_.end() ? fallback
+                             : parse_whole<double>(name, it->second, "a number");
 }
 
 std::string Cli::usage(const std::string& program) const {

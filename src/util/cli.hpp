@@ -30,6 +30,10 @@ class Cli {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+
+  /// Numeric flags: the whole value must parse (decimal integer, or a
+  /// number in std::from_chars' general format). A malformed value ("12abc",
+  /// "") or one out of range throws std::invalid_argument naming the flag.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
 

@@ -382,14 +382,14 @@ TEST(TransportDeterminism, SameSeedSameRunTwice) {
   EXPECT_NE(a.stats.at("transport_dropped"), c.stats.at("transport_dropped"));
 }
 
-// --- parallel counting sort (large-batch scatter) ---------------------------
+// --- full broadcast rounds at every lane count -------------------------------
 
 /// Broadcasts from every vertex each round and folds the inbox into an
 /// order-sensitive checksum, so any deviation in delivery order or content
-/// between the serial and sharded counting sort shows up immediately. The
-/// graph is sized so each round's batch (2m messages) exceeds the parallel
-/// scatter threshold, and several rounds run back to back — a regression
-/// for the cursor-reset bug the sharded pass once had on its second round.
+/// between lane counts shows up immediately. Every round broadcasts on all
+/// 2m directed edges: under Ideal it is delivered by pull, and under Faulty
+/// and Async it takes the per-edge batch and the counting sort. Several
+/// rounds run back to back, each fanned out across the lanes.
 class ChecksumProgram final : public NodeProgram {
  public:
   ChecksumProgram(Vertex n, std::int64_t rounds) : rounds_(rounds) {
@@ -427,7 +427,7 @@ class ChecksumProgram final : public NodeProgram {
   std::vector<congest::Word> acc_;
 };
 
-TEST(ParallelScatter, LargeBatchCountingSortMatchesSerial) {
+TEST(LaneCount, FullBroadcastRoundsMatchSerial) {
   const Graph g = gen_gnm(800, 6400, 13);  // ~12800 messages per full round
   for (const TransportSpec& transport :
        {TransportSpec{}, faulty_spec(0.05, 0.02), async_spec(3)}) {

@@ -10,10 +10,7 @@
 #include "core/params.hpp"
 #include "eval/stretch.hpp"
 #include "graph/generators.hpp"
-#include "hopset/hopset.hpp"
-#include "path/bfs.hpp"
 #include "path/dijkstra.hpp"
-#include "serve/query_engine.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -102,23 +99,6 @@ TEST(PipelineSoak, RepeatedBuildsShareNothing) {
   const auto dist_a_after = dijkstra(a.h(), 0);
   EXPECT_EQ(dist_a_before, dist_a_after);
   EXPECT_EQ(a.h().edges(), b.h().edges());
-}
-
-TEST(PipelineSoak, HopsetAndOracleComposition) {
-  // Use the serving engine's emulator as a hopset: the two applications
-  // compose.
-  const Graph g = gen_torus(16, 16);
-  BuildSpec spec;
-  spec.algorithm = "emulator_fast";
-  spec.params = {8, 0.25, 0.4, false};
-  spec.exec.keep_audit_data = false;
-  const serve::QueryEngine engine(build(g, spec));
-  const auto report = measure_hopbound(g, engine.emulator(), {0, 37},
-                                       engine.alpha() - 1.0, engine.beta(), 64);
-  ASSERT_GT(report.hopbound, 0);
-  // The torus hop radius from these sources is 16; the emulator must not
-  // make it worse.
-  EXPECT_LE(report.hopbound, 16 + 1);
 }
 
 }  // namespace

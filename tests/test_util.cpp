@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -188,6 +189,31 @@ TEST(Cli, TypedAccessors) {
   EXPECT_DOUBLE_EQ(cli.get_double("eps", 0), 0.5);
   EXPECT_EQ(cli.get("name", ""), "er");
   EXPECT_EQ(cli.get_int("missing", 7), 7);
+}
+
+TEST(Cli, NumericFlagsParseTheWholeValue) {
+  // A prefix parse would read "12abc" as 12 and "" as 0. Malformed and
+  // out-of-range values throw instead, naming the flag.
+  const Cli cli = make_cli(
+      {"--junk=12abc", "--empty=", "--int-big=99999999999999999999",
+       "--dbl-big=1e999", "--neg=-5"},
+      {{"junk", ""}, {"empty", ""}, {"int-big", ""}, {"dbl-big", ""},
+       {"neg", ""}});
+  ASSERT_TRUE(cli.errors().empty());
+  for (const char* flag : {"junk", "empty"}) {
+    EXPECT_THROW(cli.get_int(flag, 0), std::invalid_argument) << flag;
+    EXPECT_THROW(cli.get_double(flag, 0), std::invalid_argument) << flag;
+  }
+  EXPECT_THROW(cli.get_int("int-big", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("dbl-big", 0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("neg", 0), -5);
+  EXPECT_DOUBLE_EQ(cli.get_double("neg", 0), -5.0);
+  try {
+    cli.get_int("junk", 0);
+    ADD_FAILURE() << "get_int accepted 12abc";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--junk"), std::string::npos);
+  }
 }
 
 TEST(Cli, GetBool) {
