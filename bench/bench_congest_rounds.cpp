@@ -25,12 +25,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "api/build.hpp"
 #include "bench_common.hpp"
 #include "core/params.hpp"
+#include "util/cli.hpp"
 #include "util/math.hpp"
 
 namespace usne {
@@ -86,17 +88,23 @@ int main(int argc, char** argv) {
         // determinism check; only the speedup is then uninteresting).
         threads = std::max(2u, std::thread::hardware_concurrency());
       } else {
-        char* end = nullptr;
-        const long value = std::strtol(arg.c_str(), &end, 10);
-        if (end == arg.c_str() || *end != '\0' || value < 0) {
+        int value = -1;
+        try {
+          value = parse_flag<int>("threads", arg);
+        } catch (const std::invalid_argument& e) {
+          std::cerr << "error: " << e.what() << "\n";
+          return 2;
+        }
+        if (value < 0) {
           std::cerr << "error: --threads expects a non-negative integer or "
                        "'max', got '" << arg << "'\n";
           return 2;
         }
         // 0 = hardware concurrency, matching Network::set_execution_threads.
         threads = value == 0
-                      ? std::max(1u, std::thread::hardware_concurrency())
-                      : static_cast<int>(value);
+                      ? static_cast<int>(
+                            std::max(1u, std::thread::hardware_concurrency()))
+                      : value;
       }
     } else {
       std::cerr << "usage: bench_congest_rounds [--json FILE] "
@@ -138,6 +146,7 @@ int main(int argc, char** argv) {
         Row{"emulator_congest", "caveman", 256, 4, 0.49},
         Row{"emulator_congest", "er", 512, 8, 0.4},
         Row{"emulator_congest", "er", 16384, 4, 0.45},
+        Row{"emulator_congest", "er", 65536, 4, 0.45},
         Row{"spanner_congest", "er", 128, 4, 0.49},
         Row{"spanner_congest", "er", 256, 4, 0.49},
         Row{"spanner_congest_em19", "er", 128, 4, 0.49},

@@ -27,6 +27,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "serve/query_engine.hpp"
 #include "serve/stats.hpp"
 #include "serve/workload.hpp"
+#include "util/cli.hpp"
 
 namespace usne {
 namespace {
@@ -92,7 +94,12 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       const std::string arg = argv[++i];
-      threads = arg == "max" ? 0 : static_cast<int>(std::stol(arg));
+      try {
+        threads = arg == "max" ? 0 : parse_flag<int>("threads", arg);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+      }
     } else {
       std::cerr << "usage: bench_query_throughput [--json FILE] "
                    "[--threads N|max]\n";

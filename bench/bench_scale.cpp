@@ -26,6 +26,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "graph/weighted_graph.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/workload.hpp"
+#include "util/cli.hpp"
 #include "util/mem.hpp"
 #include "util/rng.hpp"
 
@@ -65,7 +67,12 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       const std::string arg = argv[++i];
-      threads = arg == "max" ? 0 : static_cast<int>(std::stol(arg));
+      try {
+        threads = arg == "max" ? 0 : parse_flag<int>("threads", arg);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+      }
     } else {
       std::cerr << "usage: bench_scale [--json FILE] [--smoke] "
                    "[--threads N|max]\n";

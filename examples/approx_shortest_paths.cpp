@@ -35,9 +35,9 @@ int run(int argc, char** argv) {
     std::cout << cli.usage("approx_shortest_paths");
     return cli.help_requested() ? 0 : 1;
   }
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 16384));
-  const int avg_deg = static_cast<int>(cli.get_int("avg-deg", 32));
-  const int queries = static_cast<int>(cli.get_int("queries", 25));
+  const Vertex n = cli.get_int_as<Vertex>("n", 16384);
+  const int avg_deg = cli.get_int_as<int>("avg-deg", 32);
+  const int queries = cli.get_int_as<int>("queries", 25);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 11));
 
   const Graph g =

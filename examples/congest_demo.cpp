@@ -33,7 +33,7 @@ int run(int argc, char** argv) {
     std::cout << cli.usage("congest_demo");
     return cli.help_requested() ? 0 : 1;
   }
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 256));
+  const Vertex n = cli.get_int_as<Vertex>("n", 256);
   const std::string family = cli.get("family", "torus");
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
 
@@ -41,10 +41,10 @@ int run(int argc, char** argv) {
 
   BuildSpec spec;
   spec.algorithm = "emulator_congest";
-  spec.params.kappa = static_cast<int>(cli.get_int("kappa", 4));
+  spec.params.kappa = cli.get_int_as<int>("kappa", 4);
   spec.params.rho = cli.get_double("rho", 0.45);
   spec.params.eps = 0.4;
-  spec.exec.num_threads = static_cast<int>(cli.get_int("threads", 1));
+  spec.exec.num_threads = cli.get_int_as<int>("threads", 1);
 
   const BuildOutput result = build(g, spec);
   std::cout << "graph:  " << family << ", n = " << g.num_vertices()

@@ -32,8 +32,8 @@ int run(int argc, char** argv) {
     return cli.help_requested() ? 0 : 1;
   }
 
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 4096));
-  const int kappa = static_cast<int>(cli.get_int("kappa", 8));
+  const Vertex n = cli.get_int_as<Vertex>("n", 4096);
+  const int kappa = cli.get_int_as<int>("kappa", 8);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
 
   // 1. An input graph.

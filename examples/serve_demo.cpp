@@ -41,9 +41,9 @@ int run(int argc, char** argv) {
     std::cout << cli.usage("serve_demo");
     return cli.help_requested() ? 0 : 1;
   }
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 4096));
+  const Vertex n = cli.get_int_as<Vertex>("n", 4096);
   const std::int64_t num_queries = cli.get_int("queries", 50000);
-  const int threads_flag = static_cast<int>(cli.get_int("threads", 0));
+  const int threads_flag = cli.get_int_as<int>("threads", 0);
   // Resolve 0 = hardware up front so the table labels real lane counts
   // (at least 2, so the multi-threaded row exists even on one core).
   const int threads =

@@ -35,14 +35,14 @@ int run(int argc, char** argv) {
     std::cout << cli.usage("spanner_pipeline");
     return cli.help_requested() ? 0 : 1;
   }
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 4096));
+  const Vertex n = cli.get_int_as<Vertex>("n", 4096);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 21));
 
   const Graph g = gen_connected_gnm(n, 6L * n, seed);
   std::cout << "input: n = " << n << ", m = " << g.num_edges() << "\n\n";
 
   BuildSpec spec;
-  spec.params.kappa = static_cast<int>(cli.get_int("kappa", 8));
+  spec.params.kappa = cli.get_int_as<int>("kappa", 8);
   spec.params.rho = cli.get_double("rho", 0.4);
   spec.params.eps = 0.25;
   spec.exec.keep_audit_data = false;

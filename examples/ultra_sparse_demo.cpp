@@ -32,8 +32,8 @@ int run(int argc, char** argv) {
     std::cout << cli.usage("ultra_sparse_demo");
     return cli.help_requested() ? 0 : 1;
   }
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 32768));
-  const int avg_deg = static_cast<int>(cli.get_int("avg-deg", 12));
+  const Vertex n = cli.get_int_as<Vertex>("n", 32768);
+  const int avg_deg = cli.get_int_as<int>("avg-deg", 12);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
 
   const Graph g =

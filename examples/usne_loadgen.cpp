@@ -118,7 +118,7 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 1024));
+  const Vertex n = cli.get_int_as<Vertex>("n", 1024);
   serve::WorkloadSpec workload;
   workload.kind = serve::parse_workload_kind(cli.get("workload", "zipf"));
   workload.num_queries = cli.get_int("queries", 8000);
@@ -129,7 +129,7 @@ int run(int argc, char** argv) {
   workload.all_fraction = cli.get_double("all-fraction", 0.05);
 
   const int connections =
-      std::max(1, static_cast<int>(cli.get_int("connections", 4)));
+      std::max(1, cli.get_int_as<int>("connections", 4));
   const std::size_t batch =
       static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("batch", 16)));
   const std::string mode = cli.get("mode", "closed");
@@ -227,7 +227,7 @@ int run(int argc, char** argv) {
   if (cli.get_bool("verify", false)) {
     BuildSpec spec;
     spec.algorithm = cli.get("algo", "emulator_fast");
-    spec.params.kappa = static_cast<int>(cli.get_int("kappa", 8));
+    spec.params.kappa = cli.get_int_as<int>("kappa", 8);
     spec.params.eps = cli.get_double("eps", 0.25);
     spec.params.rho = cli.get_double("rho", 0.3);
     const std::uint64_t seed =

@@ -236,12 +236,12 @@ int run_query(const usne::Cli& cli, const usne::Graph& g,
 
   serve::ServeOptions options;
   options.cache_mb = cli.get_double("cache-mb", 64.0);
-  options.cache_shards = static_cast<int>(cli.get_int("cache-shards", 0));
+  options.cache_shards = cli.get_int_as<int>("cache-shards", 0);
   options.slow_query_us = cli.get_int("slow-query-us", 0);
   // Per-query service-latency percentiles ride along in the query record
   // (the same obs::LatencyHistogram the daemon's STATS endpoint merges).
   options.record_latency = true;
-  const int qps_threads = static_cast<int>(cli.get_int("qps-threads", 1));
+  const int qps_threads = cli.get_int_as<int>("qps-threads", 1);
   // The stretch gate only applies where a stretch claim exists: randomized
   // baselines carry no per-instance guarantee (has_guarantee = false), and
   // builds under a non-ideal transport are robustness workloads whose
@@ -428,14 +428,14 @@ int run(int argc, char** argv) {
     return 1;
   }
   const std::string family = cli.get("family", "er");
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 256));
+  const Vertex n = cli.get_int_as<Vertex>("n", 256);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 2024));
-  spec.params.kappa = static_cast<int>(cli.get_int("kappa", 4));
+  spec.params.kappa = cli.get_int_as<int>("kappa", 4);
   spec.params.eps = cli.get_double("eps", 0.25);
   spec.params.rho = cli.get_double("rho", 0.45);
   spec.params.rescale = cli.get_bool("rescale", false);
-  spec.exec.num_threads = static_cast<int>(cli.get_int("threads", 1));
+  spec.exec.num_threads = cli.get_int_as<int>("threads", 1);
   spec.exec.keep_audit_data = cli.get_bool("audit", false);
   spec.exec.profile = cli.get_bool("profile", false);
   spec.exec.seed = seed;

@@ -114,19 +114,19 @@ int run(int argc, char** argv) {
   BuildSpec spec;
   spec.algorithm = cli.get("algo", "emulator_fast");
   const std::string family = cli.get("family", "er");
-  const Vertex n = static_cast<Vertex>(cli.get_int("n", 1024));
+  const Vertex n = cli.get_int_as<Vertex>("n", 1024);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 2024));
-  spec.params.kappa = static_cast<int>(cli.get_int("kappa", 8));
+  spec.params.kappa = cli.get_int_as<int>("kappa", 8);
   spec.params.eps = cli.get_double("eps", 0.25);
   spec.params.rho = cli.get_double("rho", 0.3);
   spec.params.rescale = cli.get_bool("rescale", false);
-  spec.exec.num_threads = static_cast<int>(cli.get_int("threads", 1));
+  spec.exec.num_threads = cli.get_int_as<int>("threads", 1);
   spec.exec.seed = seed;
 
   serve::ServeOptions serve_options;
   serve_options.cache_mb = cli.get_double("cache-mb", 64.0);
-  serve_options.cache_shards = static_cast<int>(cli.get_int("cache-shards", 0));
+  serve_options.cache_shards = cli.get_int_as<int>("cache-shards", 0);
   serve_options.slow_query_us = cli.get_int("slow-query-us", 0);
 
   net::ServerOptions server_options;
@@ -137,10 +137,10 @@ int run(int argc, char** argv) {
                                 " is outside [0, 65535]");
   }
   server_options.port = static_cast<std::uint16_t>(port);
-  server_options.workers = static_cast<int>(cli.get_int("workers", 2));
-  server_options.max_queue = static_cast<int>(cli.get_int("max-queue", 1024));
+  server_options.workers = cli.get_int_as<int>("workers", 2);
+  server_options.max_queue = cli.get_int_as<int>("max-queue", 1024);
   server_options.max_inflight_per_conn =
-      static_cast<int>(cli.get_int("max-inflight", 256));
+      cli.get_int_as<int>("max-inflight", 256);
   server_options.idle_timeout_ms = cli.get_int("idle-timeout-ms", 30000);
 
   const double duration_s = cli.get_double("duration", 0.0);

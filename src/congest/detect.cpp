@@ -1,6 +1,7 @@
 #include "congest/detect.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "congest/engine.hpp"
@@ -38,7 +39,11 @@ constexpr Word kExplore = 4;  // <kExplore, source, dist>
 ///
 /// Stride boundary. A boundary visits only the vertices that kept an id
 /// (collected per shard, then sorted ascending: senders keep the order a
-/// full scan would give).
+/// full scan would give). Each one's ids become its next list in id order.
+/// Dense ranks follow id order, so a list with at least as many ids as the
+/// rank bitset has words is marked in one reused scratch bitset and read
+/// back lowest bit first, in O(ids + words); a shorter list is sorted. The
+/// lists come out the same either way.
 ///
 /// Parallel audit: on_round mutates only per-vertex state (hits_[v],
 /// heard_[v], seen_[v], fresh_[v]) and pushes v into its own shard's
@@ -56,12 +61,14 @@ class DetectProgram final : public NodeProgram {
     if (!keep_.full()) heard_.assign(un, {});
     fresh_.assign(un, {});
     rank_.assign(un, -1);
-    std::vector<Vertex> sorted = sources;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    bitset_words_ = (sorted.size() + 63) / 64;
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      const Vertex s = sorted[i];
+    by_rank_ = sources;
+    std::sort(by_rank_.begin(), by_rank_.end());
+    by_rank_.erase(std::unique(by_rank_.begin(), by_rank_.end()),
+                   by_rank_.end());
+    bitset_words_ = (by_rank_.size() + 63) / 64;
+    order_.assign(bitset_words_, 0);
+    for (std::size_t i = 0; i < by_rank_.size(); ++i) {
+      const Vertex s = by_rank_[i];
       const auto si = static_cast<std::size_t>(s);
       rank_[si] = static_cast<std::int32_t>(i);
       if (keep_.contains(s)) {
@@ -210,16 +217,33 @@ class DetectProgram final : public NodeProgram {
     pending_.clear();
     senders_.clear();  // already spent: no list is longer than the stride
     pending_dist_ = completed_stride;
-    std::vector<Vertex> learnt;
-    learners_.drain_into(learnt);
-    std::sort(learnt.begin(), learnt.end());
-    for (const Vertex v : learnt) {
+    learnt_.clear();
+    learners_.drain_into(learnt_);
+    std::sort(learnt_.begin(), learnt_.end());
+    for (const Vertex v : learnt_) {
       std::vector<Vertex>& fresh = fresh_[static_cast<std::size_t>(v)];
-      std::sort(fresh.begin(), fresh.end());
       const std::size_t begin = pending_.size();
-      pending_.insert(pending_.end(), fresh.begin(), fresh.end());
+      if (fresh.size() >= bitset_words_) {
+        for (const Vertex src : fresh) test_and_set(order_, src);
+        append_marked();
+      } else {
+        std::sort(fresh.begin(), fresh.end());
+        pending_.insert(pending_.end(), fresh.begin(), fresh.end());
+      }
       fresh.clear();
       senders_.push_back({v, begin, pending_.size()});
+    }
+  }
+
+  /// Appends the sources marked in order_ to pending_, lowest rank (so
+  /// smallest id) first, and clears order_.
+  void append_marked() {
+    for (std::size_t w = 0; w < order_.size(); ++w) {
+      for (std::uint64_t bits = order_[w]; bits != 0; bits &= bits - 1) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+        pending_.push_back(by_rank_[w * 64 + bit]);
+      }
+      order_[w] = 0;
     }
   }
 
@@ -242,15 +266,20 @@ class DetectProgram final : public NodeProgram {
   // never circulate), the bitset length in words, per-vertex bitsets
   // (empty until the vertex's list outweighs one) and, per unkept vertex,
   // the ids it heard until then (heard_ stays empty when every vertex is
-  // kept).
+  // kept). by_rank_ maps a rank back to its source id.
   std::vector<std::int32_t> rank_;
+  std::vector<Vertex> by_rank_;
   std::size_t bitset_words_ = 0;
   std::vector<std::vector<std::uint64_t>> seen_;
   std::vector<std::vector<Vertex>> heard_;
   // Stride bookkeeping: fresh_[v] holds the ids v forwards next stride;
-  // learners_ collects each v that kept one, once per stride.
+  // learners_ collects each v that kept one, once per stride, and a
+  // boundary drains them into learnt_. order_ is the boundary's scratch
+  // rank bitset, all zero between lists.
   std::vector<std::vector<Vertex>> fresh_;
   Sharded<Vertex> learners_;
+  std::vector<Vertex> learnt_;
+  std::vector<std::uint64_t> order_;
 };
 
 }  // namespace

@@ -50,6 +50,22 @@
 // delivery order, and every algorithm output are bit-for-bit identical to
 // the serial engine, for any lane or chunk count.
 //
+// Pulled rounds under a parallel policy. A dense broadcast-only round that
+// the Network delivers by pull (see congest/network.hpp) is filled by the
+// lanes themselves, not by advance_round(): the Scheduler cuts [0, n) once
+// per run into contiguous vertex ranges, kChunksPerLane per lane, each
+// holding about the same share of the CSR rows, and each range's task
+// fills its vertices' inboxes and then runs their on_round into its
+// staging Outbox. The ranges' receivers, concatenated in range order,
+// become delivered_to(); the replay, its audit and the stage attribution
+// are the push rounds' own, and the Network's conservation audits run once
+// every lane has finished. This is sound only because staged sends wait
+// for the replay: the fill reads each sender's entry in the broadcast
+// table, and a broadcast restamps that entry for the next round. So under
+// the serial policy, where on_round sends straight into the network,
+// advance_round() fills the whole round before the first on_round runs.
+// Both use the one fill function, over [0, n) or over one range.
+//
 // The on_round contract under parallelism: a handler may freely mutate
 // state owned by its vertex v (per-vertex arrays, collected[v], queue
 // pushes keyed by v) and may send through its Outbox, but any accumulation
@@ -299,7 +315,8 @@ class PipelinedQueues {
 /// T > 1 lanes the on_round fan-out of sufficiently large rounds (by
 /// receiver fan-out AND delivered-message count — small rounds cannot
 /// amortize the fork/join handshake) runs on the network's persistent
-/// thread pool, bit-for-bit equivalent to serial execution. At program end
+/// thread pool, and so does the fill of a large pulled round (see the file
+/// comment), bit-for-bit equivalent to serial execution. At program end
 /// the Scheduler verifies quiescence: under the Ideal transport it throws
 /// CongestViolation if staged messages remain (they would silently leak
 /// into the next program on the same network); under Faulty/Async it

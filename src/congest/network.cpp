@@ -1,6 +1,7 @@
 #include "congest/network.hpp"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -175,33 +176,54 @@ bool Network::pull_round() const noexcept {
              graph_->csr_offset(graph_->num_vertices());
 }
 
-std::int64_t Network::pull_fill() {
+void Network::retire_delivery() {
+  // Only delivered vertices have non-zero counts, so the reset touches
+  // exactly the prior traffic.
+  for (const Vertex v : delivered_) inbox_count_[static_cast<std::size_t>(v)] = 0;
+  delivered_.clear();
+}
+
+void Network::open_pull() {
+  retire_delivery();
+  const auto directed = static_cast<std::size_t>(
+      graph_->csr_offset(graph_->num_vertices()));
+  if (arena_.size() < directed) arena_.resize(directed);
+}
+
+std::int64_t Network::pull_fill(Vertex begin, Vertex end,
+                                std::vector<Vertex>& receivers) {
   // Under Ideal a broadcast reaches every neighbour next round, so v's inbox
   // is (w, msg_w) for every neighbour w that broadcast, in row order, which
-  // is ascending sender order.
+  // is ascending sender order. It is written at v's own row offset.
   const std::int64_t round = stats_.rounds;
-  const auto total = static_cast<std::size_t>(pending_broadcast_messages_);
-  if (arena_.size() < total) arena_.resize(total);
-  Received* const arena = arena_.data();
+  const Broadcast* const table = broadcast_.data();
   std::int64_t filled = 0;
-  const Vertex n = graph_->num_vertices();
-  for (Vertex v = 0; v < n; ++v) {
-    const std::int64_t begin = filled;
+  for (Vertex v = begin; v < end; ++v) {
+    const std::int64_t row = graph_->csr_offset(v);
+    Received* const first = arena_.data() + row;
+    Received* last = first;
     for (const Vertex w : graph_->neighbors(v)) {
-      const Broadcast& b = broadcast_[static_cast<std::size_t>(w)];
-      if (b.round == round) arena[filled++] = {w, b.msg};
+      const Broadcast& b = table[static_cast<std::size_t>(w)];
+      if (b.round == round) *last++ = {w, b.msg};
     }
-    if (filled != begin) {
-      inbox_begin_[static_cast<std::size_t>(v)] = begin;
-      inbox_count_[static_cast<std::size_t>(v)] = filled - begin;
-      receivers_.push_back(v);
+    if (last != first) {
+      const auto sv = static_cast<std::size_t>(v);
+      inbox_begin_[sv] = row;
+      inbox_count_[sv] = last - first;
+      filled += last - first;
+      receivers.push_back(v);
     }
   }
-  // Swap like the push path, so both vectors keep taking turns and reach
-  // their high-water marks whichever path a round takes.
-  delivered_.swap(receivers_);
-  receivers_.clear();
   return filled;
+}
+
+void Network::close_pull(std::span<const std::vector<Vertex>> chunks,
+                         std::int64_t messages) {
+  for (const std::vector<Vertex>& chunk : chunks) {
+    delivered_.insert(delivered_.end(), chunk.begin(), chunk.end());
+  }
+  ++pull_rounds_;
+  close_round(messages);
 }
 
 void Network::expand_records() {
@@ -218,25 +240,27 @@ void Network::expand_records() {
 }
 
 void Network::advance_round() {
-  // Retire the previous round's delivery state (only delivered vertices have
-  // non-zero counts, so the reset touches exactly the prior traffic).
-  for (const Vertex v : delivered_) inbox_count_[static_cast<std::size_t>(v)] = 0;
-  delivered_.clear();
-
   if (pull_round()) {
-    delivered_messages_ = pull_fill();
-    ++pull_rounds_;
-  } else {
-    // Transport policy: the model turns this round's staged sends into the
-    // batch delivered next round (Ideal passes everything through; Faulty
-    // drops/duplicates; Async files by drawn latency and surfaces the
-    // messages that are due).
-    expand_records();
-    deliver_.clear();
-    model_->collect(stats_.rounds, staged_, deliver_);
-    delivered_messages_ = static_cast<std::int64_t>(deliver_.size());
-    scatter_serial();
+    // The whole round is filled before any caller reads an inbox (see the
+    // file comment).
+    open_pull();
+    close_pull({}, pull_fill(0, graph_->num_vertices(), delivered_));
+    return;
   }
+  retire_delivery();
+  // Transport policy: the model turns this round's staged sends into the
+  // batch delivered next round (Ideal passes everything through; Faulty
+  // drops/duplicates; Async files by drawn latency and surfaces the
+  // messages that are due).
+  expand_records();
+  deliver_.clear();
+  model_->collect(stats_.rounds, staged_, deliver_);
+  scatter_serial();
+  close_round(static_cast<std::int64_t>(deliver_.size()));
+}
+
+void Network::close_round(std::int64_t messages) {
+  delivered_messages_ = messages;
   outgoing_.clear();
   pending_sends_ = 0;
   pending_broadcast_messages_ = 0;
@@ -282,20 +306,20 @@ void Network::scatter_serial() {
   // ascending order, one contiguous run each.
   for (const Staged& p : deliver_) {
     if (recv_count_[static_cast<std::size_t>(p.to)]++ == 0) {
-      receivers_.push_back(p.to);
+      delivered_.push_back(p.to);
     }
   }
   const std::size_t n = recv_count_.size();
-  if (receivers_.size() * kDenseReceivers < n) {
-    std::sort(receivers_.begin(), receivers_.end());
+  if (delivered_.size() * kDenseReceivers < n) {
+    std::sort(delivered_.begin(), delivered_.end());
   } else {
-    receivers_.clear();
+    delivered_.clear();
     for (std::size_t v = 0; v < n; ++v) {
-      if (recv_count_[v] != 0) receivers_.push_back(static_cast<Vertex>(v));
+      if (recv_count_[v] != 0) delivered_.push_back(static_cast<Vertex>(v));
     }
   }
   std::int64_t offset = 0;
-  for (const Vertex v : receivers_) {
+  for (const Vertex v : delivered_) {
     inbox_begin_[static_cast<std::size_t>(v)] = offset;
     offset += recv_count_[static_cast<std::size_t>(v)];
   }
@@ -314,7 +338,7 @@ void Network::scatter_serial() {
   const auto by_sender = [](const Received& a, const Received& b) {
     return a.from < b.from;
   };
-  for (const Vertex v : receivers_) {
+  for (const Vertex v : delivered_) {
     const auto sv = static_cast<std::size_t>(v);
     Received* const first = arena_.data() + inbox_begin_[sv];
     Received* const last = first + inbox_count_[sv];
@@ -325,8 +349,6 @@ void Network::scatter_serial() {
     }
     recv_count_[sv] = 0;
   }
-  delivered_.swap(receivers_);
-  receivers_.clear();
 }
 
 void Network::advance_rounds(std::int64_t k) {

@@ -26,27 +26,45 @@
 // and leaves the same messages staged. Counts stay per message: a
 // broadcast adds deg(from) messages and deg(from) x size words.
 //
+// Words: a word is a std::int32_t, O(log n) bits for any n a Vertex can
+// name. Message::of range-checks every value it packs and throws
+// CongestViolation naming one that does not fit, so an oversized payload is
+// a model violation, not a silent truncation. A message is 20 bytes, a
+// delivered record 24.
+//
 // Storage: the round's records append to a flat staging buffer, and
-// advance_round() turns them into a CSR-shaped arena of inboxes, one
-// contiguous Received run per receiving vertex, each run sorted by sender.
-// All buffers are reused across rounds, so round advancement performs no
-// heap allocation once the per-round traffic high-water mark has been
-// reached. A round is delivered one of two ways:
+// advance_round() turns them into an arena of inboxes, one contiguous
+// Received run per receiving vertex, each run sorted by sender. All
+// buffers are reused across rounds, so round advancement performs no heap
+// allocation once the per-round traffic high-water mark has been reached.
+// A round is delivered one of two ways:
 //
 //   pull  when the built-in Ideal model is installed, the round staged no
 //         point-to-point send, and its broadcasts cover at least
 //         1/kPullDensity of the 2|E| directed edges (a rule on the round's
-//         own traffic). Each receiver walks its sorted CSR row and appends
+//         own traffic). Each receiver walks its sorted CSR row and writes
 //         (w, msg_w) for every neighbour w that broadcast: runs come out in
-//         sender order with no sort, and every arena write is sequential
-//         (the bottom-up step of direction-optimizing BFS).
+//         sender order with no sort (the bottom-up step of
+//         direction-optimizing BFS). The arena is row-aligned: v receives
+//         at most deg(v) messages, so its run starts at its own CSR offset
+//         and the arena holds 2|E| records. Any vertex range therefore
+//         fills independently of the others, with no prefix sum.
 //   push  every other round. The records expand, in staging order, into
 //         one Staged message per edge; the delivery model turns those into
 //         the batch, which is counting-sorted into the arena and sorted by
 //         sender within each run. Faulty, Async and custom models therefore
 //         see exactly the per-edge batch.
 //
-// Both paths build the same inboxes and run the same conservation audits.
+// Who fills a pulled round: advance_round() fills the whole round, vertex
+// range [0, n), before it returns; the serial Scheduler and direct callers
+// take that path. Under a parallel policy the Scheduler instead has its
+// lanes fill the round (congest/engine.hpp): each lane fills one vertex
+// range and runs that range's on_round, and the chunks' receivers,
+// concatenated in range order, become delivered_to(). Both are the same
+// fill function over a different range.
+//
+// Both paths build the same inboxes and run the same conservation audits;
+// a lane-filled round runs them once its lanes have finished.
 //
 // What happens to a staged message *between* the send and the next round's
 // inbox is delegated to a pluggable DeliveryModel (congest/transport.hpp):
@@ -62,6 +80,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -75,8 +94,16 @@ namespace usne::congest {
 class DeliveryModel;
 struct TransportSpec;
 
-/// One machine word as transmitted on an edge.
-using Word = std::int64_t;
+/// Thrown when an algorithm violates the CONGEST constraints.
+class CongestViolation : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
+/// One machine word as transmitted on an edge: O(log n) bits (paper
+/// §1.5.1). Every payload the algorithms send (tags, vertex ids, depths,
+/// distances) is below n.
+using Word = std::int32_t;
 
 /// Maximum words per message ("O(1) words").
 inline constexpr int kMaxWords = 4;
@@ -87,16 +114,27 @@ struct Message {
   int size = 0;
 
   /// Builds a message from 1..kMaxWords integral words; arity is checked at
-  /// compile time against the O(1)-word cap.
+  /// compile time against the O(1)-word cap, and each value at run time
+  /// against the word's range (CongestViolation naming the value).
   template <typename... Ws>
   static Message of(Ws... ws) {
     static_assert(sizeof...(Ws) >= 1 &&
                       sizeof...(Ws) <= static_cast<std::size_t>(kMaxWords),
                   "a CONGEST message carries 1..kMaxWords words");
-    static_assert((std::is_convertible_v<Ws, Word> && ...),
+    static_assert((std::is_integral_v<Ws> && ...),
                   "message payload must be integral words");
+    (check_word(ws), ...);
     return Message{{static_cast<Word>(ws)...},
                    static_cast<int>(sizeof...(Ws))};
+  }
+
+ private:
+  template <typename W>
+  static void check_word(W w) {
+    if (!std::in_range<Word>(w)) {
+      throw CongestViolation("message word " + std::to_string(w) +
+                             " does not fit a 32-bit CONGEST word");
+    }
   }
 };
 
@@ -126,11 +164,9 @@ struct Outgoing {
   Message msg;
 };
 
-/// Thrown when an algorithm violates the CONGEST constraints.
-class CongestViolation : public std::logic_error {
- public:
-  using std::logic_error::logic_error;
-};
+static_assert(sizeof(Message) == 20 && sizeof(Received) == 24 &&
+                  sizeof(Staged) == 28 && sizeof(Outgoing) == 28,
+              "message records are packed in 32-bit words");
 
 /// Throws CongestViolation unless `from` is a vertex of `g`. Every send
 /// path runs it before it reads the sender's adjacency row; `op` names the
@@ -154,7 +190,11 @@ struct NetworkStats {
 ///   init       program.init (seeding round 0)
 ///   deliver    Network::advance_round (pull fill, or transport +
 ///              counting-sort scatter)
-///   compute    the on_round fan-out, incl. parallel chunk planning
+///   compute    the on_round fan-out, incl. parallel chunk planning; on a
+///              lane-filled pulled round (parallel policy) it also holds
+///              that round's fill, since each lane fills the inboxes it
+///              then reads, so a falling deliver_s and a rising compute_s
+///              are one move
 ///   replay     ascending-order replay of staged parallel sends
 ///   end_round  the central end_round hook
 ///   drain      end-of-program quiescence (non-ideal transports)
@@ -298,8 +338,9 @@ class Network {
   void broadcast(Vertex from, const Message& msg);
 
   /// Ends the current round: delivers a dense broadcast-only round under
-  /// the built-in Ideal model by pull, and otherwise hands the staged sends
-  /// to the delivery model and materializes its batch in the inboxes.
+  /// the built-in Ideal model by pull, filling every inbox before it
+  /// returns, and otherwise hands the staged sends to the delivery model
+  /// and materializes its batch in the inboxes.
   void advance_round();
 
   /// Advances `k` rounds (the first delivers pending messages; the rest are
@@ -363,19 +404,44 @@ class Network {
   /// broadcast from `from` this round are the caller's checks.
   void stage_send(std::int64_t eid, Vertex from, Vertex to, const Message& msg);
 
+  // The Scheduler drives a lane-filled pulled round through open_pull,
+  // pull_fill and close_pull (see the file comment); nothing else does.
+  friend class Scheduler;
+
   /// Whether this round is delivered by pull (see the file comment).
   bool pull_round() const noexcept;
 
-  /// Pull: fills the arena along every receiver's CSR row and fills
-  /// delivered_; returns the messages delivered.
-  std::int64_t pull_fill();
+  /// Resets the previous round's inbox counts and clears delivered_.
+  void retire_delivery();
+
+  /// Pull: retires the previous round and sizes the row-aligned arena.
+  void open_pull();
+
+  /// Pull: fills the inbox of every vertex in [begin, end) that a
+  /// neighbour broadcast to, appends those vertices to `receivers` in
+  /// ascending order and returns the messages filled. It writes only those
+  /// vertices' arena rows and inbox entries, so lanes may run it at once
+  /// on disjoint ranges.
+  std::int64_t pull_fill(Vertex begin, Vertex end,
+                         std::vector<Vertex>& receivers);
+
+  /// Pull: closes the round. `chunks` are the lanes' receiver lists in
+  /// range order (appended to delivered_), `messages` the messages they
+  /// filled.
+  void close_pull(std::span<const std::vector<Vertex>> chunks,
+                  std::int64_t messages);
+
+  /// Ends a delivered round of `messages` messages: clears the staged
+  /// sends, runs both kTransport audits and counts the round.
+  void close_round(std::int64_t messages);
 
   /// Push: expands the round's records into staged_, one Staged per edge,
   /// in staging order.
   void expand_records();
 
   /// Counting-sorts deliver_ into the arena (receivers ascending, one
-  /// contiguous run each, runs sorted by sender) and fills delivered_.
+  /// contiguous run each, runs sorted by sender) and fills delivered_,
+  /// which retire_delivery() left empty.
   void scatter_serial();
 
   /// A vertex's broadcast: the round it was staged in (stale in any other
@@ -385,14 +451,16 @@ class Network {
     std::int64_t round = -1;
     Message msg;
   };
+  static_assert(sizeof(Broadcast) == 32,
+                "a broadcast-table entry is a round stamp and a message");
 
   const Graph* graph_ = nullptr;
   // Sends of the current round append to outgoing_ (flat, staging order,
   // one record per broadcast). advance_round() either pulls the round into
-  // arena_ (flat, CSR by receiver, addressed by inbox_begin_/inbox_count_)
-  // or expands outgoing_ into staged_, hands that to the delivery model,
-  // which fills deliver_ (this round's batch), and counting-sorts deliver_
-  // into arena_.
+  // arena_ (row-aligned: v's run starts at csr_offset(v); addressed by
+  // inbox_begin_/inbox_count_) or expands outgoing_ into staged_, hands
+  // that to the delivery model, which fills deliver_ (this round's batch),
+  // and counting-sorts deliver_ into arena_.
   std::vector<Outgoing> outgoing_;
   std::int64_t pending_sends_ = 0;               // point-to-point records
   std::int64_t pending_broadcast_messages_ = 0;  // sum of deg over broadcasts
@@ -406,7 +474,6 @@ class Network {
   std::vector<std::int64_t> inbox_count_;     // per-vertex run length
   std::vector<std::int64_t> recv_count_;      // per-vertex batch count (scratch)
   std::vector<Vertex> delivered_;             // nodes with non-empty inbox
-  std::vector<Vertex> receivers_;             // scratch: batch receivers
   std::int64_t delivered_messages_ = 0;       // size of the current batch
   std::int64_t delivered_total_ = 0;          // cumulative batch messages
   std::int64_t pull_rounds_ = 0;              // rounds delivered by pull

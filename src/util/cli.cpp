@@ -1,33 +1,8 @@
 #include "util/cli.hpp"
 
-#include <charconv>
 #include <sstream>
-#include <stdexcept>
-#include <system_error>
 
 namespace usne {
-namespace {
-
-/// Parses the whole of `value` as a T; throws std::invalid_argument naming
-/// flag `name` if any of it is not a number or the number is out of range.
-template <typename T>
-T parse_whole(const std::string& name, const std::string& value,
-              const char* kind) {
-  T out{};
-  const char* const last = value.data() + value.size();
-  const auto [end, ec] = std::from_chars(value.data(), last, out);
-  if (ec == std::errc::result_out_of_range) {
-    throw std::invalid_argument("--" + name + " " + value +
-                                " is out of range");
-  }
-  if (ec != std::errc{} || end != last) {
-    throw std::invalid_argument("--" + name + " expects " + kind +
-                                ", got '" + value + "'");
-  }
-  return out;
-}
-
-}  // namespace
 
 Cli::Cli(int argc, char** argv, std::map<std::string, std::string> spec,
          bool allow_positional, std::set<std::string> switches)
@@ -84,13 +59,6 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end()
-             ? fallback
-             : parse_whole<std::int64_t>(name, it->second, "an integer");
-}
-
 bool Cli::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
@@ -98,12 +66,6 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
   return fallback;
-}
-
-double Cli::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback
-                             : parse_whole<double>(name, it->second, "a number");
 }
 
 std::string Cli::usage(const std::string& program) const {

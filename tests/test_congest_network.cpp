@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "congest/engine.hpp"
 #include "congest/network.hpp"
 #include "graph/generators.hpp"
@@ -90,6 +94,31 @@ TEST(NetworkViolation, OversizedMessage) {
   Message empty;
   empty.size = 0;
   EXPECT_THROW(net.send(0, 1, empty), CongestViolation);
+}
+
+TEST(NetworkViolation, MessageWordOutsideInt32) {
+  // A word is O(log n) bits, here 32: a wider value is a model violation
+  // naming the value, not a silent truncation.
+  constexpr std::int64_t kWide = std::int64_t{1} << 40;
+  for (const std::int64_t value : {kWide, -kWide}) {
+    try {
+      Message::of(1, value);
+      ADD_FAILURE() << "Message::of accepted " << value;
+    } catch (const CongestViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(value)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  EXPECT_THROW(Message::of(std::int64_t{kMax} + 1), CongestViolation);
+  EXPECT_THROW(Message::of(std::int64_t{kMin} - 1), CongestViolation);
+  EXPECT_THROW(Message::of(std::uint32_t{kMax} + 1U), CongestViolation);
+  const Message m = Message::of(std::int64_t{kMin}, std::int64_t{kMax});
+  EXPECT_EQ(m.size, 2);
+  EXPECT_EQ(m.words[0], kMin);
+  EXPECT_EQ(m.words[1], kMax);
 }
 
 TEST(NetworkViolation, OutOfRangeSenderSend) {

@@ -91,13 +91,17 @@ TEST(ParallelDeterminism, BfsForest) {
   }
 }
 
+// Dense detect rounds are pulled: serially the network fills the whole
+// round before any on_round runs, on 2+ lanes each lane fills the vertex
+// ranges it then runs. Both must give the same lists and counts.
 TEST(ParallelDeterminism, Detect) {
   const Graph g = gen_gnm(300, 1200, 3);
   std::vector<Vertex> sources;
   for (Vertex v = 0; v < 300; v += 7) sources.push_back(v);
   congest::DetectResult expected;
   NetworkStats expected_stats;
-  for (const int threads : kThreadCounts) {
+  std::int64_t expected_pulls = 0;
+  for (const int threads : {1, 2, 4, 8}) {
     Network net(g);
     net.set_execution_threads(threads);
     congest::DetectResult r =
@@ -105,8 +109,11 @@ TEST(ParallelDeterminism, Detect) {
     if (threads == 1) {
       expected = std::move(r);
       expected_stats = net.stats();
+      expected_pulls = net.pull_rounds();
+      EXPECT_GT(expected_pulls, 0);
       continue;
     }
+    EXPECT_EQ(expected_pulls, net.pull_rounds()) << "threads=" << threads;
     EXPECT_EQ(expected.rounds_used, r.rounds_used) << "threads=" << threads;
     ASSERT_EQ(expected.num_vertices(), r.num_vertices());
     for (Vertex v = 0; v < expected.num_vertices(); ++v) {

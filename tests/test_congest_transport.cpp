@@ -554,6 +554,53 @@ TEST(DetectPinned, FewSourcesEveryListReachesBitset) {
                        ListSize::kAtLeastBitset);
 }
 
+/// At each stride boundary a learner's ids become its next list in id
+/// order: read back from a rank bitset when the list holds at least as many
+/// ids as the bitset has words, sorted otherwise. Under ideal delivery a
+/// vertex's list at the boundary after stride k is the (at most cap)
+/// smallest ids it first heard at distance k + 1, so the keep-all hit lists
+/// give every list's length. Returns {bitset lists, sorted lists}.
+std::pair<std::size_t, std::size_t> boundary_list_orders(
+    const congest::DetectResult& r, std::size_t sources, Dist delta,
+    std::int64_t cap) {
+  const std::size_t words = (sources + 63) / 64;
+  std::pair<std::size_t, std::size_t> sides{0, 0};
+  for (Vertex v = 0; v < r.num_vertices(); ++v) {
+    for (Dist d = 1; d < delta; ++d) {  // the last stride forwards nothing
+      const auto heard = static_cast<std::int64_t>(
+          std::ranges::count(r.at(v), d, &SourceHit::dist));
+      const auto ids = static_cast<std::size_t>(std::min(heard, cap));
+      if (ids >= words) {
+        ++sides.first;
+      } else if (ids > 0) {
+        ++sides.second;
+      }
+    }
+  }
+  return sides;
+}
+
+// The digests were taken with every boundary list sorted; a list read back
+// from the bitset must give the same bytes.
+TEST(DetectPinned, BoundaryListsTakeBitsetAndSortOrders) {
+  // 200 sources make a 4-word rank bitset; cap 8 lets a list hold 1..8 ids.
+  const Graph g = gen_connected_gnm(600, 3000, 19);
+  std::vector<Vertex> sources;
+  for (Vertex v = 0; v < g.num_vertices(); v += 3) sources.push_back(v);
+  const Dist delta = 4;
+  const std::int64_t cap = 8;
+  Network net(g);
+  const auto [bitset, sorted] = boundary_list_orders(
+      congest::detect_congest(net, sources, delta, cap, test::keep_all(g)),
+      sources.size(), delta, cap);
+  EXPECT_GT(bitset, 0u);
+  EXPECT_GT(sorted, 0u);
+  expect_detect_pinned(g, sources, delta, cap,
+                       {641428732348408964ULL, 12486131919105954257ULL,
+                        10508130597539365160ULL},
+                       ListSize::kAnySize);
+}
+
 // --- keep sets: kept lists equal the keep-all run's --------------------------
 
 /// Under ideal, faulty and async delivery at 1, 2 and 4 lanes, a run that

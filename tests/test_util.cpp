@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
@@ -214,6 +215,32 @@ TEST(Cli, NumericFlagsParseTheWholeValue) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("--junk"), std::string::npos);
   }
+}
+
+TEST(Cli, NarrowIntegerFlagsAreRangeChecked) {
+  // 2^32 + 44 fits int64 but not int: read as an int it must throw naming
+  // the flag and int's range, not wrap to 44.
+  const Cli cli = make_cli(
+      {"--n=4294967340", "--neg=-2147483649", "--max=2147483647", "--k=8"},
+      {{"n", ""}, {"neg", ""}, {"max", ""}, {"k", ""}});
+  ASSERT_TRUE(cli.errors().empty());
+  EXPECT_EQ(cli.get_int("n", 0), 4294967340);
+  try {
+    cli.get_int_as<int>("n", 0);
+    ADD_FAILURE() << "get_int_as<int> accepted 4294967340";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--n"), std::string::npos) << what;
+    EXPECT_NE(what.find("[-2147483648, 2147483647]"), std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(cli.get_int_as<std::int32_t>("neg", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int_as<std::uint8_t>("max", 0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int_as<int>("max", 0), 2147483647);
+  EXPECT_EQ(cli.get_int_as<int>("k", 0), 8);
+  EXPECT_EQ(cli.get_int_as<int>("missing", 5), 5);
+  EXPECT_THROW(parse_flag<int>("threads", "12abc"), std::invalid_argument);
+  EXPECT_EQ(parse_flag<int>("threads", "-3"), -3);
 }
 
 TEST(Cli, GetBool) {
